@@ -30,6 +30,7 @@ from .model import (
     SurgeryError,
     UNKNOT,
     _knot_violations,
+    _lk_violations,
     fresh_id,
     knot_token,
 )
@@ -122,13 +123,7 @@ def validate_kirby(k: KirbyDiagram) -> list[str]:
             if hid in over_seen:
                 out.append(f"2-handle {h.id}: duplicate run-over entry for {hid}")
             over_seen.add(hid)
-    two_ids = frozenset(h.id for h in k.two_handles)
-    for a, b in k.lk.conflicts():
-        out.append(f"lk({a}, {b}): conflicting asymmetric entries")
-    for cid in k.lk.diagonal_keys():
-        out.append(f"lk({cid}, {cid}): diagonal entries are not allowed")
-    for cid in sorted(k.lk.ids() - two_ids):
-        out.append(f"lk: {cid} is not a 2-handle attaching circle")
+    out.extend(_lk_violations(k.lk, frozenset(h.id for h in k.two_handles)))
     return out
 
 

@@ -25,44 +25,17 @@ from .bridge import (
     round1_to_kirby,
 )
 from .model import DehnDiagram, RoundDiagram, SurgeryError
-from .moves import MoveDescriptor, MoveKind, apply_move, bounded_equivalence_search
+from .moves import MOVES, MoveDescriptor, apply_move, bounded_equivalence_search
 from .textio import ParseError, parse, print_diagram, validate_any
 
 _RANGE_RE = re.compile(r"(-?[0-9]+)\.\.(-?[0-9]+)\Z")
 
-_KIND_ALIASES = {v.value.lower(): v for v in MoveKind}
-_KIND_ALIASES.update(
-    {
-        "kirby1_add": MoveKind.KIRBY1_ADD,
-        "kirby1_del": MoveKind.KIRBY1_DEL,
-        "kirby2_slide": MoveKind.KIRBY2_SLIDE,
-        "eq_move1": MoveKind.EQ_MOVE1,
-        "shuffle_a": MoveKind.SHUFFLE_A,
-        "shuffle_b": MoveKind.SHUFFLE_B,
-        "eq_move3_add": MoveKind.EQ_MOVE3_ADD,
-        "eq_move3_del": MoveKind.EQ_MOVE3_DEL,
-        "eq_move4": MoveKind.EQ_MOVE4,
-    }
-)
-
-#  friendly --args key -> MoveDescriptor field
-_ARG_FIELDS = {
-    "pair": "pair",
-    "i": "pair",
-    "pair2": "pair2",
-    "j": "pair2",
-    "component": "component",
-    "a": "component",
-    "c": "component",
-    "component2": "component2",
-    "b": "component2",
-    "variant": "variant",
-    "k": "k",
-    "k1": "k",
-    "k2": "k2",
-    "delta": "delta",
-    "sign": "sign",
+#: --kind accepts the enum value and the move function's name, in any case.
+_KIND_ALIASES = {
+    alias: kind for kind, spec in MOVES.items() for alias in (kind.value.lower(), spec.fn.__name__)
 }
+#: Synonyms accepted in --args; every other key is a MoveDescriptor field.
+_ARG_SYNONYMS = {"i": "pair", "j": "pair2", "a": "component", "c": "component", "b": "component2", "k1": "k"}
 _INT_FIELDS = {"pair", "pair2", "k", "k2", "delta", "sign"}
 
 
@@ -119,9 +92,10 @@ def _parse_move(kind_text: str, args_text: str) -> MoveDescriptor:
             name, sep, value = piece.partition("=")
             if not sep:
                 raise _CliError(f"bad move argument {piece!r}, expected key=value", 2)
-            field = _ARG_FIELDS.get(name.strip())
-            if field is None:
-                raise _CliError(f"unknown move argument {name!r}", 2)
+            field = _ARG_SYNONYMS.get(name.strip(), name.strip())
+            if field not in MOVES[kind].fields:
+                takes = ", ".join(MOVES[kind].fields)
+                raise _CliError(f"{kind.value} takes no argument {name!r} (it takes {takes})", 2)
             value = value.strip()
             if field in _INT_FIELDS:
                 try:
@@ -226,6 +200,8 @@ def _cmd_foliations(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    if args.file1 == args.file2 == "-":
+        raise _CliError("standard input can be read only once; pass - for at most one file", 2)
     r1 = _load(args.file1, RoundDiagram)
     r2 = _load(args.file2, RoundDiagram)
     found = bounded_equivalence_search(r1, r2, args.depth, _parse_range(args.k_range))

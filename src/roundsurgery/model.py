@@ -206,10 +206,6 @@ class LinkingMatrix:
         self._token = tuple(sorted(self._canon.items())) if not conflicts else ("raw",) + raw
         self._hash = hash(self._token)
 
-    @classmethod
-    def from_dict(cls, entries: Mapping[tuple[ComponentId, ComponentId], int]) -> "LinkingMatrix":
-        return cls((a, b, v) for (a, b), v in entries.items())
-
     def get(self, a: ComponentId, b: ComponentId) -> int:
         key = (a, b) if a <= b else (b, a)
         return self._canon.get(key, 0)
@@ -220,9 +216,6 @@ class LinkingMatrix:
     def items(self) -> Iterator[tuple[tuple[ComponentId, ComponentId], int]]:
         """Canonical nonzero entries, sorted by unordered key."""
         return iter(sorted(self._canon.items()))
-
-    def raw_entries(self) -> tuple[tuple[ComponentId, ComponentId, int], ...]:
-        return self._raw
 
     def ids(self) -> frozenset[ComponentId]:
         return frozenset(x for a, b, _ in self._raw for x in (a, b))
@@ -278,10 +271,6 @@ class JointPair:
     c2: FramedComponent
     n2: int
     m: Optional[Rational] = None
-
-    @property
-    def is_joint(self) -> bool:
-        return self.m is not None
 
     def token(self) -> tuple:
         try:
@@ -407,11 +396,6 @@ class DehnDiagram:
                 return c
         raise UnknownComponentError(f"no component {cid!r}")
 
-    def framing_of(self, cid: ComponentId) -> int:
-        if cid not in self.framing:
-            raise UnknownComponentError(f"no framing for {cid!r}")
-        return self.framing[cid]
-
     def key(self) -> tuple:
         return self._key
 
@@ -469,15 +453,15 @@ def change_coordinates(mat: Matrix2, s: TorusSlope) -> TorusSlope:
 # Validation and elementary queries
 
 
-def _rational_violations(r: Rational, where: str) -> list[str]:
+def _rational_violations(r: Rational) -> list[str]:
     if not isinstance(r, Rational):
-        return [f"{where}: coefficient is not a rational slope"]
+        return ["coefficient is not a rational slope"]
     if r.q < 0:
-        return [f"{where}: denominator of {r.p}/{r.q} is negative"]
+        return [f"denominator of {r.p}/{r.q} is negative"]
     if not r.is_reduced:
         if r.q == 0:
-            return [f"{where}: infinity slope must be written 1/0, got {r.p}/0"]
-        return [f"{where}: coefficient {r} is not reduced"]
+            return [f"infinity slope must be written 1/0, got {r.p}/0"]
+        return [f"coefficient {r} is not reduced"]
     return []
 
 
@@ -498,34 +482,31 @@ def validate_diagram(d: Diagram) -> list[str]:
     An empty list means the diagram is well-formed.  Violations are
     reported, never raised, so the caller can surface all of them at once.
     """
-    out: list[str] = []
     if isinstance(d, RoundDiagram):
-        seen: set[ComponentId] = set()
-        for c in d.components():
-            if c.id in seen:
-                out.append(f"component {c.id}: duplicate id")
-            seen.add(c.id)
-            out.extend(_knot_violations(c.knot, f"component {c.id}"))
+        components = tuple(d.components())
+    elif isinstance(d, DehnDiagram):
+        components = d.components
+    else:
+        raise SurgeryError(f"not a diagram: {d!r}")
+    out: list[str] = []
+    seen: set[ComponentId] = set()
+    for c in components:
+        if c.id in seen:
+            out.append(f"component {c.id}: duplicate id")
+        seen.add(c.id)
+        out.extend(_knot_violations(c.knot, f"component {c.id}"))
+    if isinstance(d, RoundDiagram):
         for i, p in enumerate(d.pairs):
             if p.m is not None:
-                out.extend(_rational_violations(p.m, f"pair {i} ({p.c1.id}, {p.c2.id})"))
+                out.extend(f"pair {i} ({p.c1.id}, {p.c2.id}): {v}" for v in _rational_violations(p.m))
         for l in d.loose:
-            out.extend(_rational_violations(l.m, f"loose knot {l.component.id}"))
-        out.extend(_lk_violations(d.lk, d.ids))
-    elif isinstance(d, DehnDiagram):
-        seen = set()
-        for c in d.components:
-            if c.id in seen:
-                out.append(f"component {c.id}: duplicate id")
-            seen.add(c.id)
-            out.extend(_knot_violations(c.knot, f"component {c.id}"))
+            out.extend(f"loose knot {l.component.id}: {v}" for v in _rational_violations(l.m))
+    else:
         for cid in sorted(d.ids - set(d.framing)):
             out.append(f"component {cid}: missing framing")
         for cid in sorted(set(d.framing) - d.ids):
             out.append(f"framing for unknown component {cid}")
-        out.extend(_lk_violations(d.lk, d.ids))
-    else:
-        raise SurgeryError(f"not a diagram: {d!r}")
+    out.extend(_lk_violations(d.lk, d.ids))
     return out
 
 

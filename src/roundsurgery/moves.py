@@ -22,9 +22,9 @@ it is the gauge freedom of the joint-pair presentation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .model import (
     BandSum,
@@ -82,33 +82,17 @@ class MoveDescriptor:
     delta: Optional[int] = None
     sign: Optional[int] = None
 
+    def _arguments(self) -> Iterator[tuple[str, object]]:
+        """(field name, value) for every field but ``kind``, in order."""
+        for f in fields(self)[1:]:
+            yield f.name, getattr(self, f.name)
+
     def sort_key(self) -> tuple:
-        def num(x):
-            return (0, 0) if x is None else (1, x)
-
-        def txt(x):
-            return (0, "") if x is None else (1, x)
-
-        return (
-            self.kind.value,
-            num(self.pair),
-            num(self.pair2),
-            txt(self.component),
-            txt(self.component2),
-            txt(self.variant),
-            num(self.k),
-            num(self.k2),
-            num(self.delta),
-            num(self.sign),
-        )
+        # None sorts before every value; each field holds values of one type.
+        return (self.kind.value, *((0,) if v is None else (1, v) for _, v in self._arguments()))
 
     def to_line(self) -> str:
-        parts = [self.kind.value]
-        for name in ("pair", "pair2", "component", "component2", "variant", "k", "k2", "delta", "sign"):
-            value = getattr(self, name)
-            if value is not None:
-                parts.append(f"{name}={value}")
-        return " ".join(parts)
+        return " ".join([self.kind.value, *(f"{name}={v}" for name, v in self._arguments() if v is not None)])
 
 
 MoveSequence = tuple[MoveDescriptor, ...]
@@ -244,24 +228,39 @@ def eq_move3_add(r: RoundDiagram, k: int, delta: int, sign: int) -> RoundDiagram
     return RoundDiagram((*r.pairs, pair), r.loose, r.lk)
 
 
-def eq_move3_del(r: RoundDiagram, pair_index: int) -> RoundDiagram:
-    """Delete a pair matching the eq_move3_add pattern: two unlinked unknots
-    with coefficients (k + delta, k, +-1) and |delta + sign| == 1."""
-    p, m = _joint(r, pair_index)
+def _check_move3_del(r: RoundDiagram, index: int) -> JointPair:
+    """The preconditions of eq_move3_del: pair ``index`` is two unlinked
+    unknots with coefficients (k + delta, k, +-1) and |delta + sign| == 1.
+    Returns the pair, or raises MoveError naming the first that fails."""
+    p, m = _joint(r, index)
     if p.c1.knot != UNKNOT or p.c2.knot != UNKNOT:
-        raise MoveError(f"pair {pair_index} is not a pair of unknots")
+        raise MoveError(f"pair {index} is not a pair of unknots")
     if m not in (1, -1):
-        raise MoveError(f"pair {pair_index} has coefficient {m}, expected +-1")
-    delta = p.n1 - p.n2
-    if (delta, m) not in _MOVE3_COMBOS:
+        raise MoveError(f"pair {index} has coefficient {m}, expected +-1")
+    if (p.n1 - p.n2, m) not in _MOVE3_COMBOS:
         raise MoveError(
-            f"pair {pair_index} coefficients ({p.n1}, {p.n2}, {m}) do not match "
+            f"pair {index} coefficients ({p.n1}, {p.n2}, {m}) do not match "
             "the (k + delta, k, +-1) pattern"
         )
     for cid in (p.c1.id, p.c2.id):
         linked = [x for x in sorted(r.ids) if x != cid and r.lk.get(cid, x) != 0]
         if linked:
             raise MoveError(f"{cid} links {', '.join(linked)}; cannot delete the pair")
+    return p
+
+
+def _deletable(r: RoundDiagram, index: int) -> bool:
+    try:
+        _check_move3_del(r, index)
+    except MoveError:
+        return False
+    return True
+
+
+def eq_move3_del(r: RoundDiagram, pair_index: int) -> RoundDiagram:
+    """Delete a pair matching the eq_move3_add pattern: two unlinked unknots
+    with coefficients (k + delta, k, +-1) and |delta + sign| == 1."""
+    p = _check_move3_del(r, pair_index)
     pairs = [q for t, q in enumerate(r.pairs) if t != pair_index]
     keep = r.ids - {p.c1.id, p.c2.id}
     return RoundDiagram(pairs, r.loose, r.lk.restricted(keep))
@@ -357,47 +356,47 @@ def normalize_k(r: RoundDiagram, ks: Sequence[int]) -> RoundDiagram:
 # Replay and bounded search
 
 
-_DEHN_KINDS = frozenset((MoveKind.KIRBY1_ADD, MoveKind.KIRBY1_DEL, MoveKind.KIRBY2_SLIDE))
+@dataclass(frozen=True)
+class MoveSpec:
+    """How apply_move calls one move kind: the move function, the diagram
+    type it acts on, the MoveDescriptor fields passed to it in call order
+    (those in ``optional`` may be None), and the change in the number of
+    round pairs (Dehn diagrams have none)."""
+
+    fn: Callable[..., Diagram]
+    acts_on: type
+    fields: tuple[str, ...]
+    pair_delta: int = 0
+    optional: tuple[str, ...] = ()
+
+
+#: The move registry: every MoveKind and how to apply it.
+MOVES: dict[MoveKind, MoveSpec] = {
+    MoveKind.KIRBY1_ADD: MoveSpec(kirby1_add, DehnDiagram, ("sign",)),
+    MoveKind.KIRBY1_DEL: MoveSpec(kirby1_del, DehnDiagram, ("component",)),
+    MoveKind.KIRBY2_SLIDE: MoveSpec(kirby2_slide, DehnDiagram, ("component", "component2")),
+    MoveKind.EQ_MOVE1: MoveSpec(eq_move1, RoundDiagram, ("pair", "k")),
+    MoveKind.SHUFFLE_A: MoveSpec(shuffle_a, RoundDiagram, ("pair", "k")),
+    MoveKind.SHUFFLE_B: MoveSpec(shuffle_b, RoundDiagram, ("pair", "pair2", "k", "k2")),
+    MoveKind.EQ_MOVE3_ADD: MoveSpec(eq_move3_add, RoundDiagram, ("k", "delta", "sign"), pair_delta=1),
+    MoveKind.EQ_MOVE3_DEL: MoveSpec(eq_move3_del, RoundDiagram, ("pair",), pair_delta=-1),
+    MoveKind.EQ_MOVE4: MoveSpec(eq_move4, RoundDiagram, ("variant", "pair", "pair2", "k"), optional=("pair2",)),
+}
 
 
 def apply_move(d: Diagram, move: MoveDescriptor) -> Diagram:
     """Apply a descriptor to a diagram.  Raises MoveError when the move's
     arguments or preconditions do not fit."""
-    kind = move.kind
-    wanted = DehnDiagram if kind in _DEHN_KINDS else RoundDiagram
-    if not isinstance(d, wanted):
-        raise MoveError(f"{kind.value} does not apply to {type(d).__name__}")
-    if kind is MoveKind.KIRBY1_ADD:
-        return kirby1_add(d, _required(move.sign, "sign"))
-    if kind is MoveKind.KIRBY1_DEL:
-        return kirby1_del(d, _required(move.component, "component"))
-    if kind is MoveKind.KIRBY2_SLIDE:
-        return kirby2_slide(d, _required(move.component, "component"), _required(move.component2, "component2"))
-    if kind is MoveKind.EQ_MOVE1:
-        return eq_move1(d, _required(move.pair, "pair"), _required(move.k, "k"))
-    if kind is MoveKind.SHUFFLE_A:
-        return shuffle_a(d, _required(move.pair, "pair"), _required(move.k, "k"))
-    if kind is MoveKind.SHUFFLE_B:
-        return shuffle_b(
-            d,
-            _required(move.pair, "pair"),
-            _required(move.pair2, "pair2"),
-            _required(move.k, "k"),
-            _required(move.k2, "k2"),
-        )
-    if kind is MoveKind.EQ_MOVE3_ADD:
-        return eq_move3_add(d, _required(move.k, "k"), _required(move.delta, "delta"), _required(move.sign, "sign"))
-    if kind is MoveKind.EQ_MOVE3_DEL:
-        return eq_move3_del(d, _required(move.pair, "pair"))
-    if kind is MoveKind.EQ_MOVE4:
-        return eq_move4(d, _required(move.variant, "variant"), _required(move.pair, "pair"), move.pair2, _required(move.k, "k"))
-    raise MoveError(f"unknown move kind {kind!r}")
-
-
-def _required(value, name: str):
-    if value is None:
-        raise MoveError(f"move is missing argument {name!r}")
-    return value
+    spec = MOVES.get(move.kind)
+    if spec is None:
+        raise MoveError(f"unknown move kind {move.kind!r}")
+    if not isinstance(d, spec.acts_on):
+        raise MoveError(f"{move.kind.value} does not apply to {type(d).__name__}")
+    args = [getattr(move, name) for name in spec.fields]
+    for name, value in zip(spec.fields, args):
+        if value is None and name not in spec.optional:
+            raise MoveError(f"move is missing argument {name!r}")
+    return spec.fn(d, *args)
 
 
 def apply_sequence(d: Diagram, seq: Iterable[MoveDescriptor]) -> Diagram:
@@ -406,62 +405,67 @@ def apply_sequence(d: Diagram, seq: Iterable[MoveDescriptor]) -> Diagram:
     return d
 
 
-def _deletable(r: RoundDiagram, index: int) -> bool:
-    p = r.pairs[index]
-    if p.m is None or not p.m.is_integer or p.m.p not in (1, -1):
-        return False
-    if p.c1.knot != UNKNOT or p.c2.knot != UNKNOT:
-        return False
-    if (p.n1 - p.n2, p.m.p) not in _MOVE3_COMBOS:
-        return False
-    for cid in (p.c1.id, p.c2.id):
-        for x in r.ids:
-            if x != cid and r.lk.get(cid, x) != 0:
-                return False
-    return True
+def _round_moves(
+    r: RoundDiagram, slot_ks: Sequence[Sequence[int]], pair_delta: Optional[int] = None
+) -> Iterator[MoveDescriptor]:
+    """Candidate round moves on r, in ascending sort_key order so that
+    breadth-first search returns the lexicographically least sequence among
+    the shortest ones.
 
-
-def _enumerate_moves(r: RoundDiagram, ks: tuple[int, ...]) -> Iterator[MoveDescriptor]:
-    # Yield in ascending sort_key order so breadth-first search returns the
-    # lexicographically least sequence among the shortest ones.
+    Every round move writes its free k into n2 of the pair it rewrites;
+    slot_ks[i] holds the k values tried for pair i, and slot_ks[len(r.pairs)]
+    those for the pair EqMove3Add appends.  When pair_delta is given, kinds
+    whose MOVES entry changes the pair count by anything else are skipped.
+    """
     n = len(r.pairs)
     joint = [p.m is not None and p.m.is_integer for p in r.pairs]
-    for i in range(n):
-        if joint[i]:
-            for k in ks:
-                yield MoveDescriptor(MoveKind.EQ_MOVE1, pair=i, k=k)
-    for k in ks:
-        for delta, sign in ((-2, 1), (0, -1), (0, 1), (2, -1)):
-            yield MoveDescriptor(MoveKind.EQ_MOVE3_ADD, k=k, delta=delta, sign=sign)
-    for i in range(n):
-        if _deletable(r, i):
-            yield MoveDescriptor(MoveKind.EQ_MOVE3_DEL, pair=i)
-    double_variants = tuple(v for v in EQ_MOVE4_VARIANTS if v not in _SINGLE_PAIR_VARIANTS)
-    for i in range(n):
-        if not joint[i]:
-            continue
-        for variant in _SINGLE_PAIR_VARIANTS:
-            for k in ks:
-                yield MoveDescriptor(MoveKind.EQ_MOVE4, pair=i, variant=variant, k=k)
-        for j in range(n):
-            if j == i or not joint[j]:
+
+    def wanted(kind: MoveKind) -> bool:
+        return pair_delta is None or MOVES[kind].pair_delta == pair_delta
+
+    if wanted(MoveKind.EQ_MOVE1):
+        for i in range(n):
+            if joint[i]:
+                for k in slot_ks[i]:
+                    yield MoveDescriptor(MoveKind.EQ_MOVE1, pair=i, k=k)
+    if wanted(MoveKind.EQ_MOVE3_ADD):
+        for k in slot_ks[n]:
+            for delta, sign in ((-2, 1), (0, -1), (0, 1), (2, -1)):
+                yield MoveDescriptor(MoveKind.EQ_MOVE3_ADD, k=k, delta=delta, sign=sign)
+    if wanted(MoveKind.EQ_MOVE3_DEL):
+        for i in range(n):
+            if _deletable(r, i):
+                yield MoveDescriptor(MoveKind.EQ_MOVE3_DEL, pair=i)
+    if wanted(MoveKind.EQ_MOVE4):
+        double_variants = tuple(v for v in EQ_MOVE4_VARIANTS if v not in _SINGLE_PAIR_VARIANTS)
+        for i in range(n):
+            if not joint[i]:
                 continue
-            for variant in double_variants:
-                for k in ks:
-                    yield MoveDescriptor(MoveKind.EQ_MOVE4, pair=i, pair2=j, variant=variant, k=k)
-    for i in range(n):
-        if joint[i]:
-            for k in ks:
-                yield MoveDescriptor(MoveKind.SHUFFLE_A, pair=i, k=k)
-    for i in range(n):
-        if not joint[i]:
-            continue
-        for j in range(n):
-            if j == i or not joint[j]:
+            for variant in _SINGLE_PAIR_VARIANTS:
+                for k in slot_ks[i]:
+                    yield MoveDescriptor(MoveKind.EQ_MOVE4, pair=i, variant=variant, k=k)
+            for j in range(n):
+                if j == i or not joint[j]:
+                    continue
+                for variant in double_variants:
+                    for k in slot_ks[i]:
+                        yield MoveDescriptor(MoveKind.EQ_MOVE4, pair=i, pair2=j, variant=variant, k=k)
+    if wanted(MoveKind.SHUFFLE_A):
+        for i in range(n):
+            if joint[i]:
+                for k in slot_ks[i]:
+                    yield MoveDescriptor(MoveKind.SHUFFLE_A, pair=i, k=k)
+    if wanted(MoveKind.SHUFFLE_B):
+        # pair i takes k2 as its n2 and pair j takes k
+        for i in range(n):
+            if not joint[i]:
                 continue
-            for k1 in ks:
-                for k2 in ks:
-                    yield MoveDescriptor(MoveKind.SHUFFLE_B, pair=i, pair2=j, k=k1, k2=k2)
+            for j in range(n):
+                if j == i or not joint[j]:
+                    continue
+                for k1 in slot_ks[j]:
+                    for k2 in slot_ks[i]:
+                        yield MoveDescriptor(MoveKind.SHUFFLE_B, pair=i, pair2=j, k=k1, k2=k2)
 
 
 def _dedup_key(r: RoundDiagram) -> tuple:
@@ -469,61 +473,6 @@ def _dedup_key(r: RoundDiagram) -> tuple:
     # frontier small; the goal test still uses exact structural equality.
     pairs, loose, lk = r.key()
     return (tuple(sorted(pairs)), loose, lk)
-
-
-def _goal_candidates(
-    state: RoundDiagram, goal: RoundDiagram, ks_set: frozenset[int]
-) -> Iterator[MoveDescriptor]:
-    """Moves that could possibly turn ``state`` into ``goal``, in the same
-    canonical order as _enumerate_moves.
-
-    Every round move writes its free parameter k into the second coefficient
-    of the pair it rewrites, so for a fixed kind and target the parameters
-    are forced by the goal; this collapses the innermost search level from
-    O(|k_range|^2) candidates per target to one.
-    """
-    n = len(state.pairs)
-    n_goal = len(goal.pairs)
-    joint = [p.m is not None and p.m.is_integer for p in state.pairs]
-    if n_goal == n:
-        for i in range(n):
-            if joint[i] and goal.pairs[i].n2 in ks_set:
-                yield MoveDescriptor(MoveKind.EQ_MOVE1, pair=i, k=goal.pairs[i].n2)
-    if n_goal == n + 1 and goal.pairs:
-        added = goal.pairs[-1]
-        if added.m is not None and added.m.is_integer:
-            delta, sign, k = added.n1 - added.n2, added.m.p, added.n2
-            if (delta, sign) in _MOVE3_COMBOS and k in ks_set:
-                yield MoveDescriptor(MoveKind.EQ_MOVE3_ADD, k=k, delta=delta, sign=sign)
-    if n_goal == n - 1:
-        for i in range(n):
-            if _deletable(state, i):
-                yield MoveDescriptor(MoveKind.EQ_MOVE3_DEL, pair=i)
-    if n_goal == n:
-        double_variants = tuple(v for v in EQ_MOVE4_VARIANTS if v not in _SINGLE_PAIR_VARIANTS)
-        for i in range(n):
-            if not joint[i] or goal.pairs[i].n2 not in ks_set:
-                continue
-            k = goal.pairs[i].n2
-            for variant in _SINGLE_PAIR_VARIANTS:
-                yield MoveDescriptor(MoveKind.EQ_MOVE4, pair=i, variant=variant, k=k)
-            for j in range(n):
-                if j == i or not joint[j]:
-                    continue
-                for variant in double_variants:
-                    yield MoveDescriptor(MoveKind.EQ_MOVE4, pair=i, pair2=j, variant=variant, k=k)
-        for i in range(n):
-            if joint[i] and goal.pairs[i].n2 in ks_set:
-                yield MoveDescriptor(MoveKind.SHUFFLE_A, pair=i, k=goal.pairs[i].n2)
-        for i in range(n):
-            if not joint[i]:
-                continue
-            for j in range(n):
-                if j == i or not joint[j]:
-                    continue
-                k1, k2 = goal.pairs[j].n2, goal.pairs[i].n2
-                if k1 in ks_set and k2 in ks_set:
-                    yield MoveDescriptor(MoveKind.SHUFFLE_B, pair=i, pair2=j, k=k1, k2=k2)
 
 
 def bounded_equivalence_search(
@@ -538,6 +487,12 @@ def bounded_equivalence_search(
     Returns the lexicographically least sequence among the shortest ones, or
     None if r2 is unreachable within the depth bound.  Absence of a result
     is not a proof of inequivalence.
+
+    The last level tries only the moves that change the pair count by as
+    much as r2 differs from the state and write r2's n2 into the pair they
+    rewrite, because no other move can yield r2.  The survivors keep their
+    sort_key order, so the first hit is the one the unpruned level would
+    find, and the result is still the lexicographically least.
     """
     if depth < 0:
         raise MoveError(f"depth must be non-negative, got {depth}")
@@ -546,16 +501,18 @@ def bounded_equivalence_search(
         return ()
     if depth == 0:
         return None
-    ks_set = frozenset(ks)
+    goal_ks = [(p.n2,) if p.n2 in ks else () for p in r2.pairs]
     frontier: list[tuple[RoundDiagram, MoveSequence]] = [(r1, ())]
     seen = {_dedup_key(r1)}
     for level in range(depth):
-        # On the last level only a goal-shaped move can help, and its free
-        # parameters are forced by r2, so enumerate just those candidates.
         last = level == depth - 1
         next_frontier: list[tuple[RoundDiagram, MoveSequence]] = []
         for state, path in frontier:
-            candidates = _goal_candidates(state, r2, ks_set) if last else _enumerate_moves(state, ks)
+            n = len(state.pairs)
+            if last:
+                candidates = _round_moves(state, goal_ks, len(r2.pairs) - n)
+            else:
+                candidates = _round_moves(state, [ks] * (n + 1))
             for move in candidates:
                 try:
                     new = apply_move(state, move)

@@ -29,7 +29,7 @@ across the package.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .bridge import KirbyDiagram, TwoHandle, validate_kirby
@@ -45,6 +45,7 @@ from .model import (
     LooseKnot,
     Rational,
     RoundDiagram,
+    _rational_violations,
     validate_diagram,
 )
 
@@ -77,12 +78,10 @@ class ParseError(Exception):
 
 @dataclass
 class DiagramDocument:
-    """A parsed document: its header kind, the diagram value, and the source
-    line of each component (for later tooling diagnostics)."""
+    """A parsed document: its header kind and the diagram value."""
 
     kind: str
     diagram: AnyDiagram
-    positions: dict[str, int] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +101,9 @@ def _parse_rational(token: str, line: int, col: int, diags: list[Diagnostic]) ->
         if not _INT_RE.match(num) or not _NAT_RE.match(den):
             diags.append(Diagnostic(line, col, f"expected INT/NAT, got {token!r}"))
             return None
-        return Rational(int(num), int(den))
+        r = Rational(int(num), int(den))
+        diags.extend(Diagnostic(line, col, msg) for msg in _rational_violations(r))
+        return r
     value = _parse_int(token, line, col, diags)
     return None if value is None else Rational(value)
 
@@ -221,11 +222,7 @@ def parse(text: str) -> DiagramDocument:
     diagram = builder(stmts, diags)
     if diags:
         raise ParseError(sorted(diags, key=lambda d: (d.line, d.col)))
-    positions = {}
-    for s in stmts:
-        if s.kind in ("COMP", "HANDLE1", "HANDLE2") and s.tokens:
-            positions.setdefault(s.tokens[0][0], s.line)
-    return DiagramDocument(header, diagram, positions)
+    return DiagramDocument(header, diagram)
 
 
 def _take(stmt: _Stmt, index: int, diags: list[Diagnostic], what: str) -> Optional[tuple[str, int]]:
@@ -388,9 +385,6 @@ def _build_round(stmts: list[_Stmt], diags: list[Diagnostic]) -> RoundDiagram:
                 m_text = _keyed(token, "m", s.line, col, diags)
                 if m_text is not None:
                     m = _parse_rational(m_text, s.line, col + 2, diags)
-                    if m is not None:
-                        for msg in _m_violations(m):
-                            diags.append(Diagnostic(s.line, col + 2, msg))
                 index += 1
             _no_extra(s, index, diags)
             if len(diags) > before:
@@ -411,9 +405,6 @@ def _build_round(stmts: list[_Stmt], diags: list[Diagnostic]) -> RoundDiagram:
                 continue
             m_text = _keyed(g2[0], "m", s.line, g2[1], diags)
             m = _parse_rational(m_text, s.line, g2[1] + 2, diags) if m_text is not None else None
-            if m is not None:
-                for msg in _m_violations(m):
-                    diags.append(Diagnostic(s.line, g2[1] + 2, msg))
             _no_extra(s, 2, diags)
             if len(diags) > before or m is None:
                 continue
@@ -427,14 +418,6 @@ def _build_round(stmts: list[_Stmt], diags: list[Diagnostic]) -> RoundDiagram:
             diags.append(Diagnostic(comp.line, 1, f"component {cid} is not part of any pair or loose knot"))
     entries = _collect_lk(stmts, diags, comps)
     return RoundDiagram(pairs, loose, LinkingMatrix(entries))
-
-
-def _m_violations(m: Rational) -> list[str]:
-    if m.q == 0 and m.p != 1:
-        return [f"infinity slope must be written 1/0, got {m.p}/0"]
-    if not m.is_reduced:
-        return [f"coefficient {m} is not reduced"]
-    return []
 
 
 def _build_dehn(stmts: list[_Stmt], diags: list[Diagnostic]) -> DehnDiagram:
@@ -524,10 +507,6 @@ def format_knot(expr: KnotExpr) -> str:
     return f"band({format_knot(expr.left)},cable({format_knot(expr.right.of)},{expr.right.framing}))"
 
 
-def format_rational(r: Rational) -> str:
-    return str(r)
-
-
 def _comp_line(c: FramedComponent, framing: Optional[int] = None) -> str:
     line = f"COMP {c.id} knot={format_knot(c.knot)}"
     if framing is not None:
@@ -549,9 +528,9 @@ def print_diagram(d: AnyDiagram) -> str:
         for p in d.pairs:
             line = f"PAIR {p.c1.id} {p.c2.id} n1={p.n1} n2={p.n2}"
             if p.m is not None:
-                line += f" m={format_rational(p.m)}"
+                line += f" m={p.m}"
             lines.append(line)
-        lines += [f"LOOSE {l.component.id} m={format_rational(l.m)}" for l in d.loose]
+        lines += [f"LOOSE {l.component.id} m={l.m}" for l in d.loose]
         lines += _lk_lines(d.lk)
     elif isinstance(d, DehnDiagram):
         lines = ["DEHN"]
@@ -570,14 +549,6 @@ def print_diagram(d: AnyDiagram) -> str:
     else:
         raise TypeError(f"not a diagram: {d!r}")
     return "\n".join(lines) + "\n"
-
-
-def kind_of(d: AnyDiagram) -> str:
-    if isinstance(d, RoundDiagram):
-        return "ROUND"
-    if isinstance(d, DehnDiagram):
-        return "DEHN"
-    return "KIRBY"
 
 
 def validate_any(d: AnyDiagram) -> list[str]:

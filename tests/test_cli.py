@@ -240,3 +240,21 @@ def test_subcommands_are_thin_shims_over_the_library(tmp_path):
         print_diagram(kirby_to_round1(parse(free).diagram)),
         "",
     )
+
+
+def test_move_rejects_arguments_the_kind_does_not_take(tmp_path):
+    path = write(tmp_path, "a.rsd", JOINT_312)
+    code, out, err = run(["move", path, "--kind", "EqMove1", "--args", "pair=0,k=2,sign=1,variant=zz"])
+    assert code == 2 and out == ""
+    assert "EqMove1" in err and "'sign'" in err
+    code, out, err = run(["move", path, "--kind", "eq_move1", "--args", "i=0,k1=2"])
+    assert code == 0 and "PAIR a b n1=4 n2=2 m=2" in out
+
+
+def test_search_rejects_stdin_twice_before_reading(monkeypatch):
+    stdin = io.StringIO(JOINT_312)
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run(["search", "-", "-", "--depth", "1", "--k-range=0..0"])
+    assert code == 2 and out == ""
+    assert "standard input" in err
+    assert stdin.read() == JOINT_312

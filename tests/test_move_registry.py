@@ -1,0 +1,97 @@
+"""The move registry: one entry per kind, read by apply_move and the CLI."""
+
+import dataclasses
+import random
+
+import pytest
+
+from helpers import comp, random_joint_diagram
+from roundsurgery import (
+    DehnDiagram,
+    MoveDescriptor,
+    MoveError,
+    MoveKind,
+    apply_move,
+    eq_move1,
+    eq_move3_add,
+    eq_move3_del,
+    eq_move4,
+    kirby1_add,
+    kirby1_del,
+    kirby2_slide,
+    shuffle_a,
+    shuffle_b,
+)
+from roundsurgery.cli import _parse_move
+from roundsurgery.moves import MOVES
+
+DEHN = DehnDiagram([comp("a"), comp("b", "trefoil")], {"a": 1, "b": 3})
+# two random joint pairs plus a deletable third pair
+ROUND = eq_move3_add(random_joint_diagram(random.Random(5), min_pairs=2, max_pairs=2), 0, 0, 1)
+
+# one complete descriptor per kind, with the direct call it must equal
+EXAMPLES = {
+    MoveKind.KIRBY1_ADD: (DEHN, dict(sign=-1), lambda: kirby1_add(DEHN, -1)),
+    MoveKind.KIRBY1_DEL: (DEHN, dict(component="a"), lambda: kirby1_del(DEHN, "a")),
+    MoveKind.KIRBY2_SLIDE: (DEHN, dict(component="b", component2="a"), lambda: kirby2_slide(DEHN, "b", "a")),
+    MoveKind.EQ_MOVE1: (ROUND, dict(pair=0, k=3), lambda: eq_move1(ROUND, 0, 3)),
+    MoveKind.SHUFFLE_A: (ROUND, dict(pair=1, k=-2), lambda: shuffle_a(ROUND, 1, -2)),
+    MoveKind.SHUFFLE_B: (ROUND, dict(pair=0, pair2=1, k=1, k2=-1), lambda: shuffle_b(ROUND, 0, 1, 1, -1)),
+    MoveKind.EQ_MOVE3_ADD: (ROUND, dict(k=1, delta=2, sign=-1), lambda: eq_move3_add(ROUND, 1, 2, -1)),
+    MoveKind.EQ_MOVE3_DEL: (ROUND, dict(pair=2), lambda: eq_move3_del(ROUND, 2)),
+    MoveKind.EQ_MOVE4: (
+        ROUND,
+        dict(pair=0, pair2=1, variant="12over21", k=2),
+        lambda: eq_move4(ROUND, "12over21", 0, 1, 2),
+    ),
+}
+
+SNAKE_CASE = {
+    MoveKind.KIRBY1_ADD: "kirby1_add",
+    MoveKind.KIRBY1_DEL: "kirby1_del",
+    MoveKind.KIRBY2_SLIDE: "kirby2_slide",
+    MoveKind.EQ_MOVE1: "eq_move1",
+    MoveKind.SHUFFLE_A: "shuffle_a",
+    MoveKind.SHUFFLE_B: "shuffle_b",
+    MoveKind.EQ_MOVE3_ADD: "eq_move3_add",
+    MoveKind.EQ_MOVE3_DEL: "eq_move3_del",
+    MoveKind.EQ_MOVE4: "eq_move4",
+}
+
+
+def test_every_kind_has_exactly_one_entry():
+    assert set(MOVES) == set(MoveKind)
+    assert set(EXAMPLES) == set(MoveKind)
+
+
+@pytest.mark.parametrize("kind", list(MoveKind))
+def test_apply_move_calls_the_registered_function_in_field_order(kind):
+    diagram, args, direct = EXAMPLES[kind]
+    assert set(args) <= set(MOVES[kind].fields)
+    assert apply_move(diagram, MoveDescriptor(kind, **args)) == direct()
+
+
+@pytest.mark.parametrize("kind", list(MoveKind))
+def test_cli_accepts_value_lowercase_and_function_name(kind):
+    for text in (kind.value, kind.value.lower(), SNAKE_CASE[kind]):
+        assert _parse_move(text, "").kind is kind
+
+
+@pytest.mark.parametrize("kind", list(MoveKind))
+def test_missing_required_field_is_named(kind):
+    diagram, args, _ = EXAMPLES[kind]
+    spec = MOVES[kind]
+    for name in spec.fields:
+        if name in spec.optional:
+            continue
+        move = dataclasses.replace(MoveDescriptor(kind, **args), **{name: None})
+        with pytest.raises(MoveError, match=f"missing argument '{name}'"):
+            apply_move(diagram, move)
+
+
+@pytest.mark.parametrize("kind", list(MoveKind))
+def test_move_on_the_wrong_diagram_type_is_rejected(kind):
+    diagram, args, _ = EXAMPLES[kind]
+    other = ROUND if isinstance(diagram, DehnDiagram) else DEHN
+    with pytest.raises(MoveError, match=f"{kind.value} does not apply to {type(other).__name__}"):
+        apply_move(other, MoveDescriptor(kind, **args))

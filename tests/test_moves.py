@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 
 import pytest
@@ -32,7 +34,7 @@ from roundsurgery import (
     shuffle_a,
     shuffle_b,
 )
-from roundsurgery.moves import EQ_MOVE4_VARIANTS
+from roundsurgery.moves import EQ_MOVE4_VARIANTS, _dedup_key
 
 # which Dehn components the corresponding handle slide acts on, per variant
 SLIDE_TARGETS = {
@@ -514,3 +516,83 @@ def test_eq_move4_single_pair_commutation_exhaustive_small():
         for variant, (a, b) in (("11over12", ("a", "b")), ("12over11", ("b", "a"))):
             lhs = joint_pair_to_dehn(eq_move4(r, variant, 0, None, k))
             assert lhs == kirby2_slide(image, a, b), (variant, n1, n2, m, lk, k)
+
+
+# ---------------------------------------------------------------------------
+# The search against a brute-force reference
+
+# the fields each round move kind takes; the reference tries every value
+_REFERENCE_FIELDS = {
+    MoveKind.EQ_MOVE1: ("pair", "k"),
+    MoveKind.SHUFFLE_A: ("pair", "k"),
+    MoveKind.SHUFFLE_B: ("pair", "pair2", "k", "k2"),
+    MoveKind.EQ_MOVE3_ADD: ("k", "delta", "sign"),
+    MoveKind.EQ_MOVE3_DEL: ("pair",),
+    MoveKind.EQ_MOVE4: ("variant", "pair", "pair2", "k"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_box(n_pairs, ks):
+    """Every round move descriptor over the parameter box, sorted."""
+    values = {
+        "pair": (None, *range(n_pairs)),
+        "pair2": (None, *range(n_pairs)),
+        "variant": EQ_MOVE4_VARIANTS,
+        "k": ks,
+        "k2": ks,
+        "delta": (-2, 0, 2),
+        "sign": (-1, 1),
+    }
+    moves = [
+        MoveDescriptor(kind, **dict(zip(names, combo)))
+        for kind, names in _REFERENCE_FIELDS.items()
+        for combo in itertools.product(*(values[name] for name in names))
+    ]
+    return tuple(sorted(moves, key=MoveDescriptor.sort_key))
+
+
+def _reference_search(r1, r2, depth, ks):
+    """Plain breadth-first search: no enumerator, no last-level pruning."""
+    if r1 == r2:
+        return ()
+    frontier, seen = [(r1, ())], {_dedup_key(r1)}
+    for _ in range(depth):
+        next_frontier = []
+        for state, path in frontier:
+            for move in _reference_box(len(state.pairs), ks):
+                try:
+                    new = apply_move(state, move)
+                except MoveError:
+                    continue
+                if new == r2:
+                    return path + (move,)
+                if _dedup_key(new) not in seen:
+                    seen.add(_dedup_key(new))
+                    next_frontier.append((new, path + (move,)))
+        frontier = next_frontier
+    return None
+
+
+def test_search_matches_brute_force_reference():
+    rng = random.Random(2024)
+    ks = tuple(range(-1, 2))
+    outcomes = set()
+    for case in range(20):
+        r = random_joint_diagram(rng, max_pairs=2, span=2, lk_probability=0.3)
+        depth = rng.randint(1, 2)
+        if case % 5 == 4:
+            goal = eq_move1(r, 0, 5)  # k = 5 lies outside ks
+        else:
+            goal = r
+            for _ in range(depth):
+                for move in rng.sample(_reference_box(len(goal.pairs), ks), 40):
+                    try:
+                        goal = apply_move(goal, move)
+                        break
+                    except MoveError:
+                        pass
+        found = bounded_equivalence_search(r, goal, depth, range(-1, 2))
+        assert found == _reference_search(r, goal, depth, ks), case
+        outcomes.add(None if found is None else len(found))
+    assert {None, 1, 2} <= outcomes
