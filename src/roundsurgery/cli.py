@@ -96,6 +96,8 @@ def _parse_move(kind_text: str, args_text: str) -> MoveDescriptor:
             if field not in MOVES[kind].fields:
                 takes = ", ".join(MOVES[kind].fields)
                 raise _CliError(f"{kind.value} takes no argument {name!r} (it takes {takes})", 2)
+            if field in fields:
+                raise _CliError(f"argument {field!r} is given twice", 2)
             value = value.strip()
             if field in _INT_FIELDS:
                 try:

@@ -121,46 +121,45 @@ def _select_pivot(d: IntegerMatrix, t: int, rows: int, cols: int, policy: str):
             v = abs(d[i][j])
             if v != 0 and (best is None or v < best[0]):
                 best = (v, i, j)
+                if v == 1:  # nothing is smaller, and later ties lose
+                    return i, j
     return None if best is None else (best[1], best[2])
 
 
-def smith_normal_form(
-    m: IntegerMatrix, pivot: str = PIVOT_MIN_ABS
-) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:
-    """Diagonalise an integer matrix by unimodular row and column operations.
-
-    Returns (d, u, v) with u @ m @ v == d, u and v unimodular, and d diagonal
-    with non-negative entries satisfying d1 | d2 | ... .  The default pivot
-    policy picks the smallest nonzero absolute value (ties broken row-major);
-    ``pivot=PIVOT_ROW_MAJOR`` picks the first nonzero entry instead.  The
-    resulting diagonal is the same either way.
-    """
-    if pivot not in (PIVOT_MIN_ABS, PIVOT_ROW_MAJOR):
-        raise SurgeryError(f"unknown pivot policy {pivot!r}")
+def _eliminate(m: IntegerMatrix, pivot: str, transforms: bool):
+    """Reduce a copy d of m to Smith normal form.  Returns (d, u, v) with
+    u @ m @ v == d, or (d, None, None) without tracking the transforms; the
+    same operations run either way, so d does not depend on it."""
     rows, cols = _check_rectangular(m)
     d = [row[:] for row in m]
-    u = identity_matrix(rows)
-    v = identity_matrix(cols)
+    u, v = (identity_matrix(rows), identity_matrix(cols)) if transforms else (None, None)
+    d_and_v = (d, v) if transforms else (d,)
 
     def row_op(i, j, q):  # row_i -= q * row_j, on d and u
-        d[i] = [x - q * y for x, y in zip(d[i], d[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+        # Both rows of d are zero left of the pivot column t of the loop below.
+        d[i][t:] = [x - q * y for x, y in zip(d[i][t:], d[j][t:])]
+        if transforms:
+            u[i] = [x - q * y for x, y in zip(u[i], u[j])]
 
-    def col_op(i, j, q):  # col_i -= q * col_j, on d and v
-        for row in d:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
+    def clear_row(t, p):  # col_j -= (d[t][j] // p) * col_t for j > t, on d and v
+        qs = [(j, d[t][j] // p) for j in range(t + 1, cols) if d[t][j] != 0]
+        for w in d_and_v:
+            # Only rows with a nonzero in column t change; after the row pass
+            # that is few rows of d.
+            for row in [row for row in w if row[t]]:
+                x = row[t]
+                for j, q in qs:
+                    row[j] -= q * x
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
+        if transforms:
+            u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        for w in d_and_v:
+            for row in w:
+                row[i], row[j] = row[j], row[i]
 
     t = 0
     while True:
@@ -179,49 +178,59 @@ def smith_normal_form(
             for i in range(t + 1, rows):
                 if d[i][t] != 0:
                     row_op(i, t, d[i][t] // p)
-            for j in range(t + 1, cols):
-                if d[t][j] != 0:
-                    col_op(j, t, d[t][j] // p)
-            residue = None  # (|value|, kind, index) with the smallest |value|
-            for i in range(t + 1, rows):
-                if d[i][t] != 0 and (residue is None or abs(d[i][t]) < residue[0]):
-                    residue = (abs(d[i][t]), "row", i)
-            for j in range(t + 1, cols):
-                if d[t][j] != 0 and (residue is None or abs(d[t][j]) < residue[0]):
-                    residue = (abs(d[t][j]), "col", j)
-            if residue is not None:
-                # Promote the smallest residue to be the new, strictly
-                # smaller pivot and reduce again.
-                if residue[1] == "row":
-                    swap_rows(t, residue[2])
-                else:
-                    swap_cols(t, residue[2])
+            clear_row(t, p)
+            # (|value|, 0 for a row or 1 for a column, index) of each residue
+            residues = [(abs(d[i][t]), 0, i) for i in range(t + 1, rows) if d[i][t] != 0]
+            residues += [(abs(d[t][j]), 1, j) for j in range(t + 1, cols) if d[t][j] != 0]
+            if residues:
+                # Promote the smallest residue, rows first, to be the new,
+                # strictly smaller pivot and reduce again.
+                _, is_col, k = min(residues)
+                (swap_cols if is_col else swap_rows)(t, k)
                 continue
             # Column and row are clear.  Make the pivot divide the whole
             # remaining submatrix before moving on: this is what guarantees
-            # the divisibility chain of the final diagonal.
-            bad_row = None
-            for i in range(t + 1, rows):
-                if any(d[i][j] % p != 0 for j in range(t + 1, cols)):
-                    bad_row = i
-                    break
+            # the divisibility chain of the final diagonal.  A unit divides
+            # everything.
+            bad_row = None if abs(p) == 1 else next(
+                (i for i in range(t + 1, rows) if any(d[i][j] % p for j in range(t + 1, cols))), None
+            )
             if bad_row is None:
                 break
             row_op(t, bad_row, -1)  # pull the offending row into row t
         t += 1
 
-    rank = t
-    for i in range(rank):
+    for i in range(t):
         if d[i][i] < 0:
             d[i] = [-x for x in d[i]]
-            u[i] = [-x for x in u[i]]
+            if transforms:
+                u[i] = [-x for x in u[i]]
     return d, u, v
 
 
+def smith_normal_form(
+    m: IntegerMatrix, pivot: str = PIVOT_MIN_ABS
+) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:
+    """Diagonalise an integer matrix by unimodular row and column operations.
+
+    Returns (d, u, v) with u @ m @ v == d, u and v unimodular, and d diagonal
+    with non-negative entries satisfying d1 | d2 | ... .  The default pivot
+    policy picks the smallest nonzero absolute value (ties broken row-major);
+    ``pivot=PIVOT_ROW_MAJOR`` picks the first nonzero entry instead.  The
+    resulting diagonal is the same either way.
+    """
+    if pivot not in (PIVOT_MIN_ABS, PIVOT_ROW_MAJOR):
+        raise SurgeryError(f"unknown pivot policy {pivot!r}")
+    return _eliminate(m, pivot, transforms=True)
+
+
 def invariant_factors(m: IntegerMatrix) -> list[int]:
-    d, _, _ = smith_normal_form(m)
-    n = min(len(d), len(d[0]) if d else 0)
-    return [d[i][i] for i in range(n)]
+    """The diagonal of the Smith normal form of m, d1 | d2 | ..., one entry
+    per min(rows, cols); zeros come last and stand for free rank.  It runs
+    ``smith_normal_form``'s elimination without the transforms, whose
+    entries grow far faster than the diagonal."""
+    d, _, _ = _eliminate(m, PIVOT_MIN_ABS, transforms=False)
+    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
 
 
 def presentation_matrix(d: DehnDiagram) -> IntegerMatrix:

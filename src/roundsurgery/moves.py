@@ -468,13 +468,6 @@ def _round_moves(
                         yield MoveDescriptor(MoveKind.SHUFFLE_B, pair=i, pair2=j, k=k1, k2=k2)
 
 
-def _dedup_key(r: RoundDiagram) -> tuple:
-    # States are identified up to reordering of their pairs, which keeps the
-    # frontier small; the goal test still uses exact structural equality.
-    pairs, loose, lk = r.key()
-    return (tuple(sorted(pairs)), loose, lk)
-
-
 def bounded_equivalence_search(
     r1: RoundDiagram,
     r2: RoundDiagram,
@@ -493,6 +486,10 @@ def bounded_equivalence_search(
     rewrite, because no other move can yield r2.  The survivors keep their
     sort_key order, so the first hit is the one the unpruned level would
     find, and the result is still the lexicographically least.
+
+    A state reached before is not expanded again.  States are compared
+    exactly: moves address pairs by index, so a state whose pairs are a
+    reordering of a seen state's reaches other diagrams and is kept.
     """
     if depth < 0:
         raise MoveError(f"depth must be non-negative, got {depth}")
@@ -503,7 +500,7 @@ def bounded_equivalence_search(
         return None
     goal_ks = [(p.n2,) if p.n2 in ks else () for p in r2.pairs]
     frontier: list[tuple[RoundDiagram, MoveSequence]] = [(r1, ())]
-    seen = {_dedup_key(r1)}
+    seen = {r1}  # exact structural equality, as in the goal test
     for level in range(depth):
         last = level == depth - 1
         next_frontier: list[tuple[RoundDiagram, MoveSequence]] = []
@@ -520,10 +517,8 @@ def bounded_equivalence_search(
                     continue
                 if new == r2:
                     return path + (move,)
-                if not last:
-                    key = _dedup_key(new)
-                    if key not in seen:
-                        seen.add(key)
-                        next_frontier.append((new, path + (move,)))
+                if not last and new not in seen:
+                    seen.add(new)
+                    next_frontier.append((new, path + (move,)))
         frontier = next_frontier
     return None

@@ -251,6 +251,14 @@ def test_move_rejects_arguments_the_kind_does_not_take(tmp_path):
     assert code == 0 and "PAIR a b n1=4 n2=2 m=2" in out
 
 
+def test_move_rejects_a_field_given_twice(tmp_path):
+    path = write(tmp_path, "a.rsd", JOINT_312)
+    for args, field in (("k=1,k1=2,pair=0", "k"), ("pair=0,k=1,k=1", "k"), ("i=0,pair=0,k=1", "pair")):
+        code, out, err = run(["move", path, "--kind", "EqMove1", "--args", args])
+        assert code == 2 and out == "", args
+        assert f"argument '{field}' is given twice" in err, args
+
+
 def test_search_rejects_stdin_twice_before_reading(monkeypatch):
     stdin = io.StringIO(JOINT_312)
     monkeypatch.setattr("sys.stdin", stdin)

@@ -13,12 +13,15 @@ from roundsurgery import (
     cokernel,
     first_homology,
     first_homology_round,
+    invariant_factors,
     kirby2_slide,
     presentation_matrix,
     smith_normal_form,
 )
 from roundsurgery.homology import (
+    PIVOT_MIN_ABS,
     PIVOT_ROW_MAJOR,
+    _eliminate,
     determinant,
     matrix_multiply,
 )
@@ -193,3 +196,56 @@ def _matrices(draw):
 @given(_matrices())
 def test_snf_contract_property(m):
     assert_snf_contract(m)
+
+
+@st.composite
+def _shaped_matrices(draw):
+    """Rectangular, symmetric or singular (zero rows and columns, a row that
+    is a combination of two others) integer matrices."""
+    shape = draw(st.sampled_from(("rectangular", "symmetric", "singular")))
+    rows = draw(st.integers(0, 7))
+    cols = rows if shape == "symmetric" else draw(st.integers(0, 7))
+    entry = st.integers(-40, 40)
+    m = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    if shape == "symmetric":
+        m = [[m[min(i, j)][max(i, j)] for j in range(cols)] for i in range(rows)]
+    if shape == "singular" and rows and cols:
+        for i in draw(st.sets(st.integers(0, rows - 1), max_size=2)):
+            m[i] = [0] * cols
+        for j in draw(st.sets(st.integers(0, cols - 1), max_size=2)):
+            for row in m:
+                row[j] = 0
+        if rows >= 3:
+            a, b = draw(entry), draw(entry)
+            m[-1] = [a * x + b * y for x, y in zip(m[0], m[1])]
+    return m
+
+
+@given(_shaped_matrices(), st.sampled_from((PIVOT_MIN_ABS, PIVOT_ROW_MAJOR)))
+def test_invariant_factors_is_the_smith_diagonal(m, pivot):
+    d, _, _ = smith_normal_form(m, pivot)
+    assert invariant_factors(m) == [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
+    assert _eliminate(m, pivot, transforms=False) == (d, None, None)
+
+
+def test_invariant_factors_is_the_smith_diagonal_on_larger_matrices():
+    rng = random.Random(2718)
+    for _ in range(12):
+        d = random_dehn(rng, max_components=24, span=6)
+        m = presentation_matrix(d)
+        assert invariant_factors(m) == snf_diagonal(m)
+
+
+def test_invariant_factors_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors as sympy_factors
+
+    rng = random.Random(1618)
+    for _ in range(10):
+        n = rng.randint(8, 16)
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = rng.randint(-9, 9)
+        expected = [abs(int(x)) for x in sympy_factors(sympy.Matrix(m), domain=sympy.ZZ)]
+        assert invariant_factors(m) == expected

@@ -34,7 +34,7 @@ from roundsurgery import (
     shuffle_a,
     shuffle_b,
 )
-from roundsurgery.moves import EQ_MOVE4_VARIANTS, _dedup_key
+from roundsurgery.moves import EQ_MOVE4_VARIANTS
 
 # which Dehn components the corresponding handle slide acts on, per variant
 SLIDE_TARGETS = {
@@ -469,6 +469,25 @@ def test_search_is_deterministic():
     assert apply_sequence(r, first) == target
 
 
+def test_search_keeps_a_state_that_reorders_a_seen_one():
+    # Deleting pair 0 and adding a pair with the same ids gives the start
+    # with its pairs swapped; only from that state does EqMove4 on pairs
+    # (0, 1) reach the goal.
+    r1 = RoundDiagram(
+        [joint(comp("u1"), 0, comp("u2"), 0, 1), joint(comp("a"), 2, comp("b"), 1, 3)],
+        (),
+        LinkingMatrix([("a", "b", 1)]),
+    )
+    path = (
+        MoveDescriptor(MoveKind.EQ_MOVE3_DEL, pair=0),
+        MoveDescriptor(MoveKind.EQ_MOVE3_ADD, k=0, delta=0, sign=1),
+        MoveDescriptor(MoveKind.EQ_MOVE4, pair=0, pair2=1, variant="11over21", k=0),
+    )
+    goal = apply_sequence(r1, path)
+    found = bounded_equivalence_search(r1, goal, 3, range(-1, 2))
+    assert found == path
+
+
 def test_search_rejects_negative_depth():
     r = one_pair_diagram(0, 0, 1)
     with pytest.raises(MoveError):
@@ -556,7 +575,7 @@ def _reference_search(r1, r2, depth, ks):
     """Plain breadth-first search: no enumerator, no last-level pruning."""
     if r1 == r2:
         return ()
-    frontier, seen = [(r1, ())], {_dedup_key(r1)}
+    frontier, seen = [(r1, ())], {r1.key()}
     for _ in range(depth):
         next_frontier = []
         for state, path in frontier:
@@ -567,8 +586,8 @@ def _reference_search(r1, r2, depth, ks):
                     continue
                 if new == r2:
                     return path + (move,)
-                if _dedup_key(new) not in seen:
-                    seen.add(_dedup_key(new))
+                if new.key() not in seen:
+                    seen.add(new.key())
                     next_frontier.append((new, path + (move,)))
         frontier = next_frontier
     return None
