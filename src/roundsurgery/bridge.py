@@ -31,8 +31,8 @@ from .model import (
     UNKNOT,
     _knot_violations,
     _lk_violations,
+    _Diagram,
     fresh_id,
-    knot_token,
 )
 
 HandleId = str
@@ -62,15 +62,12 @@ class TwoHandle:
         canon = tuple(sorted((h, int(c)) for h, c in self.runs_over if c != 0))
         object.__setattr__(self, "runs_over", canon)
 
-    def token(self) -> tuple:
-        return (self.id, knot_token(self.knot), self.framing, self.runs_over)
 
-
-class KirbyDiagram:
+class KirbyDiagram(_Diagram):
     """Handles of index 1 and 2; linking is recorded between 2-handle
     attaching circles only."""
 
-    __slots__ = ("one_handles", "two_handles", "lk", "_key", "_hash")
+    __slots__ = ("one_handles", "two_handles", "lk")
 
     def __init__(
         self,
@@ -81,23 +78,7 @@ class KirbyDiagram:
         self.one_handles = tuple(sorted(one_handles))
         self.two_handles = tuple(sorted(two_handles, key=lambda h: h.id))
         self.lk = lk if lk is not None else LinkingMatrix()
-        self._key = (
-            self.one_handles,
-            tuple(h.token() for h in self.two_handles),
-            self.lk.token(),
-        )
-        self._hash = hash(self._key)
-
-    def key(self) -> tuple:
-        return self._key
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, KirbyDiagram):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self) -> int:
-        return self._hash
+        self._set_key((self.one_handles, self.two_handles, self.lk.token()))
 
     def __repr__(self) -> str:
         return f"KirbyDiagram(one_handles={len(self.one_handles)}, two_handles={len(self.two_handles)})"

@@ -14,6 +14,7 @@ import argparse
 import re
 import sys
 from pathlib import Path
+from typing import Optional, get_type_hints
 
 from . import analysis, homology
 from .bridge import (
@@ -36,7 +37,8 @@ _KIND_ALIASES = {
 }
 #: Synonyms accepted in --args; every other key is a MoveDescriptor field.
 _ARG_SYNONYMS = {"i": "pair", "j": "pair2", "a": "component", "c": "component", "b": "component2", "k1": "k"}
-_INT_FIELDS = {"pair", "pair2", "k", "k2", "delta", "sign"}
+#: --args values converted with int(): the MoveDescriptor fields typed Optional[int].
+_INT_FIELDS = {name for name, hint in get_type_hints(MoveDescriptor).items() if hint == Optional[int]}
 
 
 class _CliError(Exception):
@@ -76,7 +78,10 @@ def _parse_range(text: str) -> range:
     m = _RANGE_RE.match(text)
     if not m:
         raise _CliError(f"bad range {text!r}, expected A..B", 2)
-    lo, hi = int(m.group(1)), int(m.group(2))
+    try:
+        lo, hi = int(m.group(1)), int(m.group(2))
+    except ValueError as exc:
+        raise _CliError(f"bad range: a bound has more than {sys.get_int_max_str_digits()} digits", 2) from exc
     if lo > hi:
         raise _CliError(f"empty range {text!r}", 2)
     return range(lo, hi + 1)

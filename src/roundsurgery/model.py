@@ -3,9 +3,10 @@
 A diagram here is a framed link in the 3-sphere described purely
 combinatorially: knot types are opaque expression trees, and all geometric
 content lives in integer framings, rational round 2-surgery coefficients and
-the symmetric matrix of pairwise linking numbers.  Equality of knots is
-structural equality of their expressions; no attempt is made to decide
-isotopy.
+the symmetric matrix of pairwise linking numbers.  Equality is value
+equality: two knots are equal when their expressions are, and two diagrams
+when their parts are, with no attempt to decide isotopy.  The canonical
+text of :mod:`roundsurgery.textio` is the normal form of that equality.
 
 Every value is immutable after construction.  Containers deliberately accept
 ill-formed data (an unreduced coefficient, an asymmetric linking entry) so
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 ComponentId = str
@@ -70,21 +70,6 @@ KnotExpr = Union[Atom, BandSum]
 #: The conventional label for an unknotted component.  Moves that require an
 #: unknot (blow-downs, padding components) recognise exactly this atom.
 UNKNOT = Atom("unknot")
-
-
-@lru_cache(maxsize=None)
-def knot_token(expr: KnotExpr) -> tuple:
-    """A primitive, hashable, totally ordered encoding of a knot expression.
-
-    Malformed expressions still get a token (from their repr) so that
-    diagrams holding them can be built and handed to validate_diagram."""
-    if isinstance(expr, Atom):
-        return ("A", expr.label)
-    if isinstance(expr, BandSum):
-        if isinstance(expr.right, Cable):
-            return ("B", knot_token(expr.left), ("C", knot_token(expr.right.of), expr.right.framing))
-        return ("B?", knot_token(expr.left), repr(expr.right))
-    return ("X?", repr(expr))
 
 
 def _knot_violations(expr: object, where: str) -> list[str]:
@@ -171,14 +156,6 @@ class FramedComponent:
     id: ComponentId
     knot: KnotExpr
     fibred: bool = False
-
-    def token(self) -> tuple:
-        try:
-            return self._token
-        except AttributeError:
-            token = (self.id, knot_token(self.knot), int(self.fibred))
-            object.__setattr__(self, "_token", token)
-            return token
 
 
 class LinkingMatrix:
@@ -272,15 +249,6 @@ class JointPair:
     n2: int
     m: Optional[Rational] = None
 
-    def token(self) -> tuple:
-        try:
-            return self._token
-        except AttributeError:
-            mtok = (0, self.m.p, self.m.q) if self.m is not None else (1, 0, 0)
-            token = (self.c1.token(), self.n1, self.c2.token(), self.n2, mtok)
-            object.__setattr__(self, "_token", token)
-            return token
-
 
 @dataclass(frozen=True)
 class LooseKnot:
@@ -290,11 +258,31 @@ class LooseKnot:
     component: FramedComponent
     m: Rational
 
-    def token(self) -> tuple:
-        return (self.component.token(), self.m.p, self.m.q)
+
+class _Diagram:
+    """Equality and hashing on ``_key``, the tuple of a diagram's values that
+    each subclass sets once in its constructor.  Diagrams of different types
+    never compare equal."""
+
+    __slots__ = ("_key", "_hash")
+
+    def _set_key(self, key: tuple) -> None:
+        self._key = key
+        self._hash = hash(key)
+
+    def key(self) -> tuple:
+        return self._key
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
-class RoundDiagram:
+class RoundDiagram(_Diagram):
     """An ordered list of round 1-surgery pairs, optional standalone round
     2-surgery knots, and the linking matrix over all components.
 
@@ -302,7 +290,7 @@ class RoundDiagram:
     kept sorted by component id.
     """
 
-    __slots__ = ("pairs", "loose", "lk", "_ids", "_key", "_hash")
+    __slots__ = ("pairs", "loose", "lk", "ids")
 
     def __init__(
         self,
@@ -313,13 +301,8 @@ class RoundDiagram:
         self.pairs = tuple(pairs)
         self.loose = tuple(sorted(loose, key=lambda l: l.component.id))
         self.lk = lk if lk is not None else LinkingMatrix()
-        self._ids = frozenset(c.id for c in self.components())
-        self._key = (
-            tuple(p.token() for p in self.pairs),
-            tuple(l.token() for l in self.loose),
-            self.lk.token(),
-        )
-        self._hash = hash(self._key)
+        self.ids = frozenset(c.id for c in self.components())
+        self._set_key((self.pairs, self.loose, self.lk.token()))
 
     def components(self) -> Iterator[FramedComponent]:
         for p in self.pairs:
@@ -327,10 +310,6 @@ class RoundDiagram:
             yield p.c2
         for l in self.loose:
             yield l.component
-
-    @property
-    def ids(self) -> frozenset[ComponentId]:
-        return self._ids
 
     def component(self, cid: ComponentId) -> FramedComponent:
         for c in self.components():
@@ -343,22 +322,11 @@ class RoundDiagram:
             raise SurgeryError(f"pair index {index} out of range (have {len(self.pairs)} pairs)")
         return self.pairs[index]
 
-    def key(self) -> tuple:
-        return self._key
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RoundDiagram):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self) -> int:
-        return self._hash
-
     def __repr__(self) -> str:
         return f"RoundDiagram(pairs={len(self.pairs)}, loose={len(self.loose)})"
 
 
-class DehnDiagram:
+class DehnDiagram(_Diagram):
     """An integral Dehn surgery presentation: framed components plus the
     linking matrix.
 
@@ -367,7 +335,7 @@ class DehnDiagram:
     pairing by choosing ids.
     """
 
-    __slots__ = ("components", "framing", "lk", "_ids", "_key", "_hash")
+    __slots__ = ("components", "framing", "lk", "ids")
 
     def __init__(
         self,
@@ -378,34 +346,14 @@ class DehnDiagram:
         self.components = tuple(sorted(components, key=lambda c: c.id))
         self.framing = dict(framing)
         self.lk = lk if lk is not None else LinkingMatrix()
-        self._ids = frozenset(c.id for c in self.components)
-        self._key = (
-            tuple(c.token() for c in self.components),
-            tuple(sorted(self.framing.items())),
-            self.lk.token(),
-        )
-        self._hash = hash(self._key)
-
-    @property
-    def ids(self) -> frozenset[ComponentId]:
-        return self._ids
+        self.ids = frozenset(c.id for c in self.components)
+        self._set_key((self.components, tuple(sorted(self.framing.items())), self.lk.token()))
 
     def component(self, cid: ComponentId) -> FramedComponent:
         for c in self.components:
             if c.id == cid:
                 return c
         raise UnknownComponentError(f"no component {cid!r}")
-
-    def key(self) -> tuple:
-        return self._key
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DehnDiagram):
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"DehnDiagram(components={len(self.components)})"

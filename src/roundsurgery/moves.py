@@ -288,8 +288,7 @@ def eq_move4(r: RoundDiagram, variant: str, i: int, j: Optional[int] = None, k: 
     """
     if variant not in EQ_MOVE4_VARIANTS:
         raise MoveError(f"unknown variant {variant!r}")
-    single = variant in _SINGLE_PAIR_VARIANTS
-    if single:
+    if variant in _SINGLE_PAIR_VARIANTS:
         if j is not None and j != i:
             raise MoveError(f"variant {variant} acts on a single pair; drop j")
         pi, mi = _joint(r, i)
@@ -302,37 +301,32 @@ def eq_move4(r: RoundDiagram, variant: str, i: int, j: Optional[int] = None, k: 
             slid, over, f = pi.c2, pi.c1, pi.n1 - pi.n2 + mi
             n1 = -mi - 2 * l12 + k
             new_m = 2 * mi + pi.n1 - pi.n2 + 2 * l12
-        new_c1 = _banded(pi.c1, over, f) if slid is pi.c1 else pi.c1
-        new_c2 = _banded(pi.c2, over, f) if slid is pi.c2 else pi.c2
-        new_pair = JointPair(new_c1, n1, new_c2, k, Rational(new_m))
-        lk = _slide_lk(r.lk, r.ids, slid.id, over.id, f)
-        return _replace_pair(r, i, new_pair, lk)
-
-    if j is None:
-        raise MoveError(f"variant {variant} needs a second pair index")
-    if i == j:
-        raise MoveError(f"variant {variant} needs two distinct pairs")
-    pi, mi = _joint(r, i)
-    pj, mj = _joint(r, j)
-    fj1 = pj.n1 - pj.n2 + mj  # Dehn framing of pair j's first component
-    if variant == "11over21":
-        slid, over, f = pi.c1, pj.c1, fj1
-        n1 = pi.n1 + pj.n1 - (pi.n2 + pj.n2) + mj + 2 * r.lk.get(slid.id, over.id) + k
-        new_m = mi
-    elif variant == "11over22":
-        slid, over, f = pi.c1, pj.c2, mj
-        n1 = pi.n1 - pi.n2 + mj + 2 * r.lk.get(slid.id, over.id) + k
-        new_m = mi
-    elif variant == "12over21":
-        slid, over, f = pi.c2, pj.c1, fj1
-        la = r.lk.get(slid.id, over.id)
-        n1 = (pi.n1 - pi.n2) - (pj.n1 - pj.n2) - mj - 2 * la + k
-        new_m = mi + mj + pj.n1 - pj.n2 + 2 * la
-    else:  # 12over22
-        slid, over, f = pi.c2, pj.c2, mj
-        la = r.lk.get(slid.id, over.id)
-        n1 = pi.n1 - pi.n2 - mj - 2 * la + k
-        new_m = mi + mj + 2 * la
+    else:
+        if j is None:
+            raise MoveError(f"variant {variant} needs a second pair index")
+        if i == j:
+            raise MoveError(f"variant {variant} needs two distinct pairs")
+        pi, mi = _joint(r, i)
+        pj, mj = _joint(r, j)
+        fj1 = pj.n1 - pj.n2 + mj  # Dehn framing of pair j's first component
+        if variant == "11over21":
+            slid, over, f = pi.c1, pj.c1, fj1
+            n1 = pi.n1 + pj.n1 - (pi.n2 + pj.n2) + mj + 2 * r.lk.get(slid.id, over.id) + k
+            new_m = mi
+        elif variant == "11over22":
+            slid, over, f = pi.c1, pj.c2, mj
+            n1 = pi.n1 - pi.n2 + mj + 2 * r.lk.get(slid.id, over.id) + k
+            new_m = mi
+        elif variant == "12over21":
+            slid, over, f = pi.c2, pj.c1, fj1
+            la = r.lk.get(slid.id, over.id)
+            n1 = (pi.n1 - pi.n2) - (pj.n1 - pj.n2) - mj - 2 * la + k
+            new_m = mi + mj + pj.n1 - pj.n2 + 2 * la
+        else:  # 12over22
+            slid, over, f = pi.c2, pj.c2, mj
+            la = r.lk.get(slid.id, over.id)
+            n1 = pi.n1 - pi.n2 - mj - 2 * la + k
+            new_m = mi + mj + 2 * la
     new_c1 = _banded(pi.c1, over, f) if slid is pi.c1 else pi.c1
     new_c2 = _banded(pi.c2, over, f) if slid is pi.c2 else pi.c2
     new_pair = JointPair(new_c1, n1, new_c2, k, Rational(new_m))

@@ -22,13 +22,15 @@ corpus is byte-frozen against): LF line endings, single spaces, no comments,
 COMP lines sorted by id, PAIR lines in diagram order, LOOSE/HANDLE/LK lines
 sorted, zero linking entries omitted, integral slopes printed without a
 denominator.  Printing then parsing is the identity on every valid diagram,
-which makes the canonical text the structural-equality normal form used
-across the package.
+which makes the canonical text the normal form of diagram equality: two
+diagrams are equal exactly when they print the same.  An integer may have
+at most sys.get_int_max_str_digits() digits; a longer one is a diagnostic.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -88,11 +90,19 @@ class DiagramDocument:
 # Scalar sub-parsers
 
 
+def _too_long(digits: str) -> str:
+    return f"integer too large: {len(digits.lstrip('-'))} digits, the limit is {sys.get_int_max_str_digits()}"
+
+
 def _parse_int(token: str, line: int, col: int, diags: list[Diagnostic]) -> Optional[int]:
     if not _INT_RE.match(token):
         diags.append(Diagnostic(line, col, f"expected an integer, got {token!r}"))
         return None
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        diags.append(Diagnostic(line, col, _too_long(token)))
+        return None
 
 
 def _parse_rational(token: str, line: int, col: int, diags: list[Diagnostic]) -> Optional[Rational]:
@@ -101,7 +111,10 @@ def _parse_rational(token: str, line: int, col: int, diags: list[Diagnostic]) ->
         if not _INT_RE.match(num) or not _NAT_RE.match(den):
             diags.append(Diagnostic(line, col, f"expected INT/NAT, got {token!r}"))
             return None
-        r = Rational(int(num), int(den))
+        p, q = _parse_int(num, line, col, diags), _parse_int(den, line, col, diags)
+        if p is None or q is None:
+            return None
+        r = Rational(p, q)
         diags.extend(Diagnostic(line, col, msg) for msg in _rational_violations(r))
         return r
     value = _parse_int(token, line, col, diags)
@@ -137,8 +150,12 @@ def _knot_expr(text: str, at: int) -> tuple[KnotExpr, int]:
         m = re.compile(r"-?[0-9]+").match(text, at)
         if not m:
             raise _KnotSyntax(at, "expected a framing integer")
+        try:
+            framing = int(m.group())
+        except ValueError:
+            raise _KnotSyntax(at, _too_long(m.group())) from None
         at = _expect(text, m.end(), "))")
-        return BandSum(left, Cable(of, int(m.group()))), at
+        return BandSum(left, Cable(of, framing)), at
     m = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*").match(text, at)
     if not m:
         raise _KnotSyntax(at, "expected a knot name or band(...)")
@@ -472,7 +489,9 @@ def _build_kirby(stmts: list[_Stmt], diags: list[Diagnostic]) -> KirbyDiagram:
                     if hpart not in one_handles:
                         diags.append(Diagnostic(s.line, col, f"unknown 1-handle {hpart}"))
                         continue
-                    over.append((hpart, int(cpart)))
+                    count = _parse_int(cpart, s.line, col, diags)
+                    if count is not None:
+                        over.append((hpart, count))
             index += 1
         _no_extra(s, index, diags)
         if len(diags) > before or hid is None or framing is None:

@@ -266,3 +266,14 @@ def test_search_rejects_stdin_twice_before_reading(monkeypatch):
     assert code == 2 and out == ""
     assert "standard input" in err
     assert stdin.read() == JOINT_312
+
+
+def test_integers_beyond_the_digit_limit_exit_without_a_traceback(tmp_path):
+    big = "7" * 5000
+    path = write(tmp_path, "big.rsd", f"ROUND\nCOMP a knot=unknot\nCOMP b knot=unknot\nPAIR a b n1={big} n2=0 m=0\n")
+    code, out, err = run(["to-dehn", path])
+    assert (code, out) == (1, "")
+    assert f"{path}:4:10: integer too large: 5000 digits" in err
+    code, out, err = run(["foliations", write(tmp_path, "h.rsd", HOPF_PAIR), "--pair", "0", "--range", f"0..{big}"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad range: a bound has more than")

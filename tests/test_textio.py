@@ -212,3 +212,28 @@ def test_explicit_zero_linking_prints_nothing():
         LinkingMatrix([("a", "b", 0)]),
     )
     assert "LK" not in print_diagram(r)
+
+
+BIG = "7" * 5000  # more digits than Python's default str->int limit of 4,300
+
+
+@pytest.mark.parametrize(
+    "text, line, col",
+    [
+        (f"ROUND\nCOMP a knot=unknot\nCOMP b knot=unknot\nPAIR a b n1={BIG} n2=0 m=0\n", 4, 10),
+        (f"ROUND\nCOMP a knot=unknot\nCOMP b knot=unknot\nPAIR a b n1=0 n2=0 m=-{BIG}/1\n", 4, 22),
+        (f"ROUND\nCOMP a knot=unknot\nCOMP b knot=unknot\nPAIR a b n1=0 n2=0 m=1/{BIG}\n", 4, 22),
+        (f"ROUND\nCOMP a knot=unknot\nLOOSE a m={BIG}\n", 3, 11),
+        (f"DEHN\nCOMP a knot=unknot framing={BIG}\n", 2, 28),
+        (f"DEHN\nCOMP a knot=unknot framing=0\nCOMP b knot=unknot framing=0\nLK a b {BIG}\n", 4, 8),
+        (f"DEHN\nCOMP a knot=band(unknot,cable(unknot,{BIG})) framing=0\n", 2, 38),
+        (f"KIRBY\nCOMP t knot=unknot\nHANDLE1 h\nHANDLE2 t framing=0 over=h:{BIG}\n", 4, 21),
+    ],
+    ids=["n1", "m-numerator", "m-denominator", "loose-m", "framing", "lk", "knot-framing", "over"],
+)
+def test_parse_reports_an_integer_beyond_the_digit_limit_at_its_token(text, line, col):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    (d,) = [d for d in info.value.diagnostics if d.message.startswith("integer too large")]
+    assert (d.line, d.col) == (line, col)
+    assert d.message.startswith("integer too large: 5000 digits, the limit is ")
