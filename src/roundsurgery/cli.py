@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import Optional, get_type_hints
 
@@ -25,7 +26,7 @@ from .bridge import (
     kirby_to_round1,
     round1_to_kirby,
 )
-from .model import DehnDiagram, RoundDiagram, SurgeryError
+from .model import DehnDiagram, RoundDiagram, SurgeryError, _Diagram
 from .moves import MOVES, MoveDescriptor, apply_move, bounded_equivalence_search
 from .textio import ParseError, parse, print_diagram, validate_any
 
@@ -63,6 +64,44 @@ def _load(path: str, want: type | None = None):
     if want is not None and not isinstance(doc.diagram, want):
         raise _CliError(f"{path}: expected a {want.__name__} document, got {doc.kind}", 2)
     return doc.diagram
+
+
+def _longest_int(value: object) -> int:
+    """The integer of largest magnitude in a result, found through tuples,
+    lists, dataclass fields and diagram keys."""
+    longest, stack = 0, [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, int):
+            longest = max(longest, abs(v))
+        elif isinstance(v, (tuple, list)):
+            stack.extend(v)
+        elif isinstance(v, _Diagram):
+            stack.append(v.key())
+        elif is_dataclass(v):
+            stack.extend(getattr(v, f.name) for f in fields(v))
+    return longest
+
+
+def _digits(n: int) -> int:
+    """The number of decimal digits of n >= 0, counted without str()."""
+    digits = max(1, int((n.bit_length() - 1) * 0.30102999566398120))  # never more than the count
+    while n >= 10**digits:
+        digits += 1
+    return digits
+
+
+def _text(what: str, value: object) -> str:
+    """The output text of a result: a diagram in canonical form, anything
+    else by str().  str() refuses an integer of more than
+    sys.get_int_max_str_digits() digits, and the parser would refuse the
+    text too, so such a result exits 2 naming it and the digit count."""
+    try:
+        return print_diagram(value) if isinstance(value, _Diagram) else str(value)
+    except ValueError:
+        digits, limit = _digits(_longest_int(value)), sys.get_int_max_str_digits()
+        message = f"cannot print {what}: it holds an integer of {digits} digits, the limit is {limit}"
+        raise _CliError(message, 2) from None
 
 
 def _parse_ks(text: str) -> list[int]:
@@ -131,33 +170,33 @@ def _cmd_validate(args) -> int:
 
 def _cmd_to_dehn(args) -> int:
     r = _load(args.file, RoundDiagram)
-    print(print_diagram(joint_pair_to_dehn(r)), end="")
+    print(_text("the DEHN diagram", joint_pair_to_dehn(r)), end="")
     return 0
 
 
 def _cmd_to_round(args) -> int:
     d = _load(args.file, DehnDiagram)
     result = dehn_to_joint_pairs(d, _parse_ks(args.k), int(args.pad_sign))
-    print(print_diagram(result), end="")
+    print(_text("the ROUND diagram", result), end="")
     return 0
 
 
 def _cmd_kirby_export(args) -> int:
     r = _load(args.file, RoundDiagram)
-    print(print_diagram(round1_to_kirby(r)), end="")
+    print(_text("the KIRBY diagram", round1_to_kirby(r)), end="")
     return 0
 
 
 def _cmd_kirby_import(args) -> int:
     k = _load(args.file, KirbyDiagram)
-    print(print_diagram(kirby_to_round1(k)), end="")
+    print(_text("the ROUND diagram", kirby_to_round1(k)), end="")
     return 0
 
 
 def _cmd_move(args) -> int:
     diagram = _load(args.file)
     move = _parse_move(args.kind, args.args)
-    print(print_diagram(apply_move(diagram, move)), end="")
+    print(_text("the moved diagram", apply_move(diagram, move)), end="")
     return 0
 
 
@@ -169,7 +208,7 @@ def _cmd_homology(args) -> int:
         group = homology.first_homology(diagram)
     else:
         raise _CliError("homology of a KIRBY document is not defined here", 2)
-    print(f"H1: {group}")
+    print(f"H1: {_text('H1', group)}")
     return 0
 
 
@@ -182,16 +221,17 @@ def _cmd_is_trivial(args) -> int:
 def _cmd_split(args) -> int:
     r = _load(args.file, RoundDiagram)
     blocks = analysis.split_connected_sum(r)
-    print("\n".join(print_diagram(b) for b in blocks), end="")
+    print("\n".join(_text("a summand", b) for b in blocks), end="")
     return 0
 
 
 def _cmd_suture(args) -> int:
     r = _load(args.file, RoundDiagram)
     w = analysis.suture_slope(r, args.pair)
+    slope = _text("the slope", w.slope)
     print(f"pair: {w.pair_index}")
     print(f"n: {w.n}")
-    print(f"slope: {w.slope}")
+    print(f"slope: {slope}")
     return 0
 
 
@@ -201,8 +241,8 @@ def _cmd_foliations(args) -> int:
     if isinstance(result, analysis.FoliationRefusal):
         print(f"refused: {result.reason}")
     else:
-        for w in result:
-            print(f"foliation: n={w.n} slope={w.slope}")
+        lines = [f"foliation: n={w.n} slope={_text('the slope', w.slope)}\n" for w in result]
+        print("".join(lines), end="")
     return 0
 
 

@@ -15,15 +15,19 @@ Round diagrams of joint pairs carry four equivalence moves:
      partner among two pairs; each commutes with the handle slide through
      the joint-pair/Dehn correspondence.
 
-Every move is a pure function returning a new diagram.  The free integer k
-appearing in the round moves never changes the corresponding Dehn diagram;
-it is the gauge freedom of the joint-pair presentation.
+Every move is a pure function returning a new diagram.  In every round move
+but ShuffleB the free integer k lands in n2 of the pair it rewrites and
+leaves n1 - n2 alone, so it never changes the corresponding Dehn diagram; it
+is the gauge freedom of the joint-pair presentation.  ShuffleB's two free
+integers enter n1 - n2 through their difference k - k2, which changes the
+Dehn framings unless k2 = k + m_i - m_j.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from enum import Enum
+from itertools import product
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .model import (
@@ -399,8 +403,16 @@ def apply_sequence(d: Diagram, seq: Iterable[MoveDescriptor]) -> Diagram:
     return d
 
 
+def _is_joint(p: JointPair) -> bool:
+    """Whether the round moves act on p: a joint pair with integral m."""
+    return p.m is not None and p.m.is_integer
+
+
 def _round_moves(
-    r: RoundDiagram, slot_ks: Sequence[Sequence[int]], pair_delta: Optional[int] = None
+    r: RoundDiagram,
+    slot_ks: Sequence[Sequence[int]],
+    pair_delta: Optional[int] = None,
+    shuffle_ks: Optional[Sequence[tuple[int, int]]] = None,
 ) -> Iterator[MoveDescriptor]:
     """Candidate round moves on r, in ascending sort_key order so that
     breadth-first search returns the lexicographically least sequence among
@@ -410,9 +422,11 @@ def _round_moves(
     slot_ks[i] holds the k values tried for pair i, and slot_ks[len(r.pairs)]
     those for the pair EqMove3Add appends.  When pair_delta is given, kinds
     whose MOVES entry changes the pair count by anything else are skipped.
+    When shuffle_ks is given, ShuffleB tries exactly those (k, k2) instead
+    of the per-slot values.
     """
     n = len(r.pairs)
-    joint = [p.m is not None and p.m.is_integer for p in r.pairs]
+    joint = [_is_joint(p) for p in r.pairs]
 
     def wanted(kind: MoveKind) -> bool:
         return pair_delta is None or MOVES[kind].pair_delta == pair_delta
@@ -457,9 +471,76 @@ def _round_moves(
             for j in range(n):
                 if j == i or not joint[j]:
                     continue
-                for k1 in slot_ks[j]:
-                    for k2 in slot_ks[i]:
-                        yield MoveDescriptor(MoveKind.SHUFFLE_B, pair=i, pair2=j, k=k1, k2=k2)
+                pairs_ks = product(slot_ks[j], slot_ks[i]) if shuffle_ks is None else shuffle_ks
+                for k1, k2 in pairs_ks:
+                    yield MoveDescriptor(MoveKind.SHUFFLE_B, pair=i, pair2=j, k=k1, k2=k2)
+
+
+def _gauge_class(r: RoundDiagram) -> RoundDiagram:
+    """The representative of r's gauge class: every pair eq_move1 accepts
+    regauged to n2 = 0, that is (n1 - n2, 0, m); other pairs as they are."""
+    if not any(p.n2 != 0 and _is_joint(p) for p in r.pairs):
+        return r
+    pairs = [JointPair(p.c1, p.n1 - p.n2, p.c2, 0, p.m) if _is_joint(p) else p for p in r.pairs]
+    return RoundDiagram(pairs, r.loose, r.lk)
+
+
+def _breadth_first(
+    start: RoundDiagram,
+    goal: RoundDiagram,
+    depth: int,
+    candidates: Callable[[RoundDiagram, bool], Iterable[MoveDescriptor]],
+    step: Callable[[RoundDiagram, MoveDescriptor], RoundDiagram],
+) -> Optional[MoveSequence]:
+    """The first sequence of at most depth moves, level by level and in the
+    order candidates(state, last_level) yields them, whose step results
+    carry start to goal; None if there is none.  A state reached before is
+    not expanded again, and the last level stores nothing."""
+    frontier: list[tuple[RoundDiagram, MoveSequence]] = [(start, ())]
+    seen = {start}
+    for level in range(depth):
+        last = level == depth - 1
+        next_frontier: list[tuple[RoundDiagram, MoveSequence]] = []
+        for state, path in frontier:
+            for move in candidates(state, last):
+                try:
+                    new = step(state, move)
+                except MoveError:
+                    continue
+                if new == goal:
+                    return path + (move,)
+                if not last and new not in seen:
+                    seen.add(new)
+                    next_frontier.append((new, path + (move,)))
+        frontier = next_frontier
+    return None
+
+
+def _class_reachable(r1: RoundDiagram, r2: RoundDiagram, depth: int, ks: Sequence[int]) -> bool:
+    """Whether at most depth moves with free parameters from ks can carry
+    r1's gauge class to r2's.
+
+    Every move reads a joint pair only through n1 - n2 and m, so a move on
+    a class is the same move on its representative, and it writes its free
+    k only into n2: with k = 0 the result is again a representative.  The
+    exception is ShuffleB, whose result gives pair i n1 - n2 = A + k - k2
+    and pair j B + k2 - k.  On classes it ranges over the differences
+    t = k - k2 of values in ks, as (t, 0), and its result is regauged.
+    Pairs (j, i) with t give the class of (i, j) with -t, and the
+    differences are symmetric, so t >= 0 reaches every class.
+    """
+    start, goal = _gauge_class(r1), _gauge_class(r2)
+    slot = (0,) if ks else ()
+    shuffle_ks = [(t, 0) for t in sorted({a - b for a in ks for b in ks}) if t >= 0]
+
+    def candidates(state: RoundDiagram, last: bool) -> Iterator[MoveDescriptor]:
+        n = len(state.pairs)
+        return _round_moves(state, [slot] * (n + 1), len(goal.pairs) - n if last else None, shuffle_ks)
+
+    def step(state: RoundDiagram, move: MoveDescriptor) -> RoundDiagram:
+        return _gauge_class(apply_move(state, move))
+
+    return start == goal or _breadth_first(start, goal, depth, candidates, step) is not None
 
 
 def bounded_equivalence_search(
@@ -484,35 +565,31 @@ def bounded_equivalence_search(
     A state reached before is not expanded again.  States are compared
     exactly: moves address pairs by index, so a state whose pairs are a
     reordering of a seen state's reaches other diagrams and is kept.
+
+    Above depth 1 a cheaper pass runs first: the same breadth-first search
+    on gauge classes (every joint pair regauged to n2 = 0), where the free
+    k of a move no longer multiplies the states.  Every sequence of moves
+    maps to a sequence of class moves of the same length, so when r2's
+    class is out of reach within the depth no sequence reaches r2 and the
+    result is None without the exact search.  Otherwise the exact search
+    above runs unchanged, so its result, and the lexicographically-least
+    contract, are the same as without the class pass.  At depth 1 the exact
+    search's one pruned level is already as cheap, so the class pass is
+    skipped there.
     """
     if depth < 0:
         raise MoveError(f"depth must be non-negative, got {depth}")
     ks = tuple(sorted(set(int(k) for k in k_range)))
     if r1 == r2:
         return ()
-    if depth == 0:
+    if depth == 0 or (depth > 1 and not _class_reachable(r1, r2, depth, ks)):
         return None
     goal_ks = [(p.n2,) if p.n2 in ks else () for p in r2.pairs]
-    frontier: list[tuple[RoundDiagram, MoveSequence]] = [(r1, ())]
-    seen = {r1}  # exact structural equality, as in the goal test
-    for level in range(depth):
-        last = level == depth - 1
-        next_frontier: list[tuple[RoundDiagram, MoveSequence]] = []
-        for state, path in frontier:
-            n = len(state.pairs)
-            if last:
-                candidates = _round_moves(state, goal_ks, len(r2.pairs) - n)
-            else:
-                candidates = _round_moves(state, [ks] * (n + 1))
-            for move in candidates:
-                try:
-                    new = apply_move(state, move)
-                except MoveError:
-                    continue
-                if new == r2:
-                    return path + (move,)
-                if not last and new not in seen:
-                    seen.add(new)
-                    next_frontier.append((new, path + (move,)))
-        frontier = next_frontier
-    return None
+
+    def candidates(state: RoundDiagram, last: bool) -> Iterator[MoveDescriptor]:
+        n = len(state.pairs)
+        if last:
+            return _round_moves(state, goal_ks, len(r2.pairs) - n)
+        return _round_moves(state, [ks] * (n + 1))
+
+    return _breadth_first(r1, r2, depth, candidates, apply_move)

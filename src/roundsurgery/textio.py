@@ -24,7 +24,9 @@ sorted, zero linking entries omitted, integral slopes printed without a
 denominator.  Printing then parsing is the identity on every valid diagram,
 which makes the canonical text the normal form of diagram equality: two
 diagrams are equal exactly when they print the same.  An integer may have
-at most sys.get_int_max_str_digits() digits; a longer one is a diagnostic.
+at most sys.get_int_max_str_digits() digits and a knot expression at most
+100 nested band sums (_MAX_KNOT_DEPTH); beyond either limit it is a
+diagnostic.
 """
 
 from __future__ import annotations
@@ -58,6 +60,14 @@ _INT_RE = re.compile(r"-?[0-9]+\Z")
 _NAT_RE = re.compile(r"[0-9]+\Z")
 
 HEADERS = ("ROUND", "DEHN", "KIRBY")
+
+#: The deepest nesting of band(...) a knot expression may have.  Comparing,
+#: hashing and printing a knot recurse once per level; under Python's
+#: default recursion limit, comparing two equal knots nested through
+#: cable(...) gives out first, near 166 levels (hashing near 249).  The
+#: rest is headroom for the caller's stack and for EqMove4, which nests the
+#: slid knot one level deeper per slide.
+_MAX_KNOT_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -141,11 +151,13 @@ def _parse_knot(text: str) -> KnotExpr:
     return expr
 
 
-def _knot_expr(text: str, at: int) -> tuple[KnotExpr, int]:
+def _knot_expr(text: str, at: int, depth: int = 0) -> tuple[KnotExpr, int]:
     if text.startswith("band(", at):
-        left, at = _knot_expr(text, at + len("band("))
+        if depth == _MAX_KNOT_DEPTH:
+            raise _KnotSyntax(at, f"knot expression nested deeper than {_MAX_KNOT_DEPTH} band sums")
+        left, at = _knot_expr(text, at + len("band("), depth + 1)
         at = _expect(text, at, ",cable(")
-        of, at = _knot_expr(text, at)
+        of, at = _knot_expr(text, at, depth + 1)
         at = _expect(text, at, ",")
         m = re.compile(r"-?[0-9]+").match(text, at)
         if not m:
@@ -430,8 +442,13 @@ def _build_round(stmts: list[_Stmt], diags: list[Diagnostic]) -> RoundDiagram:
                 continue
             loose.append(LooseKnot(c, m))
 
+    # A component named on a PAIR or LOOSE line that has a diagnostic of its
+    # own is not reported again as unused.
+    named = {
+        token for s in stmts if s.kind in ("PAIR", "LOOSE") for token, _ in s.tokens[: 2 if s.kind == "PAIR" else 1]
+    }
     for cid, comp in comps.items():
-        if cid not in used:
+        if cid not in used and cid not in named:
             diags.append(Diagnostic(comp.line, 1, f"component {cid} is not part of any pair or loose knot"))
     entries = _collect_lk(stmts, diags, comps)
     return RoundDiagram(pairs, loose, LinkingMatrix(entries))

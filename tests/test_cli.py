@@ -1,4 +1,5 @@
 import io
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 from roundsurgery.cli import main
@@ -277,3 +278,35 @@ def test_integers_beyond_the_digit_limit_exit_without_a_traceback(tmp_path):
     code, out, err = run(["foliations", write(tmp_path, "h.rsd", HOPF_PAIR), "--pair", "0", "--range", f"0..{big}"])
     assert (code, out) == (2, "")
     assert err.startswith("error: bad range: a bound has more than")
+
+
+def test_results_beyond_the_digit_limit_exit_2_without_a_traceback(tmp_path):
+    limit = sys.get_int_max_str_digits()
+    nines = "9" * limit
+    path = write(tmp_path, "big.rsd", f"ROUND\nCOMP a knot=unknot\nCOMP b knot=unknot\nPAIR a b n1={nines} n2=0 m=1\n")
+    code, out, err = run(["to-dehn", path])  # framing n1 - n2 + m = 10**limit
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: cannot print the DEHN diagram: it holds an integer of {limit + 1} digits, the limit is {limit}\n"
+    )
+    # unlinked coprime framings a and b: H1 = Z/(ab), of 2 * limit digits
+    a, b = "9" * (limit - 1) + "7", "9" * (limit - 1) + "1"
+    path = write(tmp_path, "h1.rsd", f"DEHN\nCOMP a knot=unknot framing={a}\nCOMP b knot=unknot framing={b}\n")
+    code, out, err = run(["homology", path])
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot print H1: it holds an integer of {2 * limit} digits, the limit is {limit}\n"
+    # slope lk - n = 10**limit - 1 + 1; nothing of the report reaches stdout
+    doc = f"ROUND\nCOMP a knot=unknot fibred\nCOMP b knot=unknot fibred\nPAIR a b n1=-1 n2=-1 m=1\nLK a b {nines}\n"
+    code, out, err = run(["suture", write(tmp_path, "slope.rsd", doc), "--pair", "0"])
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot print the slope: it holds an integer of {limit + 1} digits, the limit is {limit}\n"
+
+
+def test_a_knot_nested_beyond_the_limit_exits_1_without_a_traceback(tmp_path):
+    knot = "band(" * 1200 + "unknot" + ",cable(unknot,1))" * 1200
+    path = write(tmp_path, "deep.rsd", f"ROUND\nCOMP a knot={knot}\nCOMP b knot=unknot\nPAIR a b n1=0 n2=0 m=1\n")
+    code, out, err = run(["to-dehn", path])
+    assert (code, out) == (1, "")
+    col = len("COMP a knot=") + 1 + 5 * 100  # the 101st band(
+    assert err.startswith(f"{path}:2:{col}: knot expression nested deeper than 100 band sums\n")
+    assert "Traceback" not in err

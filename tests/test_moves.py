@@ -3,6 +3,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import comp, joint, one_pair_diagram, random_dehn, random_joint_diagram
 from roundsurgery import (
@@ -10,6 +11,7 @@ from roundsurgery import (
     BandSum,
     Cable,
     DehnDiagram,
+    JointPair,
     LinkingMatrix,
     MoveDescriptor,
     MoveError,
@@ -457,6 +459,8 @@ def test_search_returns_none_when_out_of_reach():
     r2 = eq_move1(r, 0, 40)  # k = 40 is outside the searched range
     assert bounded_equivalence_search(r, r2, 1, range(-5, 6)) is None
     assert bounded_equivalence_search(r, r2, 0, range(-50, 51)) is None
+    # r2 is in r's gauge class, so only the exact search can rule it out
+    assert bounded_equivalence_search(r, r2, 2, range(-5, 6)) is None
 
 
 def test_search_is_deterministic():
@@ -486,6 +490,43 @@ def test_search_keeps_a_state_that_reorders_a_seen_one():
     goal = apply_sequence(r1, path)
     found = bounded_equivalence_search(r1, goal, 3, range(-1, 2))
     assert found == path
+
+
+@pytest.mark.parametrize("k, k2", [(5, 3), (3, 3), (0, 5)])
+def test_search_finds_shuffle_b_goals_by_their_k_difference(k, k2):
+    # The gauge-class pass tries ShuffleB once per k - k2 >= 0: 2 is not in
+    # ks, 0 is the difference of equal values, and -5 is found as 5 on the
+    # pairs taken the other way round.
+    r = RoundDiagram(
+        [joint(comp("a"), 3, comp("b"), 1, 2), joint(comp("c"), 5, comp("d"), 2, -1)],
+        (),
+        LinkingMatrix([("a", "c", 1)]),
+    )
+    ks = (0, 3, 5)
+    goal = shuffle_b(r, 0, 1, k, k2)
+    found = bounded_equivalence_search(r, goal, 2, ks)
+    assert found == (MoveDescriptor(MoveKind.SHUFFLE_B, pair=0, pair2=1, k=k, k2=k2),)
+    assert found == _reference_search(r, goal, 2, ks)
+
+
+def test_search_with_an_empty_k_range_still_deletes_pairs():
+    r = RoundDiagram(
+        [
+            joint(comp("u1"), 2, comp("u2"), 0, -1),
+            joint(comp("a"), 3, comp("b"), 1, 2),
+            joint(comp("u3"), 7, comp("u4"), 7, 1),
+        ],
+        (),
+        LinkingMatrix([("a", "b", 1)]),
+    )
+    goal = eq_move3_del(eq_move3_del(r, 2), 0)
+    found = bounded_equivalence_search(r, goal, 2, ())
+    assert found == (
+        MoveDescriptor(MoveKind.EQ_MOVE3_DEL, pair=0),
+        MoveDescriptor(MoveKind.EQ_MOVE3_DEL, pair=1),
+    )
+    assert found == _reference_search(r, goal, 2, ())
+    assert bounded_equivalence_search(r, eq_move1(r, 1, 0), 2, ()) is None
 
 
 def test_search_rejects_negative_depth():
@@ -595,11 +636,13 @@ def _reference_search(r1, r2, depth, ks):
 
 def test_search_matches_brute_force_reference():
     rng = random.Random(2024)
-    ks = tuple(range(-1, 2))
     outcomes = set()
-    for case in range(20):
-        r = random_joint_diagram(rng, max_pairs=2, span=2, lk_probability=0.3)
-        depth = rng.randint(1, 2)
+    for case in range(23):
+        # depth 3 on one pair and two k values only, to keep the reference fast
+        deep = case >= 20
+        ks = (0, 1) if deep else tuple(range(-1, 2))
+        r = random_joint_diagram(rng, max_pairs=1 if deep else 2, span=2, lk_probability=0.3)
+        depth = 3 if deep else rng.randint(1, 2)
         if case % 5 == 4:
             goal = eq_move1(r, 0, 5)  # k = 5 lies outside ks
         else:
@@ -611,7 +654,60 @@ def test_search_matches_brute_force_reference():
                         break
                     except MoveError:
                         pass
-        found = bounded_equivalence_search(r, goal, depth, range(-1, 2))
+        found = bounded_equivalence_search(r, goal, depth, ks)
         assert found == _reference_search(r, goal, depth, ks), case
         outcomes.add(None if found is None else len(found))
-    assert {None, 1, 2} <= outcomes
+    assert {None, 1, 2, 3} <= outcomes
+
+
+@st.composite
+def _search_queries(draw):
+    """(r1, r2, depth, ks) on one or two joint pairs, depth 3 on one pair
+    only.  ks is contiguous, has gaps, or is empty.  The goal is planted
+    (depth random legal moves), in r1's gauge class but with k = 9 outside
+    every ks, or r1 with one coefficient m changed."""
+    npairs = draw(st.integers(1, 2))
+    depth = draw(st.integers(1, 3 if npairs == 1 else 2))
+    most = 2 if depth == 3 else 3
+    ks = draw(
+        st.one_of(
+            st.builds(lambda lo, size: tuple(range(lo, lo + size)), st.integers(-2, 1), st.integers(1, most)),
+            st.lists(st.integers(-4, 4), min_size=2, max_size=most, unique=True)
+            .map(lambda v: tuple(sorted(v)))
+            .filter(lambda v: v[-1] - v[0] >= len(v)),
+            st.just(()),
+        )
+    )
+    small = st.integers(-2, 2)
+    knot = st.sampled_from(("unknot", "trefoil"))
+    pairs = [
+        joint(comp(f"a{2 * i}", draw(knot)), draw(small), comp(f"a{2 * i + 1}"), draw(small), draw(small))
+        for i in range(npairs)
+    ]
+    ids = [c.id for p in pairs for c in (p.c1, p.c2)]
+    lk = LinkingMatrix((x, y, draw(st.integers(-1, 1))) for x, y in itertools.combinations(ids, 2))
+    r1 = RoundDiagram(pairs, (), lk)
+    goal = draw(st.sampled_from(("planted", "regauged", "other class")))
+    if goal == "regauged":
+        return r1, eq_move1(r1, 0, 9), depth, ks
+    if goal == "other class":
+        p = r1.pairs[0]
+        changed = JointPair(p.c1, p.n1, p.c2, p.n2, Rational(p.m.p + 1))
+        return r1, RoundDiagram((changed, *r1.pairs[1:]), (), lk), depth, ks
+    r2 = r1
+    for _ in range(depth):
+        legal = []
+        for move in _reference_box(len(r2.pairs), ks or (0,)):
+            try:
+                legal.append(apply_move(r2, move))
+            except MoveError:
+                pass
+        r2 = draw(st.sampled_from(legal))
+    return r1, r2, depth, ks
+
+
+@settings(max_examples=25, deadline=None)
+@given(_search_queries())
+def test_search_equals_the_reference_on_random_queries(query):
+    r1, r2, depth, ks = query
+    assert bounded_equivalence_search(r1, r2, depth, ks) == _reference_search(r1, r2, depth, ks)

@@ -17,6 +17,7 @@ from roundsurgery import (
     parse,
     print_diagram,
 )
+from roundsurgery.textio import _MAX_KNOT_DEPTH
 
 BASIC_ROUND = "ROUND\nCOMP a knot=unknot\nCOMP b knot=unknot\nPAIR a b n1=0 n2=0 m=1\nLK a b 1\n"
 
@@ -237,3 +238,42 @@ def test_parse_reports_an_integer_beyond_the_digit_limit_at_its_token(text, line
     (d,) = [d for d in info.value.diagnostics if d.message.startswith("integer too large")]
     assert (d.line, d.col) == (line, col)
     assert d.message.startswith("integer too large: 5000 digits, the limit is ")
+
+
+@pytest.mark.parametrize(
+    "text, line, col",
+    [
+        (f"ROUND\nCOMP a knot=unknot\nCOMP b knot=unknot\nPAIR a b n1={BIG} n2=0 m=0\n", 4, 10),
+        ("ROUND\nCOMP a knot=unknot\nCOMP b knot=unknot\nPAIR a b n1=x n2=0 m=0\n", 4, 10),
+        ("ROUND\nCOMP a knot=unknot\nCOMP b knot=unknot\nPAIR a b n1=0 n2=0 m=0 x\n", 4, 24),
+        ("ROUND\nCOMP a knot=unknot\nLOOSE a m=x\n", 3, 11),
+    ],
+    ids=["long-n1", "bad-n1", "extra-token", "bad-loose-m"],
+)
+def test_a_bad_field_gives_one_diagnostic_not_one_per_component(text, line, col):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert [(d.line, d.col) for d in info.value.diagnostics] == [(line, col)]
+
+
+@pytest.mark.parametrize(
+    "nest",
+    [
+        lambda depth: "band(" * depth + "unknot" + ",cable(unknot,1))" * depth,
+        lambda depth: "band(unknot,cable(" * depth + "unknot" + ",1))" * depth,
+    ],
+    ids=["left", "cable"],
+)
+def test_parse_reports_a_knot_nested_beyond_the_limit_at_its_token(nest):
+    def document(depth):
+        return f"DEHN\nCOMP a knot={nest(depth)} framing=0\n"
+
+    assert print_diagram(parse(document(_MAX_KNOT_DEPTH)).diagram) == document(_MAX_KNOT_DEPTH)
+    with pytest.raises(ParseError) as info:
+        parse(document(_MAX_KNOT_DEPTH + 1))
+    (d,) = info.value.diagnostics
+    line, at = document(_MAX_KNOT_DEPTH + 1).split("\n")[1], -1
+    for _ in range(_MAX_KNOT_DEPTH + 1):  # the band( one level too deep
+        at = line.index("band(", at + 1)
+    assert (d.line, d.col) == (2, at + 1)
+    assert d.message == f"knot expression nested deeper than {_MAX_KNOT_DEPTH} band sums"
