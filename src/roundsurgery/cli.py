@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 parse diagnostics or validation violations,
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from dataclasses import fields, is_dataclass
@@ -28,7 +29,7 @@ from .bridge import (
 )
 from .model import DehnDiagram, RoundDiagram, SurgeryError, _Diagram
 from .moves import MOVES, MoveDescriptor, apply_move, bounded_equivalence_search
-from .textio import ParseError, parse, print_diagram, validate_any
+from .textio import Diagnostic, ParseError, parse, print_diagram, validate_any
 
 _RANGE_RE = re.compile(r"(-?[0-9]+)\.\.(-?[0-9]+)\Z")
 
@@ -49,9 +50,18 @@ class _CliError(Exception):
 
 
 def _read(path: str) -> str:
+    """A document's text, decoded as UTF-8, a file's line endings translated
+    as a text-mode open() translates them.  Bytes that are not UTF-8 are a
+    ParseError at the first bad byte, its column counted in bytes."""
     if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+        data = sys.stdin.buffer.read()
+    else:
+        data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lines = data[: exc.start].split(b"\n")
+        raise ParseError([Diagnostic(len(lines), len(lines[-1]) + 1, "not valid UTF-8")]) from None
 
 
 def _load(path: str, want: type | None = None):
@@ -260,7 +270,11 @@ def _cmd_search(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser.  It is built on the first call and the same
+    object is returned after it, because building it costs more than most
+    commands; parse_args keeps no state between calls.  Do not change it."""
     parser = argparse.ArgumentParser(
         prog="roundsurgery",
         description="Round surgery diagram calculus: conversions, moves, homology.",

@@ -55,9 +55,10 @@ from .model import (
 
 AnyDiagram = Union[RoundDiagram, DehnDiagram, KirbyDiagram]
 
-_ID_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*\Z")
-_INT_RE = re.compile(r"-?[0-9]+\Z")
-_NAT_RE = re.compile(r"[0-9]+\Z")
+# Tokens are checked with fullmatch(); knot expressions match() them inside.
+_ID_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
+_INT_RE = re.compile(r"-?[0-9]+")
+_NAT_RE = re.compile(r"[0-9]+")
 
 HEADERS = ("ROUND", "DEHN", "KIRBY")
 
@@ -105,7 +106,7 @@ def _too_long(digits: str) -> str:
 
 
 def _parse_int(token: str, line: int, col: int, diags: list[Diagnostic]) -> Optional[int]:
-    if not _INT_RE.match(token):
+    if not _INT_RE.fullmatch(token):
         diags.append(Diagnostic(line, col, f"expected an integer, got {token!r}"))
         return None
     try:
@@ -118,7 +119,7 @@ def _parse_int(token: str, line: int, col: int, diags: list[Diagnostic]) -> Opti
 def _parse_rational(token: str, line: int, col: int, diags: list[Diagnostic]) -> Optional[Rational]:
     if "/" in token:
         num, _, den = token.partition("/")
-        if not _INT_RE.match(num) or not _NAT_RE.match(den):
+        if not _INT_RE.fullmatch(num) or not _NAT_RE.fullmatch(den):
             diags.append(Diagnostic(line, col, f"expected INT/NAT, got {token!r}"))
             return None
         p, q = _parse_int(num, line, col, diags), _parse_int(den, line, col, diags)
@@ -132,7 +133,7 @@ def _parse_rational(token: str, line: int, col: int, diags: list[Diagnostic]) ->
 
 
 def _parse_id(token: str, line: int, col: int, diags: list[Diagnostic]) -> Optional[str]:
-    if not _ID_RE.match(token):
+    if not _ID_RE.fullmatch(token):
         diags.append(Diagnostic(line, col, f"invalid identifier {token!r}"))
         return None
     return token
@@ -159,7 +160,7 @@ def _knot_expr(text: str, at: int, depth: int = 0) -> tuple[KnotExpr, int]:
         at = _expect(text, at, ",cable(")
         of, at = _knot_expr(text, at, depth + 1)
         at = _expect(text, at, ",")
-        m = re.compile(r"-?[0-9]+").match(text, at)
+        m = _INT_RE.match(text, at)
         if not m:
             raise _KnotSyntax(at, "expected a framing integer")
         try:
@@ -168,7 +169,7 @@ def _knot_expr(text: str, at: int, depth: int = 0) -> tuple[KnotExpr, int]:
             raise _KnotSyntax(at, _too_long(m.group())) from None
         at = _expect(text, m.end(), "))")
         return BandSum(left, Cable(of, framing)), at
-    m = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*").match(text, at)
+    m = _ID_RE.match(text, at)
     if not m:
         raise _KnotSyntax(at, "expected a knot name or band(...)")
     return Atom(m.group()), m.end()
@@ -202,8 +203,17 @@ class _Stmt:
 
 
 def _tokenize(raw: str) -> list[tuple[str, int]]:
-    body = raw.split("#", 1)[0].rstrip("\r")
-    return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", body)]
+    """The tokens of one line and their 1-based columns.  str.split() splits
+    on str.isspace() characters, the CR of a CRLF ending among them, so only
+    whitespace lies between one token's end and the next token's start, and
+    find() from that end gives the next token's column."""
+    body = raw.split("#", 1)[0]
+    tokens, at = [], 0
+    for word in body.split():
+        at = body.find(word, at)
+        tokens.append((word, at + 1))
+        at += len(word)
+    return tokens
 
 
 def parse(text: str) -> DiagramDocument:
@@ -320,25 +330,31 @@ def _parse_comp(
 
 def _collect_comps(
     stmts: list[_Stmt], diags: list[Diagnostic], expect_framing: bool, allow_fibred: bool = True
-) -> dict[str, _Comp]:
+) -> tuple[dict[str, _Comp], set[str]]:
+    """The components, and the valid ids of COMP lines that have a
+    diagnostic of their own: lines naming those ids are not reported again."""
     comps: dict[str, _Comp] = {}
+    failed: set[str] = set()
     for s in stmts:
         if s.kind != "COMP":
             continue
         comp = _parse_comp(s, diags, expect_framing, allow_fibred)
         if comp is None:
+            if s.tokens and _ID_RE.fullmatch(s.tokens[0][0]):
+                failed.add(s.tokens[0][0])
             continue
         if comp.id in comps:
             diags.append(Diagnostic(s.line, s.tokens[0][1], f"duplicate component {comp.id}"))
             continue
         comps[comp.id] = comp
-    return comps
+    return comps, failed
 
 
 def _collect_lk(
-    stmts: list[_Stmt], diags: list[Diagnostic], known: dict
+    stmts: list[_Stmt], diags: list[Diagnostic], known: dict, failed: set[str]
 ) -> list[tuple[str, str, int]]:
-    # known maps acceptable ids to anything; only membership matters
+    # known maps acceptable ids to anything; only membership matters.  An
+    # entry naming a failed id is dropped without a diagnostic.
     entries: list[tuple[str, str, int]] = []
     seen: dict[tuple[str, str], tuple[int, int]] = {}
     for s in stmts:
@@ -360,9 +376,9 @@ def _collect_lk(
             diags.append(Diagnostic(s.line, ga[1], f"linking of {a} with itself is not allowed"))
             continue
         for cid, col in ((a, ga[1]), (b, gb[1])):
-            if cid not in known:
+            if cid not in known and cid not in failed:
                 diags.append(Diagnostic(s.line, col, f"unknown component {cid}"))
-        if len(diags) > before:
+        if a not in known or b not in known:
             continue
         key = (a, b) if a <= b else (b, a)
         if key in seen:
@@ -378,14 +394,15 @@ def _collect_lk(
 
 
 def _build_round(stmts: list[_Stmt], diags: list[Diagnostic]) -> RoundDiagram:
-    comps = _collect_comps(stmts, diags, expect_framing=False)
+    comps, failed = _collect_comps(stmts, diags, expect_framing=False)
     used: dict[str, int] = {}
     pairs: list[JointPair] = []
     loose: list[LooseKnot] = []
 
     def claim(cid: str, line: int, col: int) -> Optional[FramedComponent]:
         if cid not in comps:
-            diags.append(Diagnostic(line, col, f"unknown component {cid}"))
+            if cid not in failed:
+                diags.append(Diagnostic(line, col, f"unknown component {cid}"))
             return None
         if cid in used:
             diags.append(Diagnostic(line, col, f"component {cid} already used on line {used[cid]}"))
@@ -450,20 +467,20 @@ def _build_round(stmts: list[_Stmt], diags: list[Diagnostic]) -> RoundDiagram:
     for cid, comp in comps.items():
         if cid not in used and cid not in named:
             diags.append(Diagnostic(comp.line, 1, f"component {cid} is not part of any pair or loose knot"))
-    entries = _collect_lk(stmts, diags, comps)
+    entries = _collect_lk(stmts, diags, comps, failed)
     return RoundDiagram(pairs, loose, LinkingMatrix(entries))
 
 
 def _build_dehn(stmts: list[_Stmt], diags: list[Diagnostic]) -> DehnDiagram:
-    comps = _collect_comps(stmts, diags, expect_framing=True)
-    entries = _collect_lk(stmts, diags, comps)
+    comps, failed = _collect_comps(stmts, diags, expect_framing=True)
+    entries = _collect_lk(stmts, diags, comps, failed)
     components = [FramedComponent(c.id, c.knot, c.fibred) for c in comps.values()]
     framing = {c.id: c.framing for c in comps.values() if c.framing is not None}
     return DehnDiagram(components, framing, LinkingMatrix(entries))
 
 
 def _build_kirby(stmts: list[_Stmt], diags: list[Diagnostic]) -> KirbyDiagram:
-    comps = _collect_comps(stmts, diags, expect_framing=False, allow_fibred=False)
+    comps, failed = _collect_comps(stmts, diags, expect_framing=False, allow_fibred=False)
     one_handles: dict[str, int] = {}
     handle2: dict[str, tuple[int, int, tuple[tuple[str, int], ...]]] = {}
 
@@ -500,7 +517,7 @@ def _build_kirby(stmts: list[_Stmt], diags: list[Diagnostic]) -> KirbyDiagram:
             if over_text is not None:
                 for piece in over_text.split(","):
                     hpart, sep, cpart = piece.partition(":")
-                    if not sep or not _ID_RE.match(hpart) or not _INT_RE.match(cpart):
+                    if not sep or not _ID_RE.fullmatch(hpart) or not _INT_RE.fullmatch(cpart):
                         diags.append(Diagnostic(s.line, col, f"expected over=id:INT,..., got {piece!r}"))
                         continue
                     if hpart not in one_handles:
@@ -517,7 +534,8 @@ def _build_kirby(stmts: list[_Stmt], diags: list[Diagnostic]) -> KirbyDiagram:
             diags.append(Diagnostic(s.line, g1[1], f"duplicate 2-handle {hid}"))
             continue
         if hid not in comps:
-            diags.append(Diagnostic(s.line, g1[1], f"2-handle {hid} has no COMP line for its knot"))
+            if hid not in failed:
+                diags.append(Diagnostic(s.line, g1[1], f"2-handle {hid} has no COMP line for its knot"))
             continue
         handle2[hid] = (s.line, framing, tuple(over))
 
@@ -529,7 +547,7 @@ def _build_kirby(stmts: list[_Stmt], diags: list[Diagnostic]) -> KirbyDiagram:
         TwoHandle(hid, comps[hid].knot, framing, over)
         for hid, (_line, framing, over) in handle2.items()
     ]
-    entries = _collect_lk(stmts, diags, handle2)
+    entries = _collect_lk(stmts, diags, handle2, failed)
     return KirbyDiagram(one_handles, two_handles, LinkingMatrix(entries))
 
 

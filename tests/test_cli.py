@@ -162,7 +162,7 @@ def test_search_finds_and_misses(tmp_path):
 
 
 def test_stdin_input(tmp_path, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(UNKNOT5))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(UNKNOT5.encode())))  # read through .buffer
     code, out, _ = run(["homology", "-"])
     assert code == 0 and out == "H1: Z/5\n"
 
@@ -310,3 +310,49 @@ def test_a_knot_nested_beyond_the_limit_exits_1_without_a_traceback(tmp_path):
     col = len("COMP a knot=") + 1 + 5 * 100  # the 101st band(
     assert err.startswith(f"{path}:2:{col}: knot expression nested deeper than 100 band sums\n")
     assert "Traceback" not in err
+
+
+
+def test_main_keeps_no_state_between_calls(tmp_path, monkeypatch):
+    """main() builds its parser once per process; each call of a sequence in
+    one process gives its own expected output."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal
+    dehn = write(tmp_path, "d.rsd", "DEHN\nCOMP a knot=unknot framing=4\nCOMP b knot=unknot framing=2\n"
+                 "COMP c knot=trefoil framing=-1\n")
+    joint = write(tmp_path, "a.rsd", JOINT_312)
+    usage = "usage: roundsurgery move [-h] --kind KIND [--args ARGS] file\n"
+    sequence = [
+        (["to-round", dehn, "--k=1,2"], 0,
+         "ROUND\nCOMP a knot=unknot\nCOMP b knot=unknot\nCOMP c knot=trefoil\nCOMP u1 knot=unknot\n"
+         "PAIR a b n1=3 n2=1 m=2\nPAIR c u1 n1=0 n2=2 m=1\n", ""),
+        (["to-round", dehn], 2, "", "error: need 2 k choices, got 0\n"),  # --k is not remembered
+        (["move", joint, "--kind", "EqMove1", "--args", "pair=0,k=4"], 0,
+         "ROUND\nCOMP a knot=unknot\nCOMP b knot=unknot\nPAIR a b n1=6 n2=4 m=2\n", ""),
+        (["move", joint, "--args", "pair=0"], 2, "",  # nor --kind
+         usage + "roundsurgery move: error: the following arguments are required: --kind\n"),
+        (["validate", joint], 0, "ok\n", ""),
+    ]
+    for argv, *want in sequence:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert [code, out.getvalue(), err.getvalue()] == want, argv
+
+
+NOT_UTF8 = b"ROUND\r\nCOMP a knot=unknot # caf\xc3\xa9 \xff\r\nCOMP b knot=unknot\r\n"
+
+
+def test_non_utf8_file_is_a_positioned_diagnostic(tmp_path):
+    path = tmp_path / "bad.rsd"
+    path.write_bytes(NOT_UTF8)
+    # the column counts bytes: the é before the bad byte is two
+    assert run(["validate", str(path)]) == (1, f"{path}:2:28: not valid UTF-8\n", "")
+    assert run(["to-dehn", str(path)]) == (1, "", f"{path}:2:28: not valid UTF-8\nerror: input does not parse\n")
+
+
+def test_non_utf8_standard_input_is_a_positioned_diagnostic(monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8)))
+    assert run(["homology", "-"]) == (1, "", "-:2:28: not valid UTF-8\nerror: input does not parse\n")

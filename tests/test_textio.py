@@ -1,6 +1,9 @@
 import random
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import comp, joint, random_dehn, random_joint_diagram, random_loose
 from roundsurgery import (
@@ -247,8 +250,13 @@ def test_parse_reports_an_integer_beyond_the_digit_limit_at_its_token(text, line
         ("ROUND\nCOMP a knot=unknot\nCOMP b knot=unknot\nPAIR a b n1=x n2=0 m=0\n", 4, 10),
         ("ROUND\nCOMP a knot=unknot\nCOMP b knot=unknot\nPAIR a b n1=0 n2=0 m=0 x\n", 4, 24),
         ("ROUND\nCOMP a knot=unknot\nLOOSE a m=x\n", 3, 11),
+        ("ROUND\nCOMP a knot=band(unknot\nCOMP b knot=unknot\nPAIR a b n1=0 n2=0 m=1\nLK a b 1\n", 2, 24),
+        ("ROUND\nCOMP a knot=unknot x\nLOOSE a m=1\n", 2, 20),
+        ("DEHN\nCOMP a knot=unknot framing=x\nCOMP b knot=unknot framing=1\nLK b a 1\n", 2, 28),
+        ("KIRBY\nCOMP t knot=band(x\nCOMP u knot=unknot\nHANDLE2 t framing=1\nHANDLE2 u framing=0\nLK t u 1\n", 2, 19),
     ],
-    ids=["long-n1", "bad-n1", "extra-token", "bad-loose-m"],
+    ids=["long-n1", "bad-n1", "extra-token", "bad-loose-m", "bad-comp-pair-lk", "bad-comp-loose", "bad-comp-dehn",
+         "bad-comp-kirby"],
 )
 def test_a_bad_field_gives_one_diagnostic_not_one_per_component(text, line, col):
     with pytest.raises(ParseError) as info:
@@ -277,3 +285,40 @@ def test_parse_reports_a_knot_nested_beyond_the_limit_at_its_token(nest):
         at = line.index("band(", at + 1)
     assert (d.line, d.col) == (2, at + 1)
     assert d.message == f"knot expression nested deeper than {_MAX_KNOT_DEPTH} band sums"
+
+
+@pytest.mark.parametrize(
+    "text, line, col",
+    [
+        ("ROUND\n\tCOMP\ta\t knot=unknot\nCOMP b knot=unknot\nPAIR\ta\t\tb n1=0\tn2=0 m=1\tb\n", 4, 25),
+        ("DEHN\nCOMP   a    knot=unknot     framing=1\nCOMP b knot=unknot framing=2\nLK   a     b    a\n", 4, 17),
+        ("ROUND\r\nCOMP a knot=unknot\r\nCOMP b   knot=unknot\r\nPAIR a b n1=0 n2=0 m=1   bogus\r\n", 4, 26),
+        ("DEHN\nCOMP a knot=unknot framing=1 # comment x\nLK a zz 1 # unknown zz\n", 3, 6),
+        ("ROUND\nCOMP\u00a0a knot=unknot\nLOOSE\u00a0\u00a0a m=x\n", 3, 12),
+        ("DEHN\nCOMP a\u2003knot=unknot\u2003\u2003framing=y\n", 2, 29),
+        ("KIRBY\nCOMP t\x1cknot=unknot\nHANDLE1\x1ch\nHANDLE2\x1ct\x1c\x1cframing=1\x1cover=h:1\nLK\x1ct \x1c\x1cq 1\n",
+         5, 8),
+    ],
+    ids=["tabs", "space-runs", "crlf", "comment", "no-break-space", "em-space", "file-separator"],
+)
+def test_diagnostic_columns_count_each_whitespace_character_once(text, line, col):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert [(d.line, d.col) for d in info.value.diagnostics] == [(line, col)]
+
+
+CORPUS = sorted((Path(__file__).parent / "corpus").glob("*.rsd"))
+#: Every character that separates tokens within a line.
+WHITESPACE = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace() and c != "\n"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(path=st.sampled_from(CORPUS), data=st.data())
+def test_respacing_a_document_keeps_its_diagram(path, data):
+    text = path.read_text(encoding="utf-8")
+    runs = st.text(st.sampled_from(WHITESPACE), min_size=1, max_size=3)
+    lines = [
+        data.draw(st.text(st.sampled_from(WHITESPACE), max_size=2)) + "".join(w + data.draw(runs) for w in raw.split())
+        for raw in text.split("\n")
+    ]
+    assert parse("\n".join(lines)).diagram == parse(text).diagram
