@@ -50,13 +50,11 @@ class _CliError(Exception):
 
 
 def _read(path: str) -> str:
-    """A document's text, decoded as UTF-8, a file's line endings translated
-    as a text-mode open() translates them.  Bytes that are not UTF-8 are a
-    ParseError at the first bad byte, its column counted in bytes."""
-    if path == "-":
-        data = sys.stdin.buffer.read()
-    else:
-        data = Path(path).read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    """A document's text, decoded as UTF-8 the same way from a file and from
+    standard input: LF ends a line, and CR is whitespace to parse().  Bytes
+    that are not UTF-8 are a ParseError at the first bad byte, its column
+    counted in bytes."""
+    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

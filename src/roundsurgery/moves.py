@@ -356,29 +356,46 @@ def normalize_k(r: RoundDiagram, ks: Sequence[int]) -> RoundDiagram:
 
 @dataclass(frozen=True)
 class MoveSpec:
-    """How apply_move calls one move kind: the move function, the diagram
-    type it acts on, the MoveDescriptor fields passed to it in call order
-    (those in ``optional`` may be None), and the change in the number of
-    round pairs (Dehn diagrams have none)."""
+    """How apply_move calls one move kind, and what the move can change.
+
+    fn is the move function and acts_on the diagram type it acts on;
+    fields are the MoveDescriptor fields passed to fn in call order (those
+    in ``optional`` may be None).  pair_delta is the change in the number
+    of round pairs (Dehn diagrams have none).  rewrites names the
+    descriptor fields that hold the indices of the pairs a round move
+    rewrites or deletes: every other pair keeps its value, and its index
+    unless a pair before it is deleted.  rewrites_lk says whether the
+    result's linking matrix can differ from the input's.  No move changes
+    the loose knots.  The search's last level relies on pair_delta,
+    rewrites and rewrites_lk (see bounded_equivalence_search)."""
 
     fn: Callable[..., Diagram]
     acts_on: type
     fields: tuple[str, ...]
     pair_delta: int = 0
     optional: tuple[str, ...] = ()
+    rewrites: tuple[str, ...] = ()
+    rewrites_lk: bool = False
 
 
 #: The move registry: every MoveKind and how to apply it.
 MOVES: dict[MoveKind, MoveSpec] = {
     MoveKind.KIRBY1_ADD: MoveSpec(kirby1_add, DehnDiagram, ("sign",)),
     MoveKind.KIRBY1_DEL: MoveSpec(kirby1_del, DehnDiagram, ("component",)),
-    MoveKind.KIRBY2_SLIDE: MoveSpec(kirby2_slide, DehnDiagram, ("component", "component2")),
-    MoveKind.EQ_MOVE1: MoveSpec(eq_move1, RoundDiagram, ("pair", "k")),
-    MoveKind.SHUFFLE_A: MoveSpec(shuffle_a, RoundDiagram, ("pair", "k")),
-    MoveKind.SHUFFLE_B: MoveSpec(shuffle_b, RoundDiagram, ("pair", "pair2", "k", "k2")),
+    MoveKind.KIRBY2_SLIDE: MoveSpec(kirby2_slide, DehnDiagram, ("component", "component2"), rewrites_lk=True),
+    MoveKind.EQ_MOVE1: MoveSpec(eq_move1, RoundDiagram, ("pair", "k"), rewrites=("pair",)),
+    MoveKind.SHUFFLE_A: MoveSpec(shuffle_a, RoundDiagram, ("pair", "k"), rewrites=("pair",)),
+    MoveKind.SHUFFLE_B: MoveSpec(shuffle_b, RoundDiagram, ("pair", "pair2", "k", "k2"), rewrites=("pair", "pair2")),
     MoveKind.EQ_MOVE3_ADD: MoveSpec(eq_move3_add, RoundDiagram, ("k", "delta", "sign"), pair_delta=1),
-    MoveKind.EQ_MOVE3_DEL: MoveSpec(eq_move3_del, RoundDiagram, ("pair",), pair_delta=-1),
-    MoveKind.EQ_MOVE4: MoveSpec(eq_move4, RoundDiagram, ("variant", "pair", "pair2", "k"), optional=("pair2",)),
+    MoveKind.EQ_MOVE3_DEL: MoveSpec(eq_move3_del, RoundDiagram, ("pair",), pair_delta=-1, rewrites=("pair",)),
+    MoveKind.EQ_MOVE4: MoveSpec(
+        eq_move4,
+        RoundDiagram,
+        ("variant", "pair", "pair2", "k"),
+        optional=("pair2",),
+        rewrites=("pair",),
+        rewrites_lk=True,
+    ),
 }
 
 
@@ -411,7 +428,7 @@ def _is_joint(p: JointPair) -> bool:
 def _round_moves(
     r: RoundDiagram,
     slot_ks: Sequence[Sequence[int]],
-    pair_delta: Optional[int] = None,
+    kinds: Optional[frozenset[MoveKind]] = None,
     shuffle_ks: Optional[Sequence[tuple[int, int]]] = None,
 ) -> Iterator[MoveDescriptor]:
     """Candidate round moves on r, in ascending sort_key order so that
@@ -420,16 +437,15 @@ def _round_moves(
 
     Every round move writes its free k into n2 of the pair it rewrites;
     slot_ks[i] holds the k values tried for pair i, and slot_ks[len(r.pairs)]
-    those for the pair EqMove3Add appends.  When pair_delta is given, kinds
-    whose MOVES entry changes the pair count by anything else are skipped.
-    When shuffle_ks is given, ShuffleB tries exactly those (k, k2) instead
-    of the per-slot values.
+    those for the pair EqMove3Add appends.  When kinds is given, only moves
+    of those kinds are yielded.  When shuffle_ks is given, ShuffleB tries
+    exactly those (k, k2) instead of the per-slot values.
     """
     n = len(r.pairs)
     joint = [_is_joint(p) for p in r.pairs]
 
     def wanted(kind: MoveKind) -> bool:
-        return pair_delta is None or MOVES[kind].pair_delta == pair_delta
+        return kinds is None or kind in kinds
 
     if wanted(MoveKind.EQ_MOVE1):
         for i in range(n):
@@ -485,24 +501,64 @@ def _gauge_class(r: RoundDiagram) -> RoundDiagram:
     return RoundDiagram(pairs, r.loose, r.lk)
 
 
+def _can_yield(
+    state: RoundDiagram, goal: RoundDiagram
+) -> tuple[frozenset[MoveKind], Callable[[MoveDescriptor], bool]]:
+    """The round move kinds whose result can equal goal, read off MOVES, and
+    a test that every such move passes.
+
+    A move cannot yield goal when it leaves unchanged something in which
+    state differs from goal: the pair count, the loose knots, the linking
+    matrix unless its kind rewrites it, or a pair at an index it does not
+    rewrite.  Pairs are compared by index only for kinds that delete none.
+    """
+    if state.loose != goal.loose:
+        return frozenset(), lambda move: False
+    delta = len(goal.pairs) - len(state.pairs)
+    # a move that rebuilds a matrix with conflicting entries drops them
+    same_lk = state.lk == goal.lk or bool(state.lk.conflicts())
+    differ = [i for i, (p, q) in enumerate(zip(state.pairs, goal.pairs)) if p != q] if delta >= 0 else []
+    rewrites = {
+        kind: spec.rewrites
+        for kind, spec in MOVES.items()
+        if spec.acts_on is RoundDiagram
+        and spec.pair_delta == delta
+        and (same_lk or spec.rewrites_lk)
+        and len(spec.rewrites) >= len(differ)
+    }
+
+    def test(move: MoveDescriptor) -> bool:
+        return all(i in [getattr(move, name) for name in rewrites[move.kind]] for i in differ)
+
+    return frozenset(rewrites), test
+
+
 def _breadth_first(
     start: RoundDiagram,
     goal: RoundDiagram,
     depth: int,
-    candidates: Callable[[RoundDiagram, bool], Iterable[MoveDescriptor]],
+    candidates: Callable[[RoundDiagram, Optional[frozenset[MoveKind]]], Iterable[MoveDescriptor]],
     step: Callable[[RoundDiagram, MoveDescriptor], RoundDiagram],
 ) -> Optional[MoveSequence]:
     """The first sequence of at most depth moves, level by level and in the
-    order candidates(state, last_level) yields them, whose step results
-    carry start to goal; None if there is none.  A state reached before is
-    not expanded again, and the last level stores nothing."""
+    order candidates(state, kinds) yields them, whose step results carry
+    start to goal; None if there is none.  A state reached before is not
+    expanded again.  kinds is None on every level but the last, which
+    stores nothing, asks only for the kinds _can_yield names and applies
+    only the moves its test passes; so step must change a state only where
+    MOVES says the move does."""
     frontier: list[tuple[RoundDiagram, MoveSequence]] = [(start, ())]
     seen = {start}
     for level in range(depth):
         last = level == depth - 1
         next_frontier: list[tuple[RoundDiagram, MoveSequence]] = []
         for state, path in frontier:
-            for move in candidates(state, last):
+            if last:
+                kinds, test = _can_yield(state, goal)
+                moves = filter(test, candidates(state, kinds)) if kinds else ()
+            else:
+                moves = candidates(state, None)
+            for move in moves:
                 try:
                     new = step(state, move)
                 except MoveError:
@@ -533,9 +589,8 @@ def _class_reachable(r1: RoundDiagram, r2: RoundDiagram, depth: int, ks: Sequenc
     slot = (0,) if ks else ()
     shuffle_ks = [(t, 0) for t in sorted({a - b for a in ks for b in ks}) if t >= 0]
 
-    def candidates(state: RoundDiagram, last: bool) -> Iterator[MoveDescriptor]:
-        n = len(state.pairs)
-        return _round_moves(state, [slot] * (n + 1), len(goal.pairs) - n if last else None, shuffle_ks)
+    def candidates(state: RoundDiagram, kinds: Optional[frozenset[MoveKind]]) -> Iterator[MoveDescriptor]:
+        return _round_moves(state, [slot] * (len(state.pairs) + 1), kinds, shuffle_ks)
 
     def step(state: RoundDiagram, move: MoveDescriptor) -> RoundDiagram:
         return _gauge_class(apply_move(state, move))
@@ -556,11 +611,15 @@ def bounded_equivalence_search(
     None if r2 is unreachable within the depth bound.  Absence of a result
     is not a proof of inequivalence.
 
-    The last level tries only the moves that change the pair count by as
-    much as r2 differs from the state and write r2's n2 into the pair they
-    rewrite, because no other move can yield r2.  The survivors keep their
-    sort_key order, so the first hit is the one the unpruned level would
-    find, and the result is still the lexicographically least.
+    The last level tries only the moves whose result can be r2.  A move
+    cannot yield r2 when it leaves unchanged something in which the state
+    differs from r2: the pair count, the loose knots (no move touches
+    them), the linking matrix when its kind does not rewrite it, or a pair
+    at an index it does not rewrite; MOVES declares what each kind
+    rewrites.  Nor can it when it writes into a pair an n2 other than
+    r2's.  The survivors keep their sort_key order and every move skipped
+    could not have matched, so the first hit is the one the unpruned level
+    would find, and the result is still the lexicographically least.
 
     A state reached before is not expanded again.  States are compared
     exactly: moves address pairs by index, so a state whose pairs are a
@@ -586,10 +645,10 @@ def bounded_equivalence_search(
         return None
     goal_ks = [(p.n2,) if p.n2 in ks else () for p in r2.pairs]
 
-    def candidates(state: RoundDiagram, last: bool) -> Iterator[MoveDescriptor]:
+    def candidates(state: RoundDiagram, kinds: Optional[frozenset[MoveKind]]) -> Iterator[MoveDescriptor]:
         n = len(state.pairs)
-        if last:
-            return _round_moves(state, goal_ks, len(r2.pairs) - n)
-        return _round_moves(state, [ks] * (n + 1))
+        if kinds is None:
+            return _round_moves(state, [ks] * (n + 1))
+        return _round_moves(state, goal_ks + [()] * (n + 1 - len(goal_ks)), kinds)
 
     return _breadth_first(r1, r2, depth, candidates, apply_move)

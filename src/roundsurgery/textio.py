@@ -328,11 +328,19 @@ def _parse_comp(
     return _Comp(stmt.line, cid, knot, framing, fibred)
 
 
+def _note_failed(s: _Stmt, failed: set[str]) -> None:
+    """Add the id a statement with a diagnostic of its own names first, if
+    it is a valid id, to failed."""
+    if s.tokens and _ID_RE.fullmatch(s.tokens[0][0]):
+        failed.add(s.tokens[0][0])
+
+
 def _collect_comps(
     stmts: list[_Stmt], diags: list[Diagnostic], expect_framing: bool, allow_fibred: bool = True
 ) -> tuple[dict[str, _Comp], set[str]]:
     """The components, and the valid ids of COMP lines that have a
-    diagnostic of their own: lines naming those ids are not reported again."""
+    diagnostic of their own: lines naming those ids are not reported again
+    (KIRBY adds the ids of such HANDLE2 lines)."""
     comps: dict[str, _Comp] = {}
     failed: set[str] = set()
     for s in stmts:
@@ -340,8 +348,7 @@ def _collect_comps(
             continue
         comp = _parse_comp(s, diags, expect_framing, allow_fibred)
         if comp is None:
-            if s.tokens and _ID_RE.fullmatch(s.tokens[0][0]):
-                failed.add(s.tokens[0][0])
+            _note_failed(s, failed)
             continue
         if comp.id in comps:
             diags.append(Diagnostic(s.line, s.tokens[0][1], f"duplicate component {comp.id}"))
@@ -505,6 +512,7 @@ def _build_kirby(stmts: list[_Stmt], diags: list[Diagnostic]) -> KirbyDiagram:
         g1 = _take(s, 0, diags, "2-handle id")
         g2 = _take(s, 1, diags, "framing=INT")
         if None in (g1, g2):
+            _note_failed(s, failed)
             continue
         hid = _parse_id(g1[0], s.line, g1[1], diags)
         fr_text = _keyed(g2[0], "framing", s.line, g2[1], diags)
@@ -529,6 +537,7 @@ def _build_kirby(stmts: list[_Stmt], diags: list[Diagnostic]) -> KirbyDiagram:
             index += 1
         _no_extra(s, index, diags)
         if len(diags) > before or hid is None or framing is None:
+            _note_failed(s, failed)
             continue
         if hid in handle2:
             diags.append(Diagnostic(s.line, g1[1], f"duplicate 2-handle {hid}"))
@@ -540,7 +549,7 @@ def _build_kirby(stmts: list[_Stmt], diags: list[Diagnostic]) -> KirbyDiagram:
         handle2[hid] = (s.line, framing, tuple(over))
 
     for cid, comp in comps.items():
-        if cid not in handle2:
+        if cid not in handle2 and cid not in failed:
             diags.append(Diagnostic(comp.line, 1, f"component {cid} is not attached to any 2-handle"))
 
     two_handles = [

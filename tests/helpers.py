@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 
 from roundsurgery import (
@@ -11,9 +13,12 @@ from roundsurgery import (
     JointPair,
     LinkingMatrix,
     LooseKnot,
+    MoveDescriptor,
+    MoveKind,
     Rational,
     RoundDiagram,
 )
+from roundsurgery.moves import EQ_MOVE4_VARIANTS
 
 KNOT_NAMES = ("unknot", "trefoil", "fig8", "cinquefoil")
 
@@ -88,3 +93,34 @@ def random_joint_diagram(
 
 def random_loose(rng: random.Random, cid: str) -> LooseKnot:
     return LooseKnot(comp(cid, rng.choice(KNOT_NAMES)), Rational(rng.randint(-5, 5)))
+
+
+# the fields each round move kind takes; the reference box tries every value
+_REFERENCE_FIELDS = {
+    MoveKind.EQ_MOVE1: ("pair", "k"),
+    MoveKind.SHUFFLE_A: ("pair", "k"),
+    MoveKind.SHUFFLE_B: ("pair", "pair2", "k", "k2"),
+    MoveKind.EQ_MOVE3_ADD: ("k", "delta", "sign"),
+    MoveKind.EQ_MOVE3_DEL: ("pair",),
+    MoveKind.EQ_MOVE4: ("variant", "pair", "pair2", "k"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def reference_box(n_pairs: int, ks: tuple[int, ...]) -> tuple[MoveDescriptor, ...]:
+    """Every round move descriptor over the parameter box, sorted."""
+    values = {
+        "pair": (None, *range(n_pairs)),
+        "pair2": (None, *range(n_pairs)),
+        "variant": EQ_MOVE4_VARIANTS,
+        "k": ks,
+        "k2": ks,
+        "delta": (-2, 0, 2),
+        "sign": (-1, 1),
+    }
+    moves = [
+        MoveDescriptor(kind, **dict(zip(names, combo)))
+        for kind, names in _REFERENCE_FIELDS.items()
+        for combo in itertools.product(*(values[name] for name in names))
+    ]
+    return tuple(sorted(moves, key=MoveDescriptor.sort_key))

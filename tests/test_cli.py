@@ -2,6 +2,8 @@ import io
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 from roundsurgery.cli import main
 
 JOINT_312 = "ROUND\nCOMP a knot=unknot\nCOMP b knot=unknot\nPAIR a b n1=3 n2=1 m=2\n"
@@ -356,3 +358,19 @@ def test_non_utf8_file_is_a_positioned_diagnostic(tmp_path):
 def test_non_utf8_standard_input_is_a_positioned_diagnostic(monkeypatch):
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8)))
     assert run(["homology", "-"]) == (1, "", "-:2:28: not valid UTF-8\nerror: input does not parse\n")
+
+
+# the reproducer's lines: a lone CR inside the third, which parse() reads as whitespace
+CR_LINES = ["ROUND", "COMP a knot=unknot", "COMP\x1c\tb\r knot=unknot", "PAIR a b n1=6 n2=6 m=0"]
+
+
+@pytest.mark.parametrize("extra", [[], ["LK a c 1", "PAIR a"]], ids=["valid", "invalid"])
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("command", ["validate", "to-dehn"])
+def test_a_file_and_standard_input_read_the_same_bytes_alike(tmp_path, monkeypatch, command, ending, extra):
+    data = "".join(line + ending for line in CR_LINES + extra).encode()
+    path = tmp_path / "doc.rsd"
+    path.write_bytes(data)
+    code, out, err = run([command, str(path)])
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+    assert (code, out.replace(str(path), "-"), err.replace(str(path), "-")) == run([command, "-"])

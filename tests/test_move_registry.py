@@ -1,16 +1,28 @@
 """The move registry: one entry per kind, read by apply_move and the CLI."""
 
 import dataclasses
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import comp, random_joint_diagram
+from helpers import comp, random_joint_diagram, reference_box
 from roundsurgery import (
+    Atom,
+    BandSum,
+    Cable,
     DehnDiagram,
+    FramedComponent,
+    JointPair,
+    LinkingMatrix,
+    LooseKnot,
     MoveDescriptor,
     MoveError,
     MoveKind,
+    Rational,
+    RoundDiagram,
+    UNKNOT,
     apply_move,
     eq_move1,
     eq_move3_add,
@@ -95,3 +107,54 @@ def test_move_on_the_wrong_diagram_type_is_rejected(kind):
     other = ROUND if isinstance(diagram, DehnDiagram) else DEHN
     with pytest.raises(MoveError, match=f"{kind.value} does not apply to {type(other).__name__}"):
         apply_move(other, MoveDescriptor(kind, **args))
+
+
+@st.composite
+def _registry_diagrams(draw):
+    """Up to two pairs, joint or not (m = None or 1/2), with knots that may
+    be band sums and linking between any two of their components, sometimes
+    a loose knot, and an unlinked pair that EqMove3Del deletes, at any
+    index."""
+    knot = st.sampled_from((UNKNOT, Atom("trefoil"), BandSum(Atom("trefoil"), Cable(UNKNOT, 2))))
+    small = st.integers(-2, 2)
+    m = st.one_of(small.map(Rational), st.sampled_from((None, Rational(1, 2))))
+    pairs = [
+        JointPair(
+            FramedComponent(f"a{2 * i}", draw(knot)),
+            draw(small),
+            FramedComponent(f"a{2 * i + 1}", draw(knot)),
+            draw(small),
+            draw(m),
+        )
+        for i in range(draw(st.integers(0, 2)))
+    ]
+    loose = [LooseKnot(comp("z", "fig8"), Rational(draw(small)))] if draw(st.booleans()) else []
+    ids = [c.id for p in pairs for c in (p.c1, p.c2)] + [l.component.id for l in loose]
+    lk = LinkingMatrix((x, y, draw(st.integers(-1, 1))) for x, y in itertools.combinations(ids, 2))
+    k = draw(small)
+    pairs.insert(draw(st.integers(0, len(pairs))), JointPair(comp("u1"), k, comp("u2"), k, Rational(1)))
+    return RoundDiagram(pairs, loose, lk)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_registry_diagrams())
+def test_round_moves_change_only_what_their_spec_declares(r):
+    """The search's last level skips a move that leaves unchanged something
+    in which the state differs from the goal, reading what each kind changes
+    off MOVES.  Every move either raises MoveError or keeps the loose knots,
+    lk unless rewrites_lk, and every pair not named by rewrites."""
+    for move in reference_box(len(r.pairs), (-1, 2)):
+        spec = MOVES[move.kind]
+        try:
+            out = apply_move(r, move)
+        except MoveError:
+            continue
+        assert out.loose == r.loose, move
+        assert spec.rewrites_lk or out.lk == r.lk, move
+        rewritten = {getattr(move, name) for name in spec.rewrites}
+        kept = [(i, p) for i, p in enumerate(r.pairs) if i not in rewritten]
+        if spec.pair_delta < 0:
+            assert list(out.pairs) == [p for _, p in kept], move
+        else:
+            assert len(out.pairs) == len(r.pairs) + spec.pair_delta, move
+            assert all(out.pairs[i] == p for i, p in kept), move

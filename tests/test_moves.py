@@ -1,11 +1,10 @@
-import functools
 import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import comp, joint, one_pair_diagram, random_dehn, random_joint_diagram
+from helpers import comp, joint, one_pair_diagram, random_dehn, random_joint_diagram, reference_box
 from roundsurgery import (
     Atom,
     BandSum,
@@ -13,6 +12,7 @@ from roundsurgery import (
     DehnDiagram,
     JointPair,
     LinkingMatrix,
+    LooseKnot,
     MoveDescriptor,
     MoveError,
     MoveKind,
@@ -581,37 +581,6 @@ def test_eq_move4_single_pair_commutation_exhaustive_small():
 # ---------------------------------------------------------------------------
 # The search against a brute-force reference
 
-# the fields each round move kind takes; the reference tries every value
-_REFERENCE_FIELDS = {
-    MoveKind.EQ_MOVE1: ("pair", "k"),
-    MoveKind.SHUFFLE_A: ("pair", "k"),
-    MoveKind.SHUFFLE_B: ("pair", "pair2", "k", "k2"),
-    MoveKind.EQ_MOVE3_ADD: ("k", "delta", "sign"),
-    MoveKind.EQ_MOVE3_DEL: ("pair",),
-    MoveKind.EQ_MOVE4: ("variant", "pair", "pair2", "k"),
-}
-
-
-@functools.lru_cache(maxsize=None)
-def _reference_box(n_pairs, ks):
-    """Every round move descriptor over the parameter box, sorted."""
-    values = {
-        "pair": (None, *range(n_pairs)),
-        "pair2": (None, *range(n_pairs)),
-        "variant": EQ_MOVE4_VARIANTS,
-        "k": ks,
-        "k2": ks,
-        "delta": (-2, 0, 2),
-        "sign": (-1, 1),
-    }
-    moves = [
-        MoveDescriptor(kind, **dict(zip(names, combo)))
-        for kind, names in _REFERENCE_FIELDS.items()
-        for combo in itertools.product(*(values[name] for name in names))
-    ]
-    return tuple(sorted(moves, key=MoveDescriptor.sort_key))
-
-
 def _reference_search(r1, r2, depth, ks):
     """Plain breadth-first search: no enumerator, no last-level pruning."""
     if r1 == r2:
@@ -620,7 +589,7 @@ def _reference_search(r1, r2, depth, ks):
     for _ in range(depth):
         next_frontier = []
         for state, path in frontier:
-            for move in _reference_box(len(state.pairs), ks):
+            for move in reference_box(len(state.pairs), ks):
                 try:
                     new = apply_move(state, move)
                 except MoveError:
@@ -648,7 +617,7 @@ def test_search_matches_brute_force_reference():
         else:
             goal = r
             for _ in range(depth):
-                for move in rng.sample(_reference_box(len(goal.pairs), ks), 40):
+                for move in rng.sample(reference_box(len(goal.pairs), ks), 40):
                     try:
                         goal = apply_move(goal, move)
                         break
@@ -660,12 +629,33 @@ def test_search_matches_brute_force_reference():
     assert {None, 1, 2, 3} <= outcomes
 
 
+@pytest.mark.parametrize(
+    "pairs, lk, at",
+    [
+        # EqMove3Del rebuilds lk without the conflict, although it keeps lk
+        # on diagrams that validate
+        ([joint(comp("a", "trefoil"), 3, comp("b"), 1, 2)], [("a", "b", 1), ("b", "a", 2)], 1),
+        # deleting pair 0 shifts the two pairs after it
+        ([joint(comp("a"), 3, comp("b"), 1, 2), joint(comp("c", "trefoil"), 0, comp("d"), -1, 3)], [("a", "c", 1)], 0),
+    ],
+    ids=["conflicting-lk", "deletion-shifts-pairs"],
+)
+def test_search_finds_a_deletion_like_the_reference(pairs, lk, at):
+    r = RoundDiagram([*pairs[:at], joint(comp("u1"), 0, comp("u2"), 0, 1), *pairs[at:]], (), LinkingMatrix(lk))
+    goal = eq_move3_del(r, at)
+    found = bounded_equivalence_search(r, goal, 1, range(-1, 2))
+    assert found == _reference_search(r, goal, 1, (-1, 0, 1)) == (MoveDescriptor(MoveKind.EQ_MOVE3_DEL, pair=at),)
+
+
 @st.composite
 def _search_queries(draw):
     """(r1, r2, depth, ks) on one or two joint pairs, depth 3 on one pair
-    only.  ks is contiguous, has gaps, or is empty.  The goal is planted
-    (depth random legal moves), in r1's gauge class but with k = 9 outside
-    every ks, or r1 with one coefficient m changed."""
+    only.  Below depth 3 a pair the moves reject (m = None or 1/2) is
+    sometimes inserted among them, and r1 sometimes has a loose knot.  ks
+    is contiguous, has gaps, or is empty.  The goal is planted (depth
+    random legal moves), in r1's gauge class but with k = 9 outside every
+    ks, r1 with one pair's coefficient m changed, or r1 with its loose
+    knot's m changed; the last two are out of reach."""
     npairs = draw(st.integers(1, 2))
     depth = draw(st.integers(1, 3 if npairs == 1 else 2))
     most = 2 if depth == 3 else 3
@@ -684,20 +674,32 @@ def _search_queries(draw):
         joint(comp(f"a{2 * i}", draw(knot)), draw(small), comp(f"a{2 * i + 1}"), draw(small), draw(small))
         for i in range(npairs)
     ]
-    ids = [c.id for p in pairs for c in (p.c1, p.c2)]
+    first = 0
+    if depth < 3 and draw(st.booleans()):
+        m = draw(st.sampled_from((None, Rational(1, 2))))
+        at = draw(st.integers(0, npairs))
+        pairs.insert(at, JointPair(comp("b0"), draw(small), comp("b1"), draw(small), m))
+        first = 1 if at == 0 else 0
+    goal = draw(st.sampled_from(("planted", "regauged", "other class", "other loose m")))
+    loose = []
+    if goal == "other loose m" or draw(st.booleans()):
+        loose = [LooseKnot(comp("z", draw(knot)), Rational(draw(small)))]
+    ids = [c.id for p in pairs for c in (p.c1, p.c2)] + [l.component.id for l in loose]
     lk = LinkingMatrix((x, y, draw(st.integers(-1, 1))) for x, y in itertools.combinations(ids, 2))
-    r1 = RoundDiagram(pairs, (), lk)
-    goal = draw(st.sampled_from(("planted", "regauged", "other class")))
+    r1 = RoundDiagram(pairs, loose, lk)
     if goal == "regauged":
-        return r1, eq_move1(r1, 0, 9), depth, ks
+        return r1, eq_move1(r1, first, 9), depth, ks
     if goal == "other class":
-        p = r1.pairs[0]
+        p = r1.pairs[first]
         changed = JointPair(p.c1, p.n1, p.c2, p.n2, Rational(p.m.p + 1))
-        return r1, RoundDiagram((changed, *r1.pairs[1:]), (), lk), depth, ks
+        return r1, RoundDiagram((*r1.pairs[:first], changed, *r1.pairs[first + 1 :]), loose, lk), depth, ks
+    if goal == "other loose m":
+        (l,) = loose
+        return r1, RoundDiagram(r1.pairs, [LooseKnot(l.component, Rational(l.m.p + 1))], lk), depth, ks
     r2 = r1
     for _ in range(depth):
         legal = []
-        for move in _reference_box(len(r2.pairs), ks or (0,)):
+        for move in reference_box(len(r2.pairs), ks or (0,)):
             try:
                 legal.append(apply_move(r2, move))
             except MoveError:

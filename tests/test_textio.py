@@ -254,9 +254,16 @@ def test_parse_reports_an_integer_beyond_the_digit_limit_at_its_token(text, line
         ("ROUND\nCOMP a knot=unknot x\nLOOSE a m=1\n", 2, 20),
         ("DEHN\nCOMP a knot=unknot framing=x\nCOMP b knot=unknot framing=1\nLK b a 1\n", 2, 28),
         ("KIRBY\nCOMP t knot=band(x\nCOMP u knot=unknot\nHANDLE2 t framing=1\nHANDLE2 u framing=0\nLK t u 1\n", 2, 19),
+        (
+            "KIRBY\nCOMP t knot=unknot\nCOMP u knot=unknot\nHANDLE1 h\nHANDLE2 t framing=1 over=q:1\n"
+            "HANDLE2 u framing=0\nLK t u 1\n",
+            5,
+            21,
+        ),
+        ("KIRBY\nCOMP t knot=unknot\nCOMP u knot=unknot\nHANDLE2 t\nHANDLE2 u framing=0\nLK t u 1\n", 4, 1),
     ],
     ids=["long-n1", "bad-n1", "extra-token", "bad-loose-m", "bad-comp-pair-lk", "bad-comp-loose", "bad-comp-dehn",
-         "bad-comp-kirby"],
+         "bad-comp-kirby", "bad-handle2", "handle2-without-framing"],
 )
 def test_a_bad_field_gives_one_diagnostic_not_one_per_component(text, line, col):
     with pytest.raises(ParseError) as info:
