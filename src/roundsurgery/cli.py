@@ -32,6 +32,8 @@ from .moves import MOVES, MoveDescriptor, apply_move, bounded_equivalence_search
 from .textio import Diagnostic, ParseError, parse, print_diagram, validate_any
 
 _RANGE_RE = re.compile(r"(-?[0-9]+)\.\.(-?[0-9]+)\Z")
+#: Text int() reads as an integer, unless it has more digits than it allows.
+_INT_TEXT_RE = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
 #: --kind accepts the enum value and the move function's name, in any case.
 _KIND_ALIASES = {
@@ -112,23 +114,29 @@ def _text(what: str, value: object) -> str:
         raise _CliError(message, 2) from None
 
 
+def _int(text: str, what: str, malformed: str) -> int:
+    """int(text), or exit 2: with the digit limit, naming what, when text is
+    an integer of more digits than sys.get_int_max_str_digits(), and with
+    malformed otherwise."""
+    try:
+        return int(text)
+    except ValueError:
+        if _INT_TEXT_RE.fullmatch(text):
+            raise _CliError(f"{what} has more than {sys.get_int_max_str_digits()} digits", 2) from None
+        raise _CliError(malformed, 2) from None
+
+
 def _parse_ks(text: str) -> list[int]:
     if not text:
         return []
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError as exc:
-        raise _CliError(f"bad k list {text!r}", 2) from exc
+    return [_int(part, "bad k list: an entry", f"bad k list {text!r}") for part in text.split(",")]
 
 
 def _parse_range(text: str) -> range:
     m = _RANGE_RE.match(text)
     if not m:
         raise _CliError(f"bad range {text!r}, expected A..B", 2)
-    try:
-        lo, hi = int(m.group(1)), int(m.group(2))
-    except ValueError as exc:
-        raise _CliError(f"bad range: a bound has more than {sys.get_int_max_str_digits()} digits", 2) from exc
+    lo, hi = (_int(bound, "bad range: a bound", f"bad range {text!r}") for bound in m.groups())
     if lo > hi:
         raise _CliError(f"empty range {text!r}", 2)
     return range(lo, hi + 1)
@@ -152,10 +160,7 @@ def _parse_move(kind_text: str, args_text: str) -> MoveDescriptor:
                 raise _CliError(f"argument {field!r} is given twice", 2)
             value = value.strip()
             if field in _INT_FIELDS:
-                try:
-                    value = int(value)
-                except ValueError as exc:
-                    raise _CliError(f"argument {name} must be an integer, got {value!r}", 2) from exc
+                value = _int(value, f"argument {name}", f"argument {name} must be an integer, got {value!r}")
             fields[field] = value
     return MoveDescriptor(kind, **fields)
 

@@ -181,7 +181,7 @@ class LinkingMatrix:
         self._canon = {k: v for k, v in canon.items() if v != 0}
         self._conflicts = tuple(sorted(conflicts))
         self._token = tuple(sorted(self._canon.items())) if not conflicts else ("raw",) + raw
-        self._hash = hash(self._token)
+        self._hash = None  # computed on the first __hash__ call
 
     def get(self, a: ComponentId, b: ComponentId) -> int:
         key = (a, b) if a <= b else (b, a)
@@ -226,6 +226,8 @@ class LinkingMatrix:
         return self._token == other._token
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self._token)
         return self._hash
 
     def __repr__(self) -> str:
@@ -262,13 +264,14 @@ class LooseKnot:
 class _Diagram:
     """Equality and hashing on ``_key``, the tuple of a diagram's values that
     each subclass sets once in its constructor.  Diagrams of different types
-    never compare equal."""
+    never compare equal.  The hash is computed on the first __hash__ call:
+    most diagrams built are only compared or printed, never hashed."""
 
     __slots__ = ("_key", "_hash")
 
     def _set_key(self, key: tuple) -> None:
         self._key = key
-        self._hash = hash(key)
+        self._hash = None
 
     def key(self) -> tuple:
         return self._key
@@ -279,6 +282,8 @@ class _Diagram:
         return self._key == other._key
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self._key)
         return self._hash
 
 

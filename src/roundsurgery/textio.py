@@ -27,6 +27,14 @@ diagrams are equal exactly when they print the same.  An integer may have
 at most sys.get_int_max_str_digits() digits and a knot expression at most
 100 nested band sums (_MAX_KNOT_DEPTH); beyond either limit it is a
 diagnostic.
+
+Reading: COMP, PAIR with an integral or no m, and LK lines, almost every
+line of a document, are read by one compiled pattern each, matched against
+the statement's words joined by single spaces.  Every other line, and one
+whose fields do not convert, goes to the per-token walker, the only source
+of syntax diagnostics; the semantic checks after it are shared.  Token
+columns are worked out only when the walker or a diagnostic asks for them,
+and each distinct knot text is parsed once per document.
 """
 
 from __future__ import annotations
@@ -195,11 +203,20 @@ def _keyed(
 # Statement records
 
 
-@dataclass
+@dataclass(slots=True)
 class _Stmt:
     line: int
     kind: str
-    tokens: list[tuple[str, int]]  # (token, column)
+    text: str  # the words joined by single spaces, which the statement patterns match
+    raw: str
+    _tokens: Optional[list[tuple[str, int]]] = None
+
+    @property
+    def tokens(self) -> list[tuple[str, int]]:
+        """(token, column) of each word after the keyword, worked out on first use."""
+        if self._tokens is None:
+            self._tokens = _tokenize(self.raw)[1:]
+        return self._tokens
 
 
 def _tokenize(raw: str) -> list[tuple[str, int]]:
@@ -216,6 +233,14 @@ def _tokenize(raw: str) -> list[tuple[str, int]]:
     return tokens
 
 
+# The statement patterns (see "Reading" above): each matches only lines the
+# walker accepts, and spells its tokens with the walker's own expressions.
+_ID, _INT = _ID_RE.pattern, _INT_RE.pattern
+_COMP_RE = re.compile(rf"COMP ({_ID}) knot=([^ ]+)(?: framing=({_INT}))?( fibred)?")
+_PAIR_RE = re.compile(rf"PAIR ({_ID}) ({_ID}) n1=({_INT}) n2=({_INT})(?: m=({_INT}))?")
+_LK_RE = re.compile(rf"LK ({_ID}) ({_ID}) ({_INT})")
+
+
 def parse(text: str) -> DiagramDocument:
     """Parse a document, or raise :class:`ParseError` carrying one
     positioned diagnostic per problem (lexical, syntactic and semantic)."""
@@ -224,24 +249,24 @@ def parse(text: str) -> DiagramDocument:
     header: Optional[str] = None
 
     for line_no, raw in enumerate(text.split("\n"), start=1):
-        tokens = _tokenize(raw)
-        if not tokens:
+        words = raw.partition("#")[0].split()
+        if not words:
             continue
-        word, col = tokens[0]
+        word = words[0]
+        if header is None and word in HEADERS and len(words) == 1:
+            header = word
+            continue
         if header is None:
-            if word in HEADERS and len(tokens) == 1:
-                header = word
-            else:
-                diags.append(Diagnostic(line_no, col, f"expected a header (one of {', '.join(HEADERS)})"))
-                header = "ROUND"  # keep scanning for more diagnostics
+            problem = f"expected a header (one of {', '.join(HEADERS)})"
+            header = "ROUND"  # keep scanning for more diagnostics
+        elif word in HEADERS:
+            problem = "duplicate header"
+        elif word not in ("COMP", "PAIR", "LOOSE", "LK", "HANDLE1", "HANDLE2"):
+            problem = f"unknown statement {word!r}"
+        else:
+            stmts.append(_Stmt(line_no, word, " ".join(words), raw))
             continue
-        if word in HEADERS:
-            diags.append(Diagnostic(line_no, col, "duplicate header"))
-            continue
-        if word not in ("COMP", "PAIR", "LOOSE", "LK", "HANDLE1", "HANDLE2"):
-            diags.append(Diagnostic(line_no, col, f"unknown statement {word!r}"))
-            continue
-        stmts.append(_Stmt(line_no, word, tokens[1:]))
+        diags.append(Diagnostic(line_no, _tokenize(raw)[0][1], problem))
 
     if header is None:
         diags.append(Diagnostic(1, 1, "empty document"))
@@ -287,8 +312,21 @@ class _Comp:
 
 
 def _parse_comp(
-    stmt: _Stmt, diags: list[Diagnostic], expect_framing: bool, allow_fibred: bool = True
+    stmt: _Stmt, diags: list[Diagnostic], knots: dict[str, KnotExpr], expect_framing: bool, allow_fibred: bool
 ) -> Optional[_Comp]:
+    """The component of a COMP line, or None with its diagnostics.  knots
+    maps each knot text the pattern path has parsed to its expression."""
+    m = _COMP_RE.fullmatch(stmt.text)
+    if m and (m[3] is not None) == expect_framing and (allow_fibred or m[4] is None):
+        try:
+            knot = knots.get(m[2])
+            if knot is None:
+                knot = knots[m[2]] = _parse_knot(m[2])
+            framing = None if m[3] is None else int(m[3])
+        except (_KnotSyntax, ValueError):
+            pass  # the walker below reports it
+        else:
+            return _Comp(stmt.line, m[1], knot, framing, m[4] is not None)
     before = len(diags)
     got = _take(stmt, 0, diags, "component id")
     if got is None:
@@ -343,10 +381,11 @@ def _collect_comps(
     (KIRBY adds the ids of such HANDLE2 lines)."""
     comps: dict[str, _Comp] = {}
     failed: set[str] = set()
+    knots: dict[str, KnotExpr] = {}
     for s in stmts:
         if s.kind != "COMP":
             continue
-        comp = _parse_comp(s, diags, expect_framing, allow_fibred)
+        comp = _parse_comp(s, diags, knots, expect_framing, allow_fibred)
         if comp is None:
             _note_failed(s, failed)
             continue
@@ -355,6 +394,29 @@ def _collect_comps(
             continue
         comps[comp.id] = comp
     return comps, failed
+
+
+def _lk_fields(s: _Stmt, diags: list[Diagnostic]) -> Optional[tuple[str, str, int]]:
+    """The ids and linking number of an LK line, or None with its diagnostics."""
+    m = _LK_RE.fullmatch(s.text)
+    if m:
+        try:
+            return m[1], m[2], int(m[3])
+        except ValueError:
+            pass  # the walker below reports it
+    before = len(diags)
+    ga = _take(s, 0, diags, "component id")
+    gb = _take(s, 1, diags, "component id")
+    gv = _take(s, 2, diags, "linking number")
+    if None in (ga, gb, gv):
+        return None
+    a = _parse_id(ga[0], s.line, ga[1], diags)
+    b = _parse_id(gb[0], s.line, gb[1], diags)
+    v = _parse_int(gv[0], s.line, gv[1], diags)
+    _no_extra(s, 3, diags)
+    if len(diags) > before or a is None or b is None or v is None:
+        return None
+    return a, b, v
 
 
 def _collect_lk(
@@ -367,24 +429,16 @@ def _collect_lk(
     for s in stmts:
         if s.kind != "LK":
             continue
-        before = len(diags)
-        ga = _take(s, 0, diags, "component id")
-        gb = _take(s, 1, diags, "component id")
-        gv = _take(s, 2, diags, "linking number")
-        if None in (ga, gb, gv):
+        got = _lk_fields(s, diags)
+        if got is None:
             continue
-        a = _parse_id(ga[0], s.line, ga[1], diags)
-        b = _parse_id(gb[0], s.line, gb[1], diags)
-        v = _parse_int(gv[0], s.line, gv[1], diags)
-        _no_extra(s, 3, diags)
-        if len(diags) > before or a is None or b is None or v is None:
-            continue
+        a, b, v = got
         if a == b:
-            diags.append(Diagnostic(s.line, ga[1], f"linking of {a} with itself is not allowed"))
+            diags.append(Diagnostic(s.line, s.tokens[0][1], f"linking of {a} with itself is not allowed"))
             continue
-        for cid, col in ((a, ga[1]), (b, gb[1])):
+        for index, cid in enumerate((a, b)):
             if cid not in known and cid not in failed:
-                diags.append(Diagnostic(s.line, col, f"unknown component {cid}"))
+                diags.append(Diagnostic(s.line, s.tokens[index][1], f"unknown component {cid}"))
         if a not in known or b not in known:
             continue
         key = (a, b) if a <= b else (b, a)
@@ -392,12 +446,48 @@ def _collect_lk(
             _, prev_v = seen[key]
             kind = "symmetry conflict" if prev_v != v else "duplicate entry"
             diags.append(
-                Diagnostic(s.line, ga[1], f"linking of {key[0]} and {key[1]} already given ({kind})")
+                Diagnostic(s.line, s.tokens[0][1], f"linking of {key[0]} and {key[1]} already given ({kind})")
             )
             continue
         seen[key] = (s.line, v)
         entries.append((a, b, v))
     return entries
+
+
+def _pair_fields(
+    s: _Stmt, diags: list[Diagnostic]
+) -> Optional[tuple[str, str, int, int, Optional[Rational]]]:
+    """The ids, n1, n2 and m of a PAIR line, or None with its diagnostics."""
+    match = _PAIR_RE.fullmatch(s.text)
+    if match:
+        try:
+            m = None if match[5] is None else Rational(int(match[5]))
+            return match[1], match[2], int(match[3]), int(match[4]), m
+        except ValueError:
+            pass  # the walker below reports it
+    before = len(diags)
+    g1 = _take(s, 0, diags, "component id")
+    g2 = _take(s, 1, diags, "component id")
+    g3 = _take(s, 2, diags, "n1=INT")
+    g4 = _take(s, 3, diags, "n2=INT")
+    if None in (g1, g2, g3, g4):
+        return None
+    n1_text = _keyed(g3[0], "n1", s.line, g3[1], diags)
+    n2_text = _keyed(g4[0], "n2", s.line, g4[1], diags)
+    n1 = _parse_int(n1_text, s.line, g3[1], diags) if n1_text is not None else None
+    n2 = _parse_int(n2_text, s.line, g4[1], diags) if n2_text is not None else None
+    m = None
+    index = 4
+    if index < len(s.tokens):
+        token, col = s.tokens[index]
+        m_text = _keyed(token, "m", s.line, col, diags)
+        if m_text is not None:
+            m = _parse_rational(m_text, s.line, col + 2, diags)
+        index += 1
+    _no_extra(s, index, diags)
+    if len(diags) > before or n1 is None or n2 is None:
+        return None
+    return g1[0], g2[0], n1, n2, m
 
 
 def _build_round(stmts: list[_Stmt], diags: list[Diagnostic]) -> RoundDiagram:
@@ -406,48 +496,32 @@ def _build_round(stmts: list[_Stmt], diags: list[Diagnostic]) -> RoundDiagram:
     pairs: list[JointPair] = []
     loose: list[LooseKnot] = []
 
-    def claim(cid: str, line: int, col: int) -> Optional[FramedComponent]:
+    def claim(cid: str, s: _Stmt, index: int) -> Optional[FramedComponent]:
+        """The component cid names as token index of s, now used."""
         if cid not in comps:
             if cid not in failed:
-                diags.append(Diagnostic(line, col, f"unknown component {cid}"))
+                diags.append(Diagnostic(s.line, s.tokens[index][1], f"unknown component {cid}"))
             return None
         if cid in used:
-            diags.append(Diagnostic(line, col, f"component {cid} already used on line {used[cid]}"))
+            message = f"component {cid} already used on line {used[cid]}"
+            diags.append(Diagnostic(s.line, s.tokens[index][1], message))
             return None
-        used[cid] = line
+        used[cid] = s.line
         c = comps[cid]
         return FramedComponent(c.id, c.knot, c.fibred)
 
     for s in stmts:
         if s.kind == "PAIR":
-            before = len(diags)
-            g1 = _take(s, 0, diags, "component id")
-            g2 = _take(s, 1, diags, "component id")
-            g3 = _take(s, 2, diags, "n1=INT")
-            g4 = _take(s, 3, diags, "n2=INT")
-            if None in (g1, g2, g3, g4):
+            got = _pair_fields(s, diags)
+            if got is None:
                 continue
-            n1_text = _keyed(g3[0], "n1", s.line, g3[1], diags)
-            n2_text = _keyed(g4[0], "n2", s.line, g4[1], diags)
-            n1 = _parse_int(n1_text, s.line, g3[1], diags) if n1_text is not None else None
-            n2 = _parse_int(n2_text, s.line, g4[1], diags) if n2_text is not None else None
-            m: Optional[Rational] = None
-            index = 4
-            if index < len(s.tokens):
-                token, col = s.tokens[index]
-                m_text = _keyed(token, "m", s.line, col, diags)
-                if m_text is not None:
-                    m = _parse_rational(m_text, s.line, col + 2, diags)
-                index += 1
-            _no_extra(s, index, diags)
-            if len(diags) > before:
+            id1, id2, n1, n2, m = got
+            if id1 == id2:
+                diags.append(Diagnostic(s.line, s.tokens[1][1], "a pair needs two distinct components"))
                 continue
-            if g1[0] == g2[0]:
-                diags.append(Diagnostic(s.line, g2[1], "a pair needs two distinct components"))
-                continue
-            c1 = claim(g1[0], s.line, g1[1])
-            c2 = claim(g2[0], s.line, g2[1])
-            if c1 is None or c2 is None or n1 is None or n2 is None:
+            c1 = claim(id1, s, 0)
+            c2 = claim(id2, s, 1)
+            if c1 is None or c2 is None:
                 continue
             pairs.append(JointPair(c1, n1, c2, n2, m))
         elif s.kind == "LOOSE":
@@ -461,7 +535,7 @@ def _build_round(stmts: list[_Stmt], diags: list[Diagnostic]) -> RoundDiagram:
             _no_extra(s, 2, diags)
             if len(diags) > before or m is None:
                 continue
-            c = claim(g1[0], s.line, g1[1])
+            c = claim(g1[0], s, 0)
             if c is None:
                 continue
             loose.append(LooseKnot(c, m))
@@ -469,7 +543,10 @@ def _build_round(stmts: list[_Stmt], diags: list[Diagnostic]) -> RoundDiagram:
     # A component named on a PAIR or LOOSE line that has a diagnostic of its
     # own is not reported again as unused.
     named = {
-        token for s in stmts if s.kind in ("PAIR", "LOOSE") for token, _ in s.tokens[: 2 if s.kind == "PAIR" else 1]
+        word
+        for s in stmts
+        if s.kind in ("PAIR", "LOOSE")
+        for word in s.text.split(" ")[1 : 3 if s.kind == "PAIR" else 2]
     }
     for cid, comp in comps.items():
         if cid not in used and cid not in named:

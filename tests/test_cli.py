@@ -282,6 +282,23 @@ def test_integers_beyond_the_digit_limit_exit_without_a_traceback(tmp_path):
     assert err.startswith("error: bad range: a bound has more than")
 
 
+@pytest.mark.parametrize(
+    "text, argv, message",
+    [
+        (UNKNOT5, ["to-round", "--k=BIG"], "bad k list: an entry has more than"),
+        (UNKNOT5, ["to-round", "--k=1,-BIG"], "bad k list: an entry has more than"),
+        (JOINT_312, ["move", "--kind", "EqMove1", "--args", "pair=0,k=BIG"], "argument k has more than"),
+        (JOINT_312, ["move", "--kind", "EqMove1", "--args", "pair=0,k1=+BIG"], "argument k1 has more than"),
+    ],
+    ids=["k", "k-second", "args", "args-synonym"],
+)
+def test_an_option_integer_beyond_the_digit_limit_is_reported_as_such(tmp_path, text, argv, message):
+    argv = [argv[0], write(tmp_path, "d.rsd", text)] + [arg.replace("BIG", "9" * 5000) for arg in argv[1:]]
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message} {sys.get_int_max_str_digits()} digits\n"
+
+
 def test_results_beyond_the_digit_limit_exit_2_without_a_traceback(tmp_path):
     limit = sys.get_int_max_str_digits()
     nines = "9" * limit

@@ -1,6 +1,8 @@
 import random
+import re
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,7 @@ from roundsurgery import (
     parse,
     print_diagram,
 )
+from roundsurgery import textio
 from roundsurgery.textio import _MAX_KNOT_DEPTH
 
 BASIC_ROUND = "ROUND\nCOMP a knot=unknot\nCOMP b knot=unknot\nPAIR a b n1=0 n2=0 m=1\nLK a b 1\n"
@@ -314,6 +317,28 @@ def test_diagnostic_columns_count_each_whitespace_character_once(text, line, col
     assert [(d.line, d.col) for d in info.value.diagnostics] == [(line, col)]
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("ROUND\nCOMP a knot=unknot\nCOMP b knot=unknot\nCOMP c knot=unknot\nPAIR a b n1=0 n2=0\nPAIR c  b n1=0 n2=0\n",
+         "6:9: component b already used on line 5"),
+        ("ROUND\nCOMP a knot=unknot\nPAIR a   a n1=0 n2=0\n", "3:10: a pair needs two distinct components"),
+        ("ROUND\nCOMP a knot=unknot\nCOMP b knot=unknot\nPAIR a  zz n1=0 n2=0\nLOOSE b m=0\n",
+         "4:9: unknown component zz"),
+        ("DEHN\nCOMP a knot=unknot framing=0\nLK a   zz 1\n", "3:8: unknown component zz"),
+        ("DEHN\nCOMP a knot=unknot framing=0\nLK  a a 1\n", "3:5: linking of a with itself is not allowed"),
+        ("DEHN\nCOMP a knot=unknot framing=0\nCOMP b knot=unknot framing=0\nLK a b 1\nLK\tb a 2\n",
+         "5:4: linking of a and b already given (symmetry conflict)"),
+        ("DEHN\nCOMP a knot=unknot framing=0\nCOMP  a knot=trefoil framing=1\n", "3:7: duplicate component a"),
+    ],
+    ids=["already-used", "same-pair-ids", "unknown-in-pair", "unknown-in-lk", "self-link", "lk-conflict", "duplicate-comp"],
+)
+def test_a_semantic_diagnostic_points_at_the_token_it_names(text, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value).split("\n")[-1] == message
+
+
 CORPUS = sorted((Path(__file__).parent / "corpus").glob("*.rsd"))
 #: Every character that separates tokens within a line.
 WHITESPACE = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace() and c != "\n"]
@@ -329,3 +354,112 @@ def test_respacing_a_document_keeps_its_diagram(path, data):
         for raw in text.split("\n")
     ]
     assert parse("\n".join(lines)).diagram == parse(text).diagram
+
+
+def test_the_statement_patterns_match_every_canonical_comp_pair_and_lk_line():
+    patterns = {"COMP": textio._COMP_RE, "PAIR": textio._PAIR_RE, "LK": textio._LK_RE}
+    matched = 0
+    for path in CORPUS:
+        for line in path.read_text(encoding="utf-8").splitlines():
+            kind = line.split(" ", 1)[0]
+            if kind in patterns and "/" not in line:
+                assert patterns[kind].fullmatch(line), line
+                matched += 1
+    assert matched > 100
+
+
+_KNOT_TEXTS = ("unknot", "trefoil", "band(unknot,cable(fig8,-2))", "band(band(a,cable(b,1)),cable(c,0))")
+_BROKEN_KNOTS = ("", "band(unknot", "band(a,cable(b,x))", "unknot)", "band(a,cable(b,1))x", f"band(a,cable(b,{BIG}))")
+_MUTATIONS = (
+    "long-int", "rational-m", "bad-id", "other-id", "extra", "broken-knot", "drop", "framing", "fibred", "plus", "twice"
+)
+
+
+@st.composite
+def _grammar_lines(draw):
+    """The words of each line of a document shaped by the grammar: a header,
+    COMP lines and, by kind, PAIR, LOOSE, LK and HANDLE lines."""
+    header = draw(st.sampled_from(("ROUND", "DEHN", "KIRBY")))
+    ids = [f"c{i}" for i in range(draw(st.integers(2, 6)))]
+    ints = st.integers(-20, 20).map(str)
+    lines = [[header]]
+    for cid in ids:
+        words = ["COMP", cid, "knot=" + draw(st.sampled_from(_KNOT_TEXTS))]
+        if header == "DEHN":
+            words.append("framing=" + draw(ints))
+        if draw(st.integers(0, 9)) < (1 if header == "KIRBY" else 5):  # KIRBY forbids fibred
+            words.append("fibred")
+        lines.append(words)
+    if header == "ROUND":
+        for i in range(0, len(ids) - 1, 2):
+            words = ["PAIR", ids[i], ids[i + 1], "n1=" + draw(ints), "n2=" + draw(ints)]
+            if draw(st.booleans()):
+                words.append("m=" + draw(ints))
+            lines.append(words)
+        if len(ids) % 2:
+            lines.append(["LOOSE", ids[-1], "m=" + draw(ints)])
+    elif header == "KIRBY":
+        lines.append(["HANDLE1", "h"])
+        lines += [["HANDLE2", cid, "framing=" + draw(ints), "over=h:" + draw(ints)] for cid in ids]
+    pairs = st.sampled_from([(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]])
+    for a, b in draw(st.lists(pairs, max_size=4, unique=True)):
+        lines.append(["LK", a, b, draw(ints)])
+    return lines
+
+
+def _mutate(draw, words):
+    """A line's words changed so that the line is malformed, reaches the
+    semantic checks in a new way, or falls to the walker; "twice" repeats
+    the line."""
+    words = list(words)
+    at = draw(st.integers(0, len(words) - 1))
+    kind = draw(st.sampled_from(_MUTATIONS))
+    if kind == "long-int":
+        words[at] = re.sub(r"-?[0-9]+", BIG, words[at], count=1)
+    elif kind == "rational-m":
+        words.append("m=" + draw(st.sampled_from(("3/2", "1/0", "2/4", "-1/3", "0/0", "1/x", f"1/{BIG}"))))
+    elif kind == "bad-id" and len(words) > 1:
+        words[max(1, at)] = draw(st.sampled_from(("a!", ".a", "-a", "c0=", "c0,c1", "é", "c9")))
+    elif kind == "other-id" and len(words) > 1:
+        words[max(1, at)] = draw(st.sampled_from(("c0", "c1", "c9")))
+    elif kind == "extra":
+        words.insert(at + 1, draw(st.sampled_from(("x", "fibred", "m=1", "7"))))
+    elif kind == "broken-knot":
+        words = [("knot=" + draw(st.sampled_from(_BROKEN_KNOTS))) if w.startswith("knot=") else w for w in words]
+    elif kind == "drop" and len(words) > 1:
+        del words[at]
+    elif kind == "framing":
+        words.insert(3, "framing=" + draw(st.sampled_from(("1", "x", BIG))))
+    elif kind == "fibred":
+        words.append("fibred")
+    elif kind == "plus":
+        words[at] = words[at].replace("=", "=+", 1) if "=" in words[at] else "+" + words[at]
+    return [words, words] if kind == "twice" else [words]
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=_grammar_lines(), data=st.data())
+def test_the_statement_patterns_agree_with_the_walker(lines, data):
+    """parse gives the same diagram, or byte-identical diagnostics, with the
+    statement patterns patched so that they never match: the walker is the
+    reference for every line the patterns read."""
+    lines = list(lines)
+    for at in sorted(data.draw(st.lists(st.integers(0, len(lines) - 1), max_size=2, unique=True)), reverse=True):
+        lines[at:at + 1] = _mutate(data.draw, lines[at])
+    space = st.text(st.sampled_from(" \t\x1c\u00a0"), min_size=1, max_size=3)
+    text = ""
+    for words in lines:
+        text += data.draw(st.sampled_from(("", " ", "\t"))) + data.draw(space).join(words)
+        text += data.draw(st.sampled_from(("", "\r", " # note", "#LK c0 c1 1", "\r\n"))) + "\n"
+
+    def outcome():
+        try:
+            doc = parse(text)
+        except ParseError as exc:
+            return str(exc)
+        return doc.kind, doc.diagram, print_diagram(doc.diagram)
+
+    never = re.compile(r"(?!)")
+    with mock.patch.multiple(textio, _COMP_RE=never, _PAIR_RE=never, _LK_RE=never):
+        expected = outcome()
+    assert outcome() == expected
