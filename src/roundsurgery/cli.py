@@ -136,7 +136,10 @@ def _parse_range(text: str) -> range:
     m = _RANGE_RE.match(text)
     if not m:
         raise _CliError(f"bad range {text!r}, expected A..B", 2)
-    lo, hi = (_int(bound, "bad range: a bound", f"bad range {text!r}") for bound in m.groups())
+    try:
+        lo, hi = int(m.group(1)), int(m.group(2))
+    except ValueError as exc:
+        raise _CliError(f"bad range: a bound has more than {sys.get_int_max_str_digits()} digits", 2) from exc
     if lo > hi:
         raise _CliError(f"empty range {text!r}", 2)
     return range(lo, hi + 1)
