@@ -126,6 +126,12 @@ def _int(text: str, what: str, malformed: str) -> int:
         raise _CliError(malformed, 2) from None
 
 
+def _int_option(text: str, name: str) -> int:
+    """int(text) for the option or --args key name, or exit 2 naming it:
+    with the digit limit or as not an integer (see _int)."""
+    return _int(text, f"argument {name}", f"argument {name} must be an integer, got {text!r}")
+
+
 def _parse_ks(text: str) -> list[int]:
     if not text:
         return []
@@ -163,7 +169,7 @@ def _parse_move(kind_text: str, args_text: str) -> MoveDescriptor:
                 raise _CliError(f"argument {field!r} is given twice", 2)
             value = value.strip()
             if field in _INT_FIELDS:
-                value = _int(value, f"argument {name}", f"argument {name} must be an integer, got {value!r}")
+                value = _int_option(value, name)
             fields[field] = value
     return MoveDescriptor(kind, **fields)
 
@@ -242,8 +248,9 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_suture(args) -> int:
+    pair = _int_option(args.pair, "--pair")
     r = _load(args.file, RoundDiagram)
-    w = analysis.suture_slope(r, args.pair)
+    w = analysis.suture_slope(r, pair)
     slope = _text("the slope", w.slope)
     print(f"pair: {w.pair_index}")
     print(f"n: {w.n}")
@@ -252,8 +259,9 @@ def _cmd_suture(args) -> int:
 
 
 def _cmd_foliations(args) -> int:
+    pair = _int_option(args.pair, "--pair")
     r = _load(args.file, RoundDiagram)
-    result = analysis.taut_foliation_family(r, args.pair, _parse_range(args.range))
+    result = analysis.taut_foliation_family(r, pair, _parse_range(args.range))
     if isinstance(result, analysis.FoliationRefusal):
         print(f"refused: {result.reason}")
     else:
@@ -265,9 +273,10 @@ def _cmd_foliations(args) -> int:
 def _cmd_search(args) -> int:
     if args.file1 == args.file2 == "-":
         raise _CliError("standard input can be read only once; pass - for at most one file", 2)
+    depth = _int_option(args.depth, "--depth")
     r1 = _load(args.file1, RoundDiagram)
     r2 = _load(args.file2, RoundDiagram)
-    found = bounded_equivalence_search(r1, r2, args.depth, _parse_range(args.k_range))
+    found = bounded_equivalence_search(r1, r2, depth, _parse_range(args.k_range))
     if found is None:
         print("no move sequence found within the depth bound", file=sys.stderr)
         return 3
@@ -316,15 +325,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p = cmd("suture", _cmd_suture, "suture slope lk - n of one pair")
     p.add_argument("file")
-    p.add_argument("--pair", type=int, required=True)
+    p.add_argument("--pair", required=True)
     p = cmd("foliations", _cmd_foliations, "taut foliation witnesses for a range of n")
     p.add_argument("file")
-    p.add_argument("--pair", type=int, required=True)
+    p.add_argument("--pair", required=True)
     p.add_argument("--range", required=True, help="inclusive A..B")
     p = cmd("search", _cmd_search, "bounded breadth-first move-sequence search")
     p.add_argument("file1")
     p.add_argument("file2")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", required=True)
     p.add_argument("--k-range", dest="k_range", required=True, help="inclusive A..B")
     return parser
 

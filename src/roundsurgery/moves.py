@@ -21,6 +21,15 @@ leaves n1 - n2 alone, so it never changes the corresponding Dehn diagram; it
 is the gauge freedom of the joint-pair presentation.  ShuffleB's two free
 integers enter n1 - n2 through their difference k - k2, which changes the
 Dehn framings unless k2 = k + m_i - m_j.
+
+Knots only grow.  The slide (move 4) is the only round move that changes a
+knot: it wraps the slid component's knot K into band(K, cable(...)).  No
+move removes a band sum, move 3 adds and deletes only unknots, and the
+other moves carry components over unchanged.  So along any sequence of
+round moves, following BandSum.left from a later knot of a component id
+leads to each earlier one, one band sum per slide: the knot grows along
+its left spine.  The search prunes every state whose knots cannot grow
+into the goal's within the moves it has left.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ from .model import (
     Diagram,
     FramedComponent,
     JointPair,
+    KnotExpr,
     LinkingMatrix,
     Rational,
     RoundDiagram,
@@ -365,9 +375,14 @@ class MoveSpec:
     descriptor fields that hold the indices of the pairs a round move
     rewrites or deletes: every other pair keeps its value, and its index
     unless a pair before it is deleted.  rewrites_lk says whether the
-    result's linking matrix can differ from the input's.  No move changes
-    the loose knots.  The search's last level relies on pair_delta,
-    rewrites and rewrites_lk (see bounded_equivalence_search)."""
+    result's linking matrix can differ from the input's.  band_sums is the
+    number of band sums the move adds to the knots: the slid component's
+    knot K becomes band(K, cable(...)), and no move removes one.  No move
+    changes the loose knots.  The search's last level relies on pair_delta,
+    rewrites, rewrites_lk and band_sums, and its inner levels on band_sums
+    (see bounded_equivalence_search).  Both only skip moves and states from
+    which the goal cannot be reached within the depth, so the first hit in
+    sort_key order is the one the unpruned search finds."""
 
     fn: Callable[..., Diagram]
     acts_on: type
@@ -376,13 +391,16 @@ class MoveSpec:
     optional: tuple[str, ...] = ()
     rewrites: tuple[str, ...] = ()
     rewrites_lk: bool = False
+    band_sums: int = 0
 
 
 #: The move registry: every MoveKind and how to apply it.
 MOVES: dict[MoveKind, MoveSpec] = {
     MoveKind.KIRBY1_ADD: MoveSpec(kirby1_add, DehnDiagram, ("sign",)),
     MoveKind.KIRBY1_DEL: MoveSpec(kirby1_del, DehnDiagram, ("component",)),
-    MoveKind.KIRBY2_SLIDE: MoveSpec(kirby2_slide, DehnDiagram, ("component", "component2"), rewrites_lk=True),
+    MoveKind.KIRBY2_SLIDE: MoveSpec(
+        kirby2_slide, DehnDiagram, ("component", "component2"), rewrites_lk=True, band_sums=1
+    ),
     MoveKind.EQ_MOVE1: MoveSpec(eq_move1, RoundDiagram, ("pair", "k"), rewrites=("pair",)),
     MoveKind.SHUFFLE_A: MoveSpec(shuffle_a, RoundDiagram, ("pair", "k"), rewrites=("pair",)),
     MoveKind.SHUFFLE_B: MoveSpec(shuffle_b, RoundDiagram, ("pair", "pair2", "k", "k2"), rewrites=("pair", "pair2")),
@@ -395,8 +413,12 @@ MOVES: dict[MoveKind, MoveSpec] = {
         optional=("pair2",),
         rewrites=("pair",),
         rewrites_lk=True,
+        band_sums=1,
     ),
 }
+
+#: The most band sums one round move adds.
+_MOST_BAND_SUMS = max(spec.band_sums for spec in MOVES.values() if spec.acts_on is RoundDiagram)
 
 
 def apply_move(d: Diagram, move: MoveDescriptor) -> Diagram:
@@ -501,16 +523,57 @@ def _gauge_class(r: RoundDiagram) -> RoundDiagram:
     return RoundDiagram(pairs, r.loose, r.lk)
 
 
+def _band_sum_bound(goal: RoundDiagram) -> Callable[[RoundDiagram], Optional[int]]:
+    """A function giving, for a state, the number of band sums goal's knots
+    have that the state's still lack, or None when no move sequence carries
+    the state to goal.
+
+    Knots only grow along their left spine (see the module docstring), so
+    the state's knot of an id goal has must lie on the left spine of goal's
+    knot, and every band sum above it there is one the state lacks.  An id
+    the state lacks can only be added, as an unknot; an id goal lacks can
+    only be deleted, and only unknots are.  Goal's spines are worked out
+    once, here.
+    """
+    spines: dict[ComponentId, dict[KnotExpr, int]] = {}
+    for c in goal.components():
+        knot, spine = c.knot, {c.knot: 0}
+        while isinstance(knot, BandSum):
+            knot = knot.left
+            spine[knot] = len(spine)
+        spines[c.id] = spine
+    deletable = {UNKNOT: 0}
+
+    def bound(state: RoundDiagram) -> Optional[int]:
+        total = 0
+        for c in state.components():
+            lacks = spines.get(c.id, deletable).get(c.knot)
+            if lacks is None:
+                return None
+            total += lacks
+        for cid in goal.ids - state.ids:
+            lacks = spines[cid].get(UNKNOT)
+            if lacks is None:
+                return None
+            total += lacks
+        return total
+
+    return bound
+
+
 def _can_yield(
-    state: RoundDiagram, goal: RoundDiagram
+    state: RoundDiagram, goal: RoundDiagram, need: int
 ) -> tuple[frozenset[MoveKind], Callable[[MoveDescriptor], bool]]:
     """The round move kinds whose result can equal goal, read off MOVES, and
-    a test that every such move passes.
+    a test that every such move passes; need is the number of band sums the
+    state lacks (see _band_sum_bound).
 
     A move cannot yield goal when it leaves unchanged something in which
     state differs from goal: the pair count, the loose knots, the linking
     matrix unless its kind rewrites it, or a pair at an index it does not
     rewrite.  Pairs are compared by index only for kinds that delete none.
+    Nor can it when it adds other than need band sums: fewer leave a knot
+    short of goal's, and more put one off goal's spine.
     """
     if state.loose != goal.loose:
         return frozenset(), lambda move: False
@@ -523,6 +586,7 @@ def _can_yield(
         for kind, spec in MOVES.items()
         if spec.acts_on is RoundDiagram
         and spec.pair_delta == delta
+        and spec.band_sums == need
         and (same_lk or spec.rewrites_lk)
         and len(spec.rewrites) >= len(differ)
     }
@@ -543,21 +607,29 @@ def _breadth_first(
     """The first sequence of at most depth moves, level by level and in the
     order candidates(state, kinds) yields them, whose step results carry
     start to goal; None if there is none.  A state reached before is not
-    expanded again.  kinds is None on every level but the last, which
-    stores nothing, asks only for the kinds _can_yield names and applies
-    only the moves its test passes; so step must change a state only where
-    MOVES says the move does."""
-    frontier: list[tuple[RoundDiagram, MoveSequence]] = [(start, ())]
+    expanded again, nor is one that lacks more band sums of goal than the
+    moves left can add, or cannot reach goal at all (_band_sum_bound); an
+    empty level ends the search.  kinds is None on every level but the
+    last, which stores nothing, asks only for the kinds _can_yield names and
+    applies only the moves its test passes; so step must change a state
+    only where MOVES says the move does."""
+    bound = _band_sum_bound(goal)
+    need = bound(start)
+    frontier: list[tuple[RoundDiagram, MoveSequence, int]] = []
+    if need is not None and need <= depth * _MOST_BAND_SUMS:
+        frontier.append((start, (), need))
     seen = {start}
     for level in range(depth):
-        last = level == depth - 1
-        next_frontier: list[tuple[RoundDiagram, MoveSequence]] = []
-        for state, path in frontier:
-            if last:
-                kinds, test = _can_yield(state, goal)
-                moves = filter(test, candidates(state, kinds)) if kinds else ()
-            else:
+        if not frontier:
+            return None
+        left = depth - 1 - level  # moves after this level's
+        next_frontier: list[tuple[RoundDiagram, MoveSequence, int]] = []
+        for state, path, need in frontier:
+            if left:
                 moves = candidates(state, None)
+            else:
+                kinds, test = _can_yield(state, goal, need)
+                moves = filter(test, candidates(state, kinds)) if kinds else ()
             for move in moves:
                 try:
                     new = step(state, move)
@@ -565,9 +637,11 @@ def _breadth_first(
                     continue
                 if new == goal:
                     return path + (move,)
-                if not last and new not in seen:
-                    seen.add(new)
-                    next_frontier.append((new, path + (move,)))
+                if left:
+                    lacks = bound(new)
+                    if lacks is not None and lacks <= left * _MOST_BAND_SUMS and new not in seen:
+                        seen.add(new)
+                        next_frontier.append((new, path + (move,), lacks))
         frontier = next_frontier
     return None
 
@@ -620,6 +694,16 @@ def bounded_equivalence_search(
     r2's.  The survivors keep their sort_key order and every move skipped
     could not have matched, so the first hit is the one the unpruned level
     would find, and the result is still the lexicographically least.
+
+    Knots only grow along their left spines, one band sum per slide (see
+    the module docstring), so every level also counts the band sums of
+    r2's knots that a state lacks.  A state whose knots cannot grow into
+    r2's, or that lacks more band sums than the moves left can add
+    (MoveSpec.band_sums), is not expanded, and the last level applies only
+    the kinds that add exactly the band sums the state lacks.  A pruned
+    state lies on no path that reaches r2 within the depth, and the states
+    kept keep their order, so the first hit, and the result, are the same
+    as without the prune.  A level with no state left ends the search.
 
     A state reached before is not expanded again.  States are compared
     exactly: moves address pairs by index, so a state whose pairs are a

@@ -289,14 +289,30 @@ def test_integers_beyond_the_digit_limit_exit_without_a_traceback(tmp_path):
         (UNKNOT5, ["to-round", "--k=1,-BIG"], "bad k list: an entry has more than"),
         (JOINT_312, ["move", "--kind", "EqMove1", "--args", "pair=0,k=BIG"], "argument k has more than"),
         (JOINT_312, ["move", "--kind", "EqMove1", "--args", "pair=0,k1=+BIG"], "argument k1 has more than"),
+        (HOPF_PAIR, ["suture", "--pair", "BIG"], "argument --pair has more than"),
+        (HOPF_PAIR, ["foliations", "--pair", "BIG", "--range=0..1"], "argument --pair has more than"),
+        (JOINT_312, ["search", "FILE", "--depth", "BIG", "--k-range=0..0"], "argument --depth has more than"),
     ],
-    ids=["k", "k-second", "args", "args-synonym"],
+    ids=["k", "k-second", "args", "args-synonym", "suture-pair", "foliations-pair", "search-depth"],
 )
 def test_an_option_integer_beyond_the_digit_limit_is_reported_as_such(tmp_path, text, argv, message):
-    argv = [argv[0], write(tmp_path, "d.rsd", text)] + [arg.replace("BIG", "9" * 5000) for arg in argv[1:]]
+    path = write(tmp_path, "d.rsd", text)
+    argv = [argv[0], path] + [arg.replace("BIG", "9" * 5000).replace("FILE", path) for arg in argv[1:]]
     code, out, err = run(argv)
     assert (code, out) == (2, "")
     assert err == f"error: {message} {sys.get_int_max_str_digits()} digits\n"
+
+
+def test_a_malformed_integer_option_exits_2_naming_it(tmp_path):
+    path = write(tmp_path, "d.rsd", HOPF_PAIR)
+    for argv, name in (
+        (["suture", path, "--pair", "x"], "--pair"),
+        (["foliations", path, "--pair", "0.5", "--range=0..1"], "--pair"),
+        (["search", path, path, "--depth", "two", "--k-range=0..0"], "--depth"),
+    ):
+        code, out, err = run(argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: argument {name} must be an integer, got {argv[argv.index(name) + 1]!r}\n", argv
 
 
 def test_results_beyond_the_digit_limit_exit_2_without_a_traceback(tmp_path):

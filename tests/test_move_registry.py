@@ -35,7 +35,7 @@ from roundsurgery import (
     shuffle_b,
 )
 from roundsurgery.cli import _parse_move
-from roundsurgery.moves import MOVES
+from roundsurgery.moves import MOVES, _band_sum_bound
 
 DEHN = DehnDiagram([comp("a"), comp("b", "trefoil")], {"a": 1, "b": 3})
 # two random joint pairs plus a deletable third pair
@@ -109,6 +109,22 @@ def test_move_on_the_wrong_diagram_type_is_rejected(kind):
         apply_move(other, MoveDescriptor(kind, **args))
 
 
+def _band_sums(d) -> int:
+    """The band sums on the left spines of all of d's knots."""
+    total = 0
+    for c in d.components() if isinstance(d, RoundDiagram) else d.components:
+        knot = c.knot
+        while isinstance(knot, BandSum):
+            knot, total = knot.left, total + 1
+    return total
+
+
+@pytest.mark.parametrize("kind", list(MoveKind))
+def test_a_move_adds_the_band_sums_its_spec_declares(kind):
+    diagram, args, direct = EXAMPLES[kind]
+    assert _band_sums(direct()) - _band_sums(diagram) == MOVES[kind].band_sums
+
+
 @st.composite
 def _registry_diagrams(draw):
     """Up to two pairs, joint or not (m = None or 1/2), with knots that may
@@ -158,3 +174,31 @@ def test_round_moves_change_only_what_their_spec_declares(r):
         else:
             assert len(out.pairs) == len(r.pairs) + spec.pair_delta, move
             assert all(out.pairs[i] == p for i, p in kept), move
+
+
+@settings(max_examples=100, deadline=None)
+@given(_registry_diagrams(), st.data())
+def test_band_sum_bound_counts_the_slides_of_any_legal_sequence(r, data):
+    """The search prunes a state when _band_sum_bound says it cannot reach
+    the goal, or lacks more band sums than the moves left can add.  So from
+    a start to the result of any legal sequence of round moves, the bound
+    must be the number of band sums the sequence added, as MOVES declares
+    them, and so at most its length.  EqMove3Add and EqMove3Del may reuse
+    fresh ids along the way."""
+    out, added = r, 0
+    for _ in range(data.draw(st.integers(1, 4))):
+        legal: dict[MoveKind, list] = {}
+        for move in reference_box(len(out.pairs), (0, 1)):
+            try:
+                result = apply_move(out, move)
+            except MoveError:
+                continue
+            legal.setdefault(move.kind, []).append((move, result))
+        if not legal:
+            break
+        # a kind first, so that the rare deletions are drawn as often as slides
+        kind = data.draw(st.sampled_from(sorted(legal, key=lambda kind: kind.value)))
+        move, out = data.draw(st.sampled_from(legal[kind]))
+        added += MOVES[move.kind].band_sums
+    assert _band_sum_bound(out)(r) == added
+    assert _band_sum_bound(r)(r) == 0
