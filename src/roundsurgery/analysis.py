@@ -12,7 +12,7 @@ never inferred.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .model import RoundDiagram, SurgeryError
 
@@ -131,13 +131,23 @@ def taut_foliation_family(
     common coefficient, so every integer n contributes a foliation of slope
     lk - n.
     """
+    result = iter_taut_foliation_family(r, pair_index, n_values)
+    return result if isinstance(result, FoliationRefusal) else list(result)
+
+
+def iter_taut_foliation_family(
+    r: RoundDiagram, pair_index: int, n_values: Iterable[int]
+) -> Union[Iterator[FoliationWitness], FoliationRefusal]:
+    """taut_foliation_family with each witness made as the result is
+    iterated, so memory does not grow with the range of n.  The pair index
+    and the hypotheses are checked at the call, before any witness."""
     p = r.pair(pair_index)
     if not (p.c1.fibred and p.c2.fibred):
         return FoliationRefusal("not fibred")
     if p.n1 != p.n2:
         return FoliationRefusal("coefficients differ")
     lk = r.lk.get(p.c1.id, p.c2.id)
-    return [FoliationWitness(pair_index, n, lk - n) for n in n_values]
+    return (FoliationWitness(pair_index, n, lk - n) for n in n_values)
 
 
 def tight_contact_exists(r: RoundDiagram, pair_index: int) -> bool:

@@ -261,12 +261,18 @@ def _cmd_suture(args) -> int:
 def _cmd_foliations(args) -> int:
     pair = _int_option(args.pair, "--pair")
     r = _load(args.file, RoundDiagram)
-    result = analysis.taut_foliation_family(r, pair, _parse_range(args.range))
+    n_values = _parse_range(args.range)
+    result = analysis.iter_taut_foliation_family(r, pair, n_values)
     if isinstance(result, analysis.FoliationRefusal):
         print(f"refused: {result.reason}")
-    else:
-        lines = [f"foliation: n={w.n} slope={_text('the slope', w.slope)}\n" for w in result]
-        print("".join(lines), end="")
+        return 0
+    # Each line is written as its witness is made.  The slope lk - n is
+    # linear in n, so if it prints at both ends of the range it prints for
+    # every n: a slope too long to print exits before any line is written.
+    for w in analysis.taut_foliation_family(r, pair, (n_values[0], n_values[-1])):
+        _text("the slope", w.slope)
+    for w in result:
+        print(f"foliation: n={w.n} slope={_text('the slope', w.slope)}")
     return 0
 
 

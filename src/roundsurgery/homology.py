@@ -129,27 +129,16 @@ def _select_pivot(d: IntegerMatrix, t: int, rows: int, cols: int, policy: str):
 def _eliminate(m: IntegerMatrix, pivot: str, transforms: bool):
     """Reduce a copy d of m to Smith normal form.  Returns (d, u, v) with
     u @ m @ v == d, or (d, None, None) without tracking the transforms; the
-    same operations run either way, so d does not depend on it."""
+    same operations run either way, so d does not depend on it.
+
+    Each pivot's column is cleared first, by row operations; then, as column
+    t is zero below the pivot, a column operation changes only row t of d,
+    so the row is cleared by floor remainders in place, and a nonzero one
+    becomes the next, smaller pivot.  d is the unique Smith form; u and v
+    satisfy the contract but are not fixed values."""
     rows, cols = _check_rectangular(m)
     d = [row[:] for row in m]
     u, v = (identity_matrix(rows), identity_matrix(cols)) if transforms else (None, None)
-    d_and_v = (d, v) if transforms else (d,)
-
-    def row_op(i, j, q):  # row_i -= q * row_j, on d and u
-        # Both rows of d are zero left of the pivot column t of the loop below.
-        d[i][t:] = [x - q * y for x, y in zip(d[i][t:], d[j][t:])]
-        if transforms:
-            u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def clear_row(t, p):  # col_j -= (d[t][j] // p) * col_t for j > t, on d and v
-        qs = [(j, d[t][j] // p) for j in range(t + 1, cols) if d[t][j] != 0]
-        for w in d_and_v:
-            # Only rows with a nonzero in column t change; after the row pass
-            # that is few rows of d.
-            for row in [row for row in w if row[t]]:
-                x = row[t]
-                for j, q in qs:
-                    row[j] -= q * x
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
@@ -157,7 +146,7 @@ def _eliminate(m: IntegerMatrix, pivot: str, transforms: bool):
             u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
-        for w in d_and_v:
+        for w in (d, v) if transforms else (d,):
             for row in w:
                 row[i], row[j] = row[j], row[i]
 
@@ -172,21 +161,36 @@ def _eliminate(m: IntegerMatrix, pivot: str, transforms: bool):
         if pj != t:
             swap_cols(t, pj)
         while True:
-            p = d[t][t]
-            # Reduce the pivot column and row by floor quotients; whatever
-            # remains is a residue strictly smaller than |p|.
-            for i in range(t + 1, rows):
-                if d[i][t] != 0:
-                    row_op(i, t, d[i][t] // p)
-            clear_row(t, p)
-            # (|value|, 0 for a row or 1 for a column, index) of each residue
-            residues = [(abs(d[i][t]), 0, i) for i in range(t + 1, rows) if d[i][t] != 0]
-            residues += [(abs(d[t][j]), 1, j) for j in range(t + 1, cols) if d[t][j] != 0]
-            if residues:
-                # Promote the smallest residue, rows first, to be the new,
-                # strictly smaller pivot and reduce again.
-                _, is_col, k = min(residues)
-                (swap_cols if is_col else swap_rows)(t, k)
+            # Clear the pivot column: row_i -= (d[i][t] // p) * row_t on d
+            # and u, then promote the smallest nonzero residue (first row on
+            # ties) until none is left.  Rows of d are zero left of column t.
+            while True:
+                p, prow = d[t][t], d[t][t:]
+                for i in range(t + 1, rows):
+                    q = d[i][t] // p
+                    if q:
+                        d[i][t:] = [x - q * y for x, y in zip(d[i][t:], prow)]
+                        if transforms:
+                            u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+                k = min(((abs(d[i][t]), i) for i in range(t + 1, rows) if d[i][t]), default=None)
+                if k is None:
+                    break
+                swap_rows(t, k[1])
+            # Clear the pivot row: col_j -= (d[t][j] // p) * col_t for j > t.
+            # Column t of d is zero below the pivot, so on d that is the floor
+            # remainder of each entry of row t; v takes the whole operation.
+            row = d[t]
+            if transforms:
+                qs = [(j, row[j] // p) for j in range(t + 1, cols) if row[j]]
+                for vrow in v:
+                    x = vrow[t]
+                    if x:
+                        for j, q in qs:
+                            vrow[j] -= q * x
+            row[t + 1:] = [x % p for x in row[t + 1:]]
+            k = min(((abs(x), j) for j, x in enumerate(row[t + 1:], t + 1) if x), default=None)
+            if k is not None:
+                swap_cols(t, k[1])  # a strictly smaller pivot; clear again
                 continue
             # Column and row are clear.  Make the pivot divide the whole
             # remaining submatrix before moving on: this is what guarantees
@@ -197,7 +201,10 @@ def _eliminate(m: IntegerMatrix, pivot: str, transforms: bool):
             )
             if bad_row is None:
                 break
-            row_op(t, bad_row, -1)  # pull the offending row into row t
+            # Pull the offending row into row t.
+            d[t][t:] = [x + y for x, y in zip(d[t][t:], d[bad_row][t:])]
+            if transforms:
+                u[t] = [x + y for x, y in zip(u[t], u[bad_row])]
         t += 1
 
     for i in range(t):
@@ -235,12 +242,15 @@ def invariant_factors(m: IntegerMatrix) -> list[int]:
 
 def presentation_matrix(d: DehnDiagram) -> IntegerMatrix:
     """Framings on the diagonal, linking numbers off it, components in id
-    order."""
-    comps = [c.id for c in d.components]
-    return [
-        [d.framing[a] if a == b else d.lk.get(a, b) for b in comps]
-        for a in comps
-    ]
+    order.  Linking entries that name other ids are left out."""
+    index = {c.id: i for i, c in enumerate(d.components)}
+    m = [[0] * len(index) for _ in index]
+    for (a, b), value in d.lk.items():
+        if a in index and b in index:
+            m[index[a]][index[b]] = m[index[b]][index[a]] = value
+    for i, c in enumerate(d.components):
+        m[i][i] = d.framing[c.id]
+    return m
 
 
 def cokernel(m: IntegerMatrix) -> AbelianGroup:

@@ -152,6 +152,29 @@ def test_foliations_report_and_refusal(tmp_path):
     assert out == "refused: not fibred\n"
 
 
+class _Discard(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+def test_foliations_stream_a_long_range_in_bounded_memory(tmp_path):
+    import tracemalloc
+
+    path = write(tmp_path, "h.rsd", HOPF_PAIR)
+    run(["foliations", path, "--pair", "0", "--range", "0..1"])  # the parser is built outside the traced call
+    tracemalloc.start()
+    try:
+        with redirect_stdout(_Discard()):
+            code = main(["foliations", path, "--pair", "0", "--range", "0..200000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 5 * 2**20
+    code, out, _ = run(["foliations", path, "--pair", "0", "--range", "199998..200000"])
+    assert out == "".join(f"foliation: n={n} slope={1 - n}\n" for n in range(199998, 200001))
+
+
 def test_search_finds_and_misses(tmp_path):
     r1 = write(tmp_path, "r1.rsd", JOINT_312)
     r2 = write(tmp_path, "r2.rsd", "ROUND\nCOMP a knot=unknot\nCOMP b knot=unknot\nPAIR a b n1=7 n2=5 m=2\n")
@@ -333,6 +356,11 @@ def test_results_beyond_the_digit_limit_exit_2_without_a_traceback(tmp_path):
     # slope lk - n = 10**limit - 1 + 1; nothing of the report reaches stdout
     doc = f"ROUND\nCOMP a knot=unknot fibred\nCOMP b knot=unknot fibred\nPAIR a b n1=-1 n2=-1 m=1\nLK a b {nines}\n"
     code, out, err = run(["suture", write(tmp_path, "slope.rsd", doc), "--pair", "0"])
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot print the slope: it holds an integer of {limit + 1} digits, the limit is {limit}\n"
+    # slope at n = 1 is -10**limit: exit before the line for n = 0 is written
+    doc = f"ROUND\nCOMP a knot=unknot fibred\nCOMP b knot=unknot fibred\nPAIR a b n1=0 n2=0 m=1\nLK a b -{nines}\n"
+    code, out, err = run(["foliations", write(tmp_path, "slopes.rsd", doc), "--pair", "0", "--range", "0..1"])
     assert (code, out) == (2, "")
     assert err == f"error: cannot print the slope: it holds an integer of {limit + 1} digits, the limit is {limit}\n"
 

@@ -47,9 +47,9 @@ def snf_diagonal(m):
     return [d[i][i] for i in range(min(len(d), len(d[0])))]
 
 
-def assert_snf_contract(m):
+def assert_snf_contract(m, pivot=PIVOT_MIN_ABS):
     rows, cols = len(m), len(m[0]) if m else 0
-    d, u, v = smith_normal_form(m)
+    d, u, v = smith_normal_form(m, pivot)
     assert matrix_multiply(matrix_multiply(u, m), v) == d
     assert abs(determinant(u)) == 1
     assert abs(determinant(v)) == 1
@@ -187,15 +187,25 @@ def test_det_equals_product_of_invariant_factors_when_rank_zero():
 
 
 @st.composite
-def _matrices(draw):
+def _matrices(draw, entry=st.integers(-30, 30)):
     rows = draw(st.integers(1, 4))
     cols = draw(st.integers(1, 4))
-    return [[draw(st.integers(-30, 30)) for _ in range(cols)] for _ in range(rows)]
+    return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
 
 
-@given(_matrices())
-def test_snf_contract_property(m):
-    assert_snf_contract(m)
+#: Zeros, small values and multi-limb values around +-10**20, so that floor
+#: quotients meet large pivots of either sign.
+_BIG_ENTRIES = st.one_of(
+    st.just(0),
+    st.integers(-9, 9),
+    st.integers(10**20 - 10**6, 10**20 + 10**6),
+    st.integers(-(10**20) - 10**6, -(10**20) + 10**6),
+)
+
+
+@given(st.one_of(_matrices(), _matrices(_BIG_ENTRIES)), st.sampled_from((PIVOT_MIN_ABS, PIVOT_ROW_MAJOR)))
+def test_snf_contract_property(m, pivot):
+    assert assert_snf_contract(m, pivot) == invariant_factors(m) == minors_gcd_invariant_factors(m)
 
 
 @st.composite
@@ -249,3 +259,43 @@ def test_invariant_factors_agree_with_sympy():
                 m[i][j] = m[j][i] = rng.randint(-9, 9)
         expected = [abs(int(x)) for x in sympy_factors(sympy.Matrix(m), domain=sympy.ZZ)]
         assert invariant_factors(m) == expected
+
+
+def _workload_shaped(rng, n, zeros):
+    """A dense symmetric n x n block like the benchmark's homology documents,
+    framings in -6..6 and links in -2..2, then zeros unlinked 0-framed
+    components."""
+    size = n + zeros
+    m = [[0] * size for _ in range(size)]
+    for i in range(n):
+        m[i][i] = rng.randint(-6, 6)
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = rng.randint(-2, 2)
+    return m
+
+
+def test_invariant_factors_agree_with_sympy_at_workload_size():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors as sympy_factors
+
+    rng = random.Random(3141)
+    for _ in range(6):
+        m = _workload_shaped(rng, rng.randint(24, 40), rng.randint(1, 2))
+        expected = [abs(int(x)) for x in sympy_factors(sympy.Matrix(m), domain=sympy.ZZ)]
+        assert invariant_factors(m) == expected
+    m = _workload_shaped(rng, 32, 0)
+    assert assert_snf_contract(m) == invariant_factors(m)
+
+
+def test_presentation_matrix_reads_each_entry_as_lk_get_does():
+    rng = random.Random(1414)
+    for _ in range(200):
+        d = random_dehn(rng, max_components=12)
+        comps = [c.id for c in d.components]
+        expected = [[d.framing[a] if a == b else d.lk.get(a, b) for b in comps] for a in comps]
+        assert presentation_matrix(d) == expected
+    # entries naming ids outside the components, or a component with itself
+    d = DehnDiagram(
+        [comp("a"), comp("b")], {"a": 3, "b": -1}, LinkingMatrix([("a", "b", 2), ("a", "z", 5), ("a", "a", 7)])
+    )
+    assert presentation_matrix(d) == [[3, 2], [2, -1]]
