@@ -192,7 +192,8 @@ class LinkingMatrix:
 
     def items(self) -> Iterator[tuple[tuple[ComponentId, ComponentId], int]]:
         """Canonical nonzero entries, sorted by unordered key."""
-        return iter(sorted(self._canon.items()))
+        # without conflicts, _token is exactly these entries, sorted
+        return iter(sorted(self._canon.items()) if self._conflicts else self._token)
 
     def ids(self) -> frozenset[ComponentId]:
         return frozenset(x for a, b, _ in self._raw for x in (a, b))

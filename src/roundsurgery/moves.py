@@ -7,20 +7,20 @@ gets framing n_a + n_b + 2*lk(a, b) and absorbs b's linking row.
 Round diagrams of joint pairs carry four equivalence moves:
 
   1. recoefficient one pair:      (n1, n2, m) -> (n1 - n2 + k, k, m)
-  2. shuffle moves A and B, which change which component carries the round
-     2-surgery coefficient (within a pair, or across two pairs)
+  2. shuffle moves: A moves the round 2-surgery coefficient to the other
+     component of a pair, and B exchanges the round 2-surgery knots of two
+     pairs, each knot keeping its coefficient
   3. add/delete an unlinked unknot pair whose Dehn image is two
      (+-1)-framed unknots
   4. six band-sum slide variants, one per choice of slid component and
      partner among two pairs; each commutes with the handle slide through
      the joint-pair/Dehn correspondence.
 
-Every move is a pure function returning a new diagram.  In every round move
-but ShuffleB the free integer k lands in n2 of the pair it rewrites and
-leaves n1 - n2 alone, so it never changes the corresponding Dehn diagram; it
-is the gauge freedom of the joint-pair presentation.  ShuffleB's two free
-integers enter n1 - n2 through their difference k - k2, which changes the
-Dehn framings unless k2 = k + m_i - m_j.
+Every move is a pure function returning a new diagram.  Every round move
+reads a joint pair only through n1 - n2 and m, and writes its free integers
+only into n2 of the pairs it rewrites, leaving n1 - n2 alone, so they never
+change the corresponding Dehn diagram; they are the gauge freedom of the
+joint-pair presentation.
 
 Knots only grow.  The slide (move 4) is the only round move that changes a
 knot: it wraps the slid component's knot K into band(K, cable(...)).  No
@@ -202,16 +202,19 @@ def shuffle_a(r: RoundDiagram, pair_index: int, k: int) -> RoundDiagram:
 def shuffle_b(r: RoundDiagram, i: int, j: int, k1: int, k2: int) -> RoundDiagram:
     """Exchange the round 2-surgery knots of two joint pairs.
 
-    Pair i keeps its first component and adopts pair j's second component
-    (still carrying m_i); symmetrically for pair j.  Valid for any k1, k2,
-    but only k2 = k1 + m_i - m_j preserves the Dehn framing multiset.
+    Pair i keeps its first component and adopts pair j's second component,
+    which keeps its coefficient m_j; symmetrically for pair j.  With
+    A = n1 - n2 of pair i and B that of pair j, pair i becomes
+    (A + m_i - m_j + k2, k2, m_j) and pair j (B + m_j - m_i + k1, k1, m_i):
+    every component keeps its Dehn framing, so the Dehn diagram is the same
+    for every k1 and k2.
     """
     if i == j:
         raise MoveError("shuffle of type B needs two distinct pairs")
     pi, mi = _joint(r, i)
     pj, mj = _joint(r, j)
-    new_i = JointPair(pi.c1, pi.n1 - pi.n2 + mi - mj + k1, pj.c2, k2, Rational(mi))
-    new_j = JointPair(pj.c1, pj.n1 - pj.n2 + mj - mi + k2, pi.c2, k1, Rational(mj))
+    new_i = JointPair(pi.c1, pi.n1 - pi.n2 + mi - mj + k2, pj.c2, k2, Rational(mj))
+    new_j = JointPair(pj.c1, pj.n1 - pj.n2 + mj - mi + k1, pi.c2, k1, Rational(mi))
     pairs = list(r.pairs)
     pairs[i] = new_i
     pairs[j] = new_j
@@ -451,17 +454,16 @@ def _round_moves(
     r: RoundDiagram,
     slot_ks: Sequence[Sequence[int]],
     kinds: Optional[frozenset[MoveKind]] = None,
-    shuffle_ks: Optional[Sequence[tuple[int, int]]] = None,
 ) -> Iterator[MoveDescriptor]:
     """Candidate round moves on r, in ascending sort_key order so that
     breadth-first search returns the lexicographically least sequence among
     the shortest ones.
 
-    Every round move writes its free k into n2 of the pair it rewrites;
-    slot_ks[i] holds the k values tried for pair i, and slot_ks[len(r.pairs)]
-    those for the pair EqMove3Add appends.  When kinds is given, only moves
-    of those kinds are yielded.  When shuffle_ks is given, ShuffleB tries
-    exactly those (k, k2) instead of the per-slot values.
+    Every round move writes its free k into n2 of the pair it rewrites
+    (ShuffleB writes k into pair2 and k2 into pair); slot_ks[i] holds the k
+    values tried for pair i, and slot_ks[len(r.pairs)] those for the pair
+    EqMove3Add appends.  When kinds is given, only moves of those kinds are
+    yielded.
     """
     n = len(r.pairs)
     joint = [_is_joint(p) for p in r.pairs]
@@ -509,8 +511,7 @@ def _round_moves(
             for j in range(n):
                 if j == i or not joint[j]:
                     continue
-                pairs_ks = product(slot_ks[j], slot_ks[i]) if shuffle_ks is None else shuffle_ks
-                for k1, k2 in pairs_ks:
+                for k1, k2 in product(slot_ks[j], slot_ks[i]):
                     yield MoveDescriptor(MoveKind.SHUFFLE_B, pair=i, pair2=j, k=k1, k2=k2)
 
 
@@ -597,23 +598,17 @@ def _can_yield(
     return frozenset(rewrites), test
 
 
-def _breadth_first(
-    start: RoundDiagram,
-    goal: RoundDiagram,
-    depth: int,
-    candidates: Callable[[RoundDiagram, Optional[frozenset[MoveKind]]], Iterable[MoveDescriptor]],
-    step: Callable[[RoundDiagram, MoveDescriptor], RoundDiagram],
-) -> Optional[MoveSequence]:
-    """The first sequence of at most depth moves, level by level and in the
-    order candidates(state, kinds) yields them, whose step results carry
-    start to goal; None if there is none.  A state reached before is not
-    expanded again, nor is one that lacks more band sums of goal than the
-    moves left can add, or cannot reach goal at all (_band_sum_bound); an
-    empty level ends the search.  kinds is None on every level but the
-    last, which stores nothing, asks only for the kinds _can_yield names and
-    applies only the moves its test passes; so step must change a state
-    only where MOVES says the move does."""
+def _breadth_first(start: RoundDiagram, goal: RoundDiagram, depth: int, ks: Sequence[int]) -> Optional[MoveSequence]:
+    """The first sequence of at most depth moves with free parameters from
+    ks, level by level and in _round_moves order, that carries start to
+    goal; None if there is none.  A state reached before is not expanded
+    again, nor is one that lacks more band sums of goal than the moves left
+    can add, or cannot reach goal at all (_band_sum_bound); an empty level
+    ends the search.  The last level stores nothing, tries only the kinds
+    _can_yield names and the moves its test passes, and writes into each
+    pair slot only goal's n2 there, if ks holds it."""
     bound = _band_sum_bound(goal)
+    goal_ks = [(p.n2,) if p.n2 in ks else () for p in goal.pairs]
     need = bound(start)
     frontier: list[tuple[RoundDiagram, MoveSequence, int]] = []
     if need is not None and need <= depth * _MOST_BAND_SUMS:
@@ -625,14 +620,16 @@ def _breadth_first(
         left = depth - 1 - level  # moves after this level's
         next_frontier: list[tuple[RoundDiagram, MoveSequence, int]] = []
         for state, path, need in frontier:
+            n = len(state.pairs)
             if left:
-                moves = candidates(state, None)
+                moves = _round_moves(state, [ks] * (n + 1))
             else:
                 kinds, test = _can_yield(state, goal, need)
-                moves = filter(test, candidates(state, kinds)) if kinds else ()
+                slot_ks = goal_ks + [()] * (n + 1 - len(goal_ks))
+                moves = filter(test, _round_moves(state, slot_ks, kinds)) if kinds else ()
             for move in moves:
                 try:
-                    new = step(state, move)
+                    new = apply_move(state, move)
                 except MoveError:
                     continue
                 if new == goal:
@@ -652,24 +649,10 @@ def _class_reachable(r1: RoundDiagram, r2: RoundDiagram, depth: int, ks: Sequenc
 
     Every move reads a joint pair only through n1 - n2 and m, so a move on
     a class is the same move on its representative, and it writes its free
-    k only into n2: with k = 0 the result is again a representative.  The
-    exception is ShuffleB, whose result gives pair i n1 - n2 = A + k - k2
-    and pair j B + k2 - k.  On classes it ranges over the differences
-    t = k - k2 of values in ks, as (t, 0), and its result is regauged.
-    Pairs (j, i) with t give the class of (i, j) with -t, and the
-    differences are symmetric, so t >= 0 reaches every class.
+    k only into n2: with k = 0 the result is again a representative.
     """
     start, goal = _gauge_class(r1), _gauge_class(r2)
-    slot = (0,) if ks else ()
-    shuffle_ks = [(t, 0) for t in sorted({a - b for a in ks for b in ks}) if t >= 0]
-
-    def candidates(state: RoundDiagram, kinds: Optional[frozenset[MoveKind]]) -> Iterator[MoveDescriptor]:
-        return _round_moves(state, [slot] * (len(state.pairs) + 1), kinds, shuffle_ks)
-
-    def step(state: RoundDiagram, move: MoveDescriptor) -> RoundDiagram:
-        return _gauge_class(apply_move(state, move))
-
-    return start == goal or _breadth_first(start, goal, depth, candidates, step) is not None
+    return start == goal or _breadth_first(start, goal, depth, (0,) if ks else ()) is not None
 
 
 def bounded_equivalence_search(
@@ -710,15 +693,15 @@ def bounded_equivalence_search(
     reordering of a seen state's reaches other diagrams and is kept.
 
     Above depth 1 a cheaper pass runs first: the same breadth-first search
-    on gauge classes (every joint pair regauged to n2 = 0), where the free
-    k of a move no longer multiplies the states.  Every sequence of moves
-    maps to a sequence of class moves of the same length, so when r2's
-    class is out of reach within the depth no sequence reaches r2 and the
-    result is None without the exact search.  Otherwise the exact search
-    above runs unchanged, so its result, and the lexicographically-least
-    contract, are the same as without the class pass.  At depth 1 the exact
-    search's one pruned level is already as cheap, so the class pass is
-    skipped there.
+    from r1's gauge class to r2's (every joint pair regauged to n2 = 0)
+    with k = 0 only, so the free k of a move no longer multiplies the
+    states.  Every sequence of moves maps to a sequence of class moves of
+    the same length, so when r2's class is out of reach within the depth no
+    sequence reaches r2 and the result is None without the exact search.
+    Otherwise the exact search above runs unchanged, so its result, and the
+    lexicographically-least contract, are the same as without the class
+    pass.  At depth 1 the exact search's one pruned level is already as
+    cheap, so the class pass is skipped there.
     """
     if depth < 0:
         raise MoveError(f"depth must be non-negative, got {depth}")
@@ -727,12 +710,4 @@ def bounded_equivalence_search(
         return ()
     if depth == 0 or (depth > 1 and not _class_reachable(r1, r2, depth, ks)):
         return None
-    goal_ks = [(p.n2,) if p.n2 in ks else () for p in r2.pairs]
-
-    def candidates(state: RoundDiagram, kinds: Optional[frozenset[MoveKind]]) -> Iterator[MoveDescriptor]:
-        n = len(state.pairs)
-        if kinds is None:
-            return _round_moves(state, [ks] * (n + 1))
-        return _round_moves(state, goal_ks + [()] * (n + 1 - len(goal_ks)), kinds)
-
-    return _breadth_first(r1, r2, depth, candidates, apply_move)
+    return _breadth_first(r1, r2, depth, ks)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import comp, random_joint_diagram, reference_box
+from test_acceptance import SLIDE_TARGETS
 from roundsurgery import (
     Atom,
     BandSum,
@@ -28,6 +29,7 @@ from roundsurgery import (
     eq_move3_add,
     eq_move3_del,
     eq_move4,
+    joint_pair_to_dehn,
     kirby1_add,
     kirby1_del,
     kirby2_slide,
@@ -126,14 +128,15 @@ def test_a_move_adds_the_band_sums_its_spec_declares(kind):
 
 
 @st.composite
-def _registry_diagrams(draw):
+def _registry_diagrams(draw, bridgeable=False):
     """Up to two pairs, joint or not (m = None or 1/2), with knots that may
     be band sums and linking between any two of their components, sometimes
     a loose knot, and an unlinked pair that EqMove3Del deletes, at any
-    index."""
+    index.  When bridgeable, every pair is joint with integral m and there
+    is no loose knot, so that joint_pair_to_dehn accepts the diagram."""
     knot = st.sampled_from((UNKNOT, Atom("trefoil"), BandSum(Atom("trefoil"), Cable(UNKNOT, 2))))
     small = st.integers(-2, 2)
-    m = st.one_of(small.map(Rational), st.sampled_from((None, Rational(1, 2))))
+    m = small.map(Rational) if bridgeable else st.one_of(small.map(Rational), st.sampled_from((None, Rational(1, 2))))
     pairs = [
         JointPair(
             FramedComponent(f"a{2 * i}", draw(knot)),
@@ -144,7 +147,7 @@ def _registry_diagrams(draw):
         )
         for i in range(draw(st.integers(0, 2)))
     ]
-    loose = [LooseKnot(comp("z", "fig8"), Rational(draw(small)))] if draw(st.booleans()) else []
+    loose = [LooseKnot(comp("z", "fig8"), Rational(draw(small)))] if not bridgeable and draw(st.booleans()) else []
     ids = [c.id for p in pairs for c in (p.c1, p.c2)] + [l.component.id for l in loose]
     lk = LinkingMatrix((x, y, draw(st.integers(-1, 1))) for x, y in itertools.combinations(ids, 2))
     k = draw(small)
@@ -174,6 +177,43 @@ def test_round_moves_change_only_what_their_spec_declares(r):
         else:
             assert len(out.pairs) == len(r.pairs) + spec.pair_delta, move
             assert all(out.pairs[i] == p for i, p in kept), move
+
+
+def _slide(d, r, move):
+    pj = None if move.pair2 is None else r.pairs[move.pair2]
+    return kirby2_slide(d, *SLIDE_TARGETS[move.variant](r.pairs[move.pair], pj))
+
+
+def _blow_down_pair(d, r, move):
+    p = r.pairs[move.pair]
+    return kirby1_del(kirby1_del(d, p.c1.id), p.c2.id)
+
+
+# each round kind's Dehn counterpart: what a move of that kind on r does to
+# d = joint_pair_to_dehn(r)
+DEHN_COUNTERPARTS = {
+    MoveKind.EQ_MOVE1: lambda d, r, move: d,
+    MoveKind.SHUFFLE_A: lambda d, r, move: d,
+    MoveKind.SHUFFLE_B: lambda d, r, move: d,
+    MoveKind.EQ_MOVE3_ADD: lambda d, r, move: kirby1_add(kirby1_add(d, move.delta + move.sign), move.sign),
+    MoveKind.EQ_MOVE3_DEL: _blow_down_pair,
+    MoveKind.EQ_MOVE4: _slide,
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(_registry_diagrams(bridgeable=True))
+def test_every_round_move_commutes_with_the_bridge(r):
+    """Every round move keeps the manifold: it raises MoveError, or the Dehn
+    image of its result is its kind's Kirby counterpart applied to r's."""
+    assert set(DEHN_COUNTERPARTS) == {kind for kind, spec in MOVES.items() if spec.acts_on is RoundDiagram}
+    image = joint_pair_to_dehn(r)
+    for move in reference_box(len(r.pairs), (-1, 2)):
+        try:
+            out = apply_move(r, move)
+        except MoveError:
+            continue
+        assert joint_pair_to_dehn(out) == DEHN_COUNTERPARTS[move.kind](image, r, move), move
 
 
 @settings(max_examples=100, deadline=None)
