@@ -58,8 +58,13 @@ def random_joint_diagram(
     span: int = 9,
     min_pairs: int = 1,
     lk_probability: float = 0.5,
+    unlinked_pairs: tuple[int, ...] = (),
 ) -> RoundDiagram:
-    """A random round diagram of joint pairs with integral coefficients."""
+    """A random round diagram of joint pairs with integral coefficients.
+
+    Components of any pair listed in ``unlinked_pairs`` get no linking at
+    all (with anything, including each other).
+    """
     n = rng.randint(min_pairs, max_pairs)
     pairs = []
     for i in range(n):
@@ -74,10 +79,13 @@ def random_joint_diagram(
                 Rational(rng.randint(-span, span)),
             )
         )
+    isolated = {f"a{2 * i}" for i in unlinked_pairs} | {f"a{2 * i + 1}" for i in unlinked_pairs}
     ids = [c.id for p in pairs for c in (p.c1, p.c2)]
     entries = []
     for x in range(len(ids)):
         for y in range(x + 1, len(ids)):
+            if ids[x] in isolated or ids[y] in isolated:
+                continue
             if rng.random() < lk_probability:
                 entries.append((ids[x], ids[y], rng.randint(-span, span)))
     return RoundDiagram(pairs, (), LinkingMatrix(entries))

@@ -655,6 +655,17 @@ def test_round_moves_preserve_homology_randomized():
         assert first_homology_round(shuffle_b(r, i, j, k, rng.randint(-6, 6))) == h
 
 
+def test_shuffle_b_preserves_homology_on_fully_unlinked_pairs():
+    rng = random.Random(606)
+    for _ in range(60):
+        r = random_joint_diagram(rng, max_pairs=4, min_pairs=2, unlinked_pairs=(0, 1))
+        h = first_homology_round(r)
+        mi, mj = r.pairs[0].m.p, r.pairs[1].m.p
+        k1 = rng.randint(-6, 6)
+        out = shuffle_b(r, 0, 1, k1, k1 + mi - mj)
+        assert first_homology_round(out) == h
+
+
 def test_eq_move4_single_pair_commutation_exhaustive_small():
     import itertools
 
