@@ -43,7 +43,9 @@ FoliationResult = Union[list[FoliationWitness], FoliationRefusal]
 
 def is_trivial(r: RoundDiagram) -> bool:
     """True when the round 2-surgery coefficient of every pair is 1/0 (the
-    surgery then gives back the 3-sphere).  Vacuously true when empty."""
+    pairs' surgery then gives back the 3-sphere).  Vacuously true when there
+    are no pairs.  Only pairs are read: loose knots, each of which adds a
+    disconnected summand (see LooseKnot), are ignored."""
     for i, p in enumerate(r.pairs):
         if p.m is None:
             raise AnalysisError(f"pair {i} ({p.c1.id}, {p.c2.id}) has no round 2-surgery coefficient")

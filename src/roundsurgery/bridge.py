@@ -4,7 +4,9 @@ A joint pair with round 1-surgery coefficients (n1, n2) and integral round
 2-surgery coefficient m presents the same 3-manifold as integral Dehn surgery
 on the same link with framing n1 - n2 + m on the first component and m on the
 second.  That correspondence is exact and invertible, which is what makes a
-diagram calculus on joint pairs possible; both directions live here.
+diagram calculus on joint pairs possible.  It is spelled once, by
+_dehn_framings and _pair_from_framings, which the conversions here and every
+round move read and write joint pairs through.
 
 A pure round 1-surgery pair (no round 2-surgery coefficient) instead
 corresponds to a 4-manifold handle picture with one 1-handle and one
@@ -112,6 +114,21 @@ def validate_kirby(k: KirbyDiagram) -> list[str]:
 # Joint pairs <-> integral Dehn diagrams
 
 
+def _dehn_framings(p: JointPair) -> tuple[int, int]:
+    """The Dehn framings (n1 - n2 + m, m) of joint pair p; m must be integral."""
+    m = p.m.p
+    return p.n1 - p.n2 + m, m
+
+
+def _pair_from_framings(
+    c1: FramedComponent, c2: FramedComponent, framings: tuple[int, int], k: int
+) -> JointPair:
+    """The joint pair (f1 - f2 + k, k, m = f2) on c1 and c2, whose Dehn
+    framings are (f1, f2) for every k, the gauge freedom of joint pairs."""
+    f1, f2 = framings
+    return JointPair(c1, f1 - f2 + k, c2, k, Rational(f2))
+
+
 def joint_pair_to_dehn(r: RoundDiagram) -> DehnDiagram:
     """Convert a round surgery diagram of joint pairs to the corresponding
     integral Dehn diagram on the same link.
@@ -138,11 +155,9 @@ def joint_pair_to_dehn(r: RoundDiagram) -> DehnDiagram:
             )
         if not p.m.is_integer:
             raise BridgeError(f"pair {i} has non-integral coefficient {p.m}")
-        m = p.m.p
         components.append(p.c1)
         components.append(p.c2)
-        framing[p.c1.id] = p.n1 - p.n2 + m
-        framing[p.c2.id] = m
+        framing[p.c1.id], framing[p.c2.id] = _dehn_framings(p)
     return DehnDiagram(components, framing, r.lk)
 
 
@@ -173,9 +188,7 @@ def dehn_to_joint_pairs(
     pairs = []
     for i in range(n_pairs):
         c1, c2 = comps[2 * i], comps[2 * i + 1]
-        f1, f2 = framing[c1.id], framing[c2.id]
-        k = k_choices[i]
-        pairs.append(JointPair(c1, f1 - f2 + k, c2, k, Rational(f2)))
+        pairs.append(_pair_from_framings(c1, c2, (framing[c1.id], framing[c2.id]), k_choices[i]))
     return RoundDiagram(pairs, (), d.lk)
 
 

@@ -17,10 +17,16 @@ Round diagrams of joint pairs carry four equivalence moves:
      the joint-pair/Dehn correspondence.
 
 Every move is a pure function returning a new diagram.  Every round move
-reads a joint pair only through n1 - n2 and m, and writes its free integers
-only into n2 of the pairs it rewrites, leaving n1 - n2 alone, so they never
-change the corresponding Dehn diagram; they are the gauge freedom of the
-joint-pair presentation.
+keeps one rule, the joint-pair/Dehn correspondence of the bridge module: it
+reads a joint pair only through its Dehn framings (n1 - n2 + m, m), and
+writes each pair it rewrites back from Dehn framings as (f1 - f2 + k, k,
+m = f2), with its free integer k as n2.  So on the Dehn image a round move
+is no move at all (moves 1 and 2) or a Kirby move: move 3 adds or deletes
+two blow-ups, and move 4 is the handle slide, by the same framing, linking
+and band-sum rule as kirby2_slide.  The free integers never change the
+Dehn diagram; they are the gauge freedom of the joint-pair presentation.
+Every MoveError precondition of a round move likewise reads a pair only
+through its Dehn framings, that is through n1 - n2 and m.
 
 Knots only grow.  The slide (move 4) is the only round move that changes a
 knot: it wraps the slid component's knot K into band(K, cable(...)).  No
@@ -39,6 +45,7 @@ from enum import Enum
 from itertools import product
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+from .bridge import _dehn_framings, _pair_from_framings
 from .model import (
     BandSum,
     Cable,
@@ -49,7 +56,6 @@ from .model import (
     JointPair,
     KnotExpr,
     LinkingMatrix,
-    Rational,
     RoundDiagram,
     SurgeryError,
     UNKNOT,
@@ -73,11 +79,22 @@ class MoveKind(str, Enum):
     EQ_MOVE4 = "EqMove4"
 
 
-#: The six slide variants: which component of pair i slides, and over which
-#: component of pair i or j.  "12over21" reads: the round 2-surgery knot of
-#: pair i slides over the first component of pair j.
-EQ_MOVE4_VARIANTS = ("11over12", "11over21", "11over22", "12over11", "12over21", "12over22")
-_SINGLE_PAIR_VARIANTS = ("11over12", "12over11")
+#: The slide of each eq_move4 variant: (slot of pair i that slides, partner
+#: pair "i" or "j", slot of the partner pair it slides over), slots counted
+#: from 0.  "12over21" reads: the round 2-surgery knot of pair i slides over
+#: the first component of pair j.
+_EQ_MOVE4_SLIDES = {
+    "11over12": (0, "i", 1),
+    "11over21": (0, "j", 0),
+    "11over22": (0, "j", 1),
+    "12over11": (1, "i", 0),
+    "12over21": (1, "j", 0),
+    "12over22": (1, "j", 1),
+}
+#: The six slide variants of eq_move4, in the order of _EQ_MOVE4_SLIDES.
+EQ_MOVE4_VARIANTS = tuple(_EQ_MOVE4_SLIDES)
+_SINGLE_PAIR_VARIANTS = tuple(v for v, (_, partner, _) in _EQ_MOVE4_SLIDES.items() if partner == "i")
+_DOUBLE_PAIR_VARIANTS = tuple(v for v, (_, partner, _) in _EQ_MOVE4_SLIDES.items() if partner == "j")
 
 
 @dataclass(frozen=True)
@@ -142,6 +159,18 @@ def kirby1_del(d: DehnDiagram, c: ComponentId) -> DehnDiagram:
     return DehnDiagram(keep, framing, d.lk.restricted(k for k in d.ids if k != c))
 
 
+def _slide(
+    lk: LinkingMatrix, ids: Iterable[ComponentId], a: FramedComponent, na: int, b: FramedComponent, nb: int
+) -> tuple[FramedComponent, int, LinkingMatrix]:
+    """a's component and framing, and the linking matrix, after the handle
+    slide of a, framed na, over b, framed nb (see kirby2_slide)."""
+    ab = lk.get(a.id, b.id)
+    updates = {(a.id, x): lk.get(a.id, x) + lk.get(b.id, x) for x in ids if x not in (a.id, b.id)}
+    updates[(a.id, b.id)] = ab + nb
+    slid = FramedComponent(a.id, BandSum(a.knot, Cable(b.knot, nb)), a.fibred)
+    return slid, na + nb + 2 * ab, lk.with_entries(updates)
+
+
 def kirby2_slide(d: DehnDiagram, a: ComponentId, b: ComponentId) -> DehnDiagram:
     """Handle slide of component a over component b.
 
@@ -154,27 +183,25 @@ def kirby2_slide(d: DehnDiagram, a: ComponentId, b: ComponentId) -> DehnDiagram:
     if a == b:
         raise MoveError("cannot slide a component over itself")
     ca, cb = d.component(a), d.component(b)
-    na, nb = d.framing[a], d.framing[b]
-    slid = FramedComponent(a, BandSum(ca.knot, Cable(cb.knot, nb)), ca.fibred)
     framing = dict(d.framing)
-    framing[a] = na + nb + 2 * d.lk.get(a, b)
-    updates = {(a, x): d.lk.get(a, x) + d.lk.get(b, x) for x in d.ids if x not in (a, b)}
-    updates[(a, b)] = d.lk.get(a, b) + nb
+    slid, framing[a], lk = _slide(d.lk, d.ids, ca, framing[a], cb, framing[b])
     comps = [slid if x.id == a else x for x in d.components]
-    return DehnDiagram(comps, framing, d.lk.with_entries(updates))
+    return DehnDiagram(comps, framing, lk)
 
 
 # ---------------------------------------------------------------------------
 # Equivalence moves on round diagrams of joint pairs
 
 
-def _joint(r: RoundDiagram, index: int) -> tuple[JointPair, int]:
+def _joint(r: RoundDiagram, index: int) -> tuple[JointPair, tuple[int, int]]:
+    """Pair ``index`` and its Dehn framings; raises MoveError unless it is a
+    joint pair with integral m."""
     p = r.pair(index)
     if p.m is None:
         raise MoveError(f"pair {index} ({p.c1.id}, {p.c2.id}) is not a joint pair")
     if not p.m.is_integer:
         raise MoveError(f"pair {index} has non-integral coefficient {p.m}")
-    return p, p.m.p
+    return p, _dehn_framings(p)
 
 
 def _replace_pair(r: RoundDiagram, index: int, new: JointPair, lk: Optional[LinkingMatrix] = None) -> RoundDiagram:
@@ -186,17 +213,16 @@ def _replace_pair(r: RoundDiagram, index: int, new: JointPair, lk: Optional[Link
 def eq_move1(r: RoundDiagram, pair_index: int, k: int) -> RoundDiagram:
     """Regauge one joint pair: (n1, n2, m) -> (n1 - n2 + k, k, m).
     Taking k = n2 is the identity."""
-    p, _ = _joint(r, pair_index)
-    return _replace_pair(r, pair_index, JointPair(p.c1, p.n1 - p.n2 + k, p.c2, k, p.m))
+    p, framings = _joint(r, pair_index)
+    return _replace_pair(r, pair_index, _pair_from_framings(p.c1, p.c2, framings, k))
 
 
 def shuffle_a(r: RoundDiagram, pair_index: int, k: int) -> RoundDiagram:
     """Move the round 2-surgery coefficient to the other component of a
     joint pair.  The components swap roles; the new pair is
     (k - n1 + n2, k) with coefficient n1 + m - n2 on the new second slot."""
-    p, m = _joint(r, pair_index)
-    new = JointPair(p.c2, k - p.n1 + p.n2, p.c1, k, Rational(p.n1 + m - p.n2))
-    return _replace_pair(r, pair_index, new)
+    p, (f1, f2) = _joint(r, pair_index)
+    return _replace_pair(r, pair_index, _pair_from_framings(p.c2, p.c1, (f2, f1), k))
 
 
 def shuffle_b(r: RoundDiagram, i: int, j: int, k1: int, k2: int) -> RoundDiagram:
@@ -211,19 +237,12 @@ def shuffle_b(r: RoundDiagram, i: int, j: int, k1: int, k2: int) -> RoundDiagram
     """
     if i == j:
         raise MoveError("shuffle of type B needs two distinct pairs")
-    pi, mi = _joint(r, i)
-    pj, mj = _joint(r, j)
-    new_i = JointPair(pi.c1, pi.n1 - pi.n2 + mi - mj + k2, pj.c2, k2, Rational(mj))
-    new_j = JointPair(pj.c1, pj.n1 - pj.n2 + mj - mi + k1, pi.c2, k1, Rational(mi))
+    pi, (fi1, fi2) = _joint(r, i)
+    pj, (fj1, fj2) = _joint(r, j)
     pairs = list(r.pairs)
-    pairs[i] = new_i
-    pairs[j] = new_j
+    pairs[i] = _pair_from_framings(pi.c1, pj.c2, (fi1, fj2), k2)
+    pairs[j] = _pair_from_framings(pj.c1, pi.c2, (fj1, fi2), k1)
     return RoundDiagram(pairs, r.loose, r.lk)
-
-
-#: Legal (delta, sign) combinations for move 3: exactly those whose Dehn
-#: image is a pair of (+-1)-framed unknots, i.e. |delta + sign| == 1.
-_MOVE3_COMBOS = ((0, 1), (0, -1), (2, -1), (-2, 1))
 
 
 def eq_move3_add(r: RoundDiagram, k: int, delta: int, sign: int) -> RoundDiagram:
@@ -231,32 +250,30 @@ def eq_move3_add(r: RoundDiagram, k: int, delta: int, sign: int) -> RoundDiagram
     (k + delta, k, m = sign).
 
     delta is 0 or +-2 and sign is +-1, constrained so the pair's Dehn image
-    consists of two (+-1)-framed unknots (|delta + sign| == 1); other
-    combinations would change the manifold."""
-    if (delta, sign) not in _MOVE3_COMBOS:
+    (delta + sign, sign) consists of two (+-1)-framed unknots, that is two
+    blow-ups; other combinations would change the manifold."""
+    if sign not in (1, -1) or delta + sign not in (1, -1):
         raise MoveError(
             f"(delta, sign) = ({delta}, {sign}) does not yield +-1 Dehn framings"
         )
     u1 = fresh_id("u", r.ids)
     u2 = fresh_id("u", set(r.ids) | {u1})
-    pair = JointPair(
-        FramedComponent(u1, UNKNOT), k + delta, FramedComponent(u2, UNKNOT), k, Rational(sign)
-    )
+    pair = _pair_from_framings(FramedComponent(u1, UNKNOT), FramedComponent(u2, UNKNOT), (delta + sign, sign), k)
     return RoundDiagram((*r.pairs, pair), r.loose, r.lk)
 
 
 def _check_move3_del(r: RoundDiagram, index: int) -> JointPair:
     """The preconditions of eq_move3_del: pair ``index`` is two unlinked
-    unknots with coefficients (k + delta, k, +-1) and |delta + sign| == 1.
+    unknots whose Dehn framings are both +-1, that is two blow-downs.
     Returns the pair, or raises MoveError naming the first that fails."""
-    p, m = _joint(r, index)
+    p, (f1, f2) = _joint(r, index)
     if p.c1.knot != UNKNOT or p.c2.knot != UNKNOT:
         raise MoveError(f"pair {index} is not a pair of unknots")
-    if m not in (1, -1):
-        raise MoveError(f"pair {index} has coefficient {m}, expected +-1")
-    if (p.n1 - p.n2, m) not in _MOVE3_COMBOS:
+    if f2 not in (1, -1):
+        raise MoveError(f"pair {index} has coefficient {f2}, expected +-1")
+    if f1 not in (1, -1):
         raise MoveError(
-            f"pair {index} coefficients ({p.n1}, {p.n2}, {m}) do not match "
+            f"pair {index} coefficients ({p.n1}, {p.n2}, {f2}) do not match "
             "the (k + delta, k, +-1) pattern"
         )
     for cid in (p.c1.id, p.c2.id):
@@ -276,79 +293,39 @@ def _deletable(r: RoundDiagram, index: int) -> bool:
 
 def eq_move3_del(r: RoundDiagram, pair_index: int) -> RoundDiagram:
     """Delete a pair matching the eq_move3_add pattern: two unlinked unknots
-    with coefficients (k + delta, k, +-1) and |delta + sign| == 1."""
+    whose Dehn framings are both +-1."""
     p = _check_move3_del(r, pair_index)
     pairs = [q for t, q in enumerate(r.pairs) if t != pair_index]
     keep = r.ids - {p.c1.id, p.c2.id}
     return RoundDiagram(pairs, r.loose, r.lk.restricted(keep))
 
 
-def _slide_lk(lk: LinkingMatrix, ids: Iterable[ComponentId], s: ComponentId, t: ComponentId, f: int) -> LinkingMatrix:
-    # Same row bookkeeping as the Dehn handle slide, with f the partner's
-    # Dehn framing.
-    updates = {(s, x): lk.get(s, x) + lk.get(t, x) for x in ids if x not in (s, t)}
-    updates[(s, t)] = lk.get(s, t) + f
-    return lk.with_entries(updates)
-
-
-def _banded(c: FramedComponent, over: FramedComponent, f: int) -> FramedComponent:
-    return FramedComponent(c.id, BandSum(c.knot, Cable(over.knot, f)), c.fibred)
-
-
 def eq_move4(r: RoundDiagram, variant: str, i: int, j: Optional[int] = None, k: int = 0) -> RoundDiagram:
     """Band-sum slide on joint pairs; the variant names the slid component
     and the partner (see EQ_MOVE4_VARIANTS).
 
-    Coefficients transform so that converting to a Dehn diagram commutes
-    exactly with the corresponding handle slide; the free k regauges the
-    pair as in eq_move1.
+    The slid component's Dehn framing and knot and the linking matrix
+    change as in the handle slide, and pair i is rebuilt from its Dehn
+    framings with n2 = k, so converting to a Dehn diagram commutes exactly
+    with kirby2_slide; the free k regauges the pair as in eq_move1.
     """
     if variant not in EQ_MOVE4_VARIANTS:
         raise MoveError(f"unknown variant {variant!r}")
-    if variant in _SINGLE_PAIR_VARIANTS:
+    slot, partner, over_slot = _EQ_MOVE4_SLIDES[variant]
+    if partner == "i":
         if j is not None and j != i:
             raise MoveError(f"variant {variant} acts on a single pair; drop j")
-        pi, mi = _joint(r, i)
-        l12 = r.lk.get(pi.c1.id, pi.c2.id)
-        if variant == "11over12":
-            slid, over, f = pi.c1, pi.c2, mi
-            n1 = pi.n1 - pi.n2 + mi + 2 * l12 + k
-            new_m = mi
-        else:  # 12over11
-            slid, over, f = pi.c2, pi.c1, pi.n1 - pi.n2 + mi
-            n1 = -mi - 2 * l12 + k
-            new_m = 2 * mi + pi.n1 - pi.n2 + 2 * l12
-    else:
-        if j is None:
-            raise MoveError(f"variant {variant} needs a second pair index")
-        if i == j:
-            raise MoveError(f"variant {variant} needs two distinct pairs")
-        pi, mi = _joint(r, i)
-        pj, mj = _joint(r, j)
-        fj1 = pj.n1 - pj.n2 + mj  # Dehn framing of pair j's first component
-        if variant == "11over21":
-            slid, over, f = pi.c1, pj.c1, fj1
-            n1 = pi.n1 + pj.n1 - (pi.n2 + pj.n2) + mj + 2 * r.lk.get(slid.id, over.id) + k
-            new_m = mi
-        elif variant == "11over22":
-            slid, over, f = pi.c1, pj.c2, mj
-            n1 = pi.n1 - pi.n2 + mj + 2 * r.lk.get(slid.id, over.id) + k
-            new_m = mi
-        elif variant == "12over21":
-            slid, over, f = pi.c2, pj.c1, fj1
-            la = r.lk.get(slid.id, over.id)
-            n1 = (pi.n1 - pi.n2) - (pj.n1 - pj.n2) - mj - 2 * la + k
-            new_m = mi + mj + pj.n1 - pj.n2 + 2 * la
-        else:  # 12over22
-            slid, over, f = pi.c2, pj.c2, mj
-            la = r.lk.get(slid.id, over.id)
-            n1 = pi.n1 - pi.n2 - mj - 2 * la + k
-            new_m = mi + mj + 2 * la
-    new_c1 = _banded(pi.c1, over, f) if slid is pi.c1 else pi.c1
-    new_c2 = _banded(pi.c2, over, f) if slid is pi.c2 else pi.c2
-    new_pair = JointPair(new_c1, n1, new_c2, k, Rational(new_m))
-    lk = _slide_lk(r.lk, r.ids, slid.id, over.id, f)
-    return _replace_pair(r, i, new_pair, lk)
+        j = i
+    elif j is None:
+        raise MoveError(f"variant {variant} needs a second pair index")
+    elif i == j:
+        raise MoveError(f"variant {variant} needs two distinct pairs")
+    pi, fi = _joint(r, i)
+    pj, fj = (pi, fi) if j == i else _joint(r, j)
+    comps, framings = [pi.c1, pi.c2], list(fi)
+    over = (pj.c1, pj.c2)[over_slot]
+    comps[slot], framings[slot], lk = _slide(r.lk, r.ids, comps[slot], fi[slot], over, fj[over_slot])
+    return _replace_pair(r, i, _pair_from_framings(*comps, framings, k), lk)
 
 
 def normalize_k(r: RoundDiagram, ks: Sequence[int]) -> RoundDiagram:
@@ -485,7 +462,6 @@ def _round_moves(
             if _deletable(r, i):
                 yield MoveDescriptor(MoveKind.EQ_MOVE3_DEL, pair=i)
     if wanted(MoveKind.EQ_MOVE4):
-        double_variants = tuple(v for v in EQ_MOVE4_VARIANTS if v not in _SINGLE_PAIR_VARIANTS)
         for i in range(n):
             if not joint[i]:
                 continue
@@ -495,7 +471,7 @@ def _round_moves(
             for j in range(n):
                 if j == i or not joint[j]:
                     continue
-                for variant in double_variants:
+                for variant in _DOUBLE_PAIR_VARIANTS:
                     for k in slot_ks[i]:
                         yield MoveDescriptor(MoveKind.EQ_MOVE4, pair=i, pair2=j, variant=variant, k=k)
     if wanted(MoveKind.SHUFFLE_A):
@@ -517,10 +493,11 @@ def _round_moves(
 
 def _gauge_class(r: RoundDiagram) -> RoundDiagram:
     """The representative of r's gauge class: every pair eq_move1 accepts
-    regauged to n2 = 0, that is (n1 - n2, 0, m); other pairs as they are."""
+    rebuilt from its Dehn framings with n2 = 0, that is (n1 - n2, 0, m);
+    other pairs as they are."""
     if not any(p.n2 != 0 and _is_joint(p) for p in r.pairs):
         return r
-    pairs = [JointPair(p.c1, p.n1 - p.n2, p.c2, 0, p.m) if _is_joint(p) else p for p in r.pairs]
+    pairs = [_pair_from_framings(p.c1, p.c2, _dehn_framings(p), 0) if _is_joint(p) else p for p in r.pairs]
     return RoundDiagram(pairs, r.loose, r.lk)
 
 
@@ -647,9 +624,9 @@ def _class_reachable(r1: RoundDiagram, r2: RoundDiagram, depth: int, ks: Sequenc
     """Whether at most depth moves with free parameters from ks can carry
     r1's gauge class to r2's.
 
-    Every move reads a joint pair only through n1 - n2 and m, so a move on
-    a class is the same move on its representative, and it writes its free
-    k only into n2: with k = 0 the result is again a representative.
+    Every move reads a joint pair only through its Dehn framings, so a move
+    on a class is the same move on its representative, and it writes its
+    free k only into n2: with k = 0 the result is again a representative.
     """
     start, goal = _gauge_class(r1), _gauge_class(r2)
     return start == goal or _breadth_first(start, goal, depth, (0,) if ks else ()) is not None
@@ -695,9 +672,12 @@ def bounded_equivalence_search(
     Above depth 1 a cheaper pass runs first: the same breadth-first search
     from r1's gauge class to r2's (every joint pair regauged to n2 = 0)
     with k = 0 only, so the free k of a move no longer multiplies the
-    states.  Every sequence of moves maps to a sequence of class moves of
-    the same length, so when r2's class is out of reach within the depth no
-    sequence reaches r2 and the result is None without the exact search.
+    states.  Every round move, and every MoveError precondition of one,
+    reads a joint pair only through its Dehn framings and writes it back
+    with n2 = k (see the module docstring).  So every sequence of moves
+    maps to a sequence of class moves of the same length, and when r2's
+    class is out of reach within the depth no sequence reaches r2 and the
+    result is None without the exact search.
     Otherwise the exact search above runs unchanged, so its result, and the
     lexicographically-least contract, are the same as without the class
     pass.  At depth 1 the exact search's one pruned level is already as

@@ -596,7 +596,7 @@ def _build_kirby(stmts: list[_Stmt], diags: list[Diagnostic]) -> KirbyDiagram:
         hid = _parse_id(g1[0], s.line, g1[1], diags)
         fr_text = _keyed(g2[0], "framing", s.line, g2[1], diags)
         framing = _parse_int(fr_text, s.line, g2[1], diags) if fr_text is not None else None
-        over: list[tuple[str, int]] = []
+        over: dict[str, int] = {}
         index = 2
         if index < len(s.tokens):
             token, col = s.tokens[index]
@@ -610,9 +610,12 @@ def _build_kirby(stmts: list[_Stmt], diags: list[Diagnostic]) -> KirbyDiagram:
                     if hpart not in one_handles:
                         diags.append(Diagnostic(s.line, col, f"unknown 1-handle {hpart}"))
                         continue
+                    if hpart in over:
+                        diags.append(Diagnostic(s.line, col, f"run-over count of {hpart} already given"))
+                        continue
                     count = _parse_int(cpart, s.line, col, diags)
                     if count is not None:
-                        over.append((hpart, count))
+                        over[hpart] = count
             index += 1
         _no_extra(s, index, diags)
         if len(diags) > before or hid is None or framing is None:
@@ -625,7 +628,7 @@ def _build_kirby(stmts: list[_Stmt], diags: list[Diagnostic]) -> KirbyDiagram:
             if hid not in failed:
                 diags.append(Diagnostic(s.line, g1[1], f"2-handle {hid} has no COMP line for its knot"))
             continue
-        handle2[hid] = (s.line, framing, tuple(over))
+        handle2[hid] = (s.line, framing, tuple(over.items()))
 
     for cid, comp in comps.items():
         if cid not in handle2 and cid not in failed:

@@ -1,6 +1,8 @@
 import io
+import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -435,3 +437,80 @@ def test_a_file_and_standard_input_read_the_same_bytes_alike(tmp_path, monkeypat
     code, out, err = run([command, str(path)])
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
     assert (code, out.replace(str(path), "-"), err.replace(str(path), "-")) == run([command, "-"])
+
+
+_CORPUS = sorted((Path(__file__).parent / "corpus").glob("*.rsd"))
+_NUMBERS = ("0", "1", "-1", "2", "-3", "1/0", "3/2", "4/2", "1" * 30)
+_WORDS = ("x", "fibred", "m=1", "LK", "PAIR a")
+_SUBCOMMANDS = (
+    ["validate", "{f}"],
+    ["to-dehn", "{f}"],
+    ["to-round", "{f}", "--k", "0,1,-1"],
+    ["to-round", "{f}", "--pad-sign", "-1"],
+    ["kirby-export", "{f}"],
+    ["kirby-import", "{f}"],
+    ["move", "{f}", "--kind", "eq_move1", "--args", "pair=0,k=1"],
+    ["move", "{f}", "--kind", "ShuffleB", "--args", "i=0,j=1,k=0,k2=2"],
+    ["move", "{f}", "--kind", "EqMove3Add", "--args", "k=0,delta=2,sign=-1"],
+    ["move", "{f}", "--kind", "eq_move3_del", "--args", "pair=1"],
+    ["move", "{f}", "--kind", "EqMove4", "--args", "variant=12over21,i=0,j=1,k=0"],
+    ["move", "{f}", "--kind", "Kirby2Slide", "--args", "a=a,b=b"],
+    ["move", "{f}", "--kind", "kirby1_del", "--args", "c=u1"],
+    ["homology", "{f}"],
+    ["is-trivial", "{f}"],
+    ["split", "{f}"],
+    ["suture", "{f}", "--pair", "0"],
+    ["foliations", "{f}", "--pair", "0", "--range=-2..2"],
+    ["search", "{f}", "{source}", "--depth", "1", "--k-range=-1..1"],
+)
+
+
+def _mutant(rng, text):
+    """text with one to three random edits, mostly below the header: a line
+    deleted, repeated or moved to the end, a token deleted or inserted, or a
+    value or id replaced."""
+    lines = text.splitlines()
+    tokens = text.split()
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(1, len(lines)) if len(lines) > 1 else 0
+        words = lines[at].split(" ")
+        w = rng.randrange(len(words))
+        edit = rng.randrange(8)
+        if edit == 0:
+            del lines[at]
+        elif edit == 1:
+            lines.insert(at, lines[at])
+        elif edit == 2:
+            lines.append(lines.pop(at))
+        elif edit == 3:
+            del words[w]
+        elif edit == 4:
+            words.insert(w, rng.choice(_WORDS))
+        else:
+            key, eq, value = words[w].rpartition("=")
+            words[w] = key + eq + rng.choice(_NUMBERS if eq or value.lstrip("-").isdigit() else tokens)
+        if edit >= 3:
+            lines[at] = " ".join(words)
+        if not lines:
+            lines = ["ROUND"]
+    return "\n".join(lines) + "\n"
+
+
+def test_no_mutated_corpus_document_makes_a_subcommand_raise(tmp_path):
+    """Every subcommand, on corpus documents with random line and token
+    edits, returns a documented exit code and raises nothing but argparse's
+    usage exit; search runs from the edited document to its source."""
+    rng = random.Random(12)
+    codes = set()
+    for n, source in enumerate(_CORPUS * 10):
+        f = write(tmp_path, f"{n}.rsd", _mutant(rng, source.read_text(encoding="utf-8")))
+        for argv in _SUBCOMMANDS:
+            argv = [word.format(f=f, source=source) for word in argv]
+            try:
+                code, _, _ = run(argv)
+            except SystemExit as exc:
+                assert exc.code == 2, argv
+                code = 2
+            assert code in (0, 1, 2, 3), argv
+            codes.add(code)
+    assert codes == {0, 1, 2, 3}

@@ -23,7 +23,7 @@ from roundsurgery import (
     print_diagram,
 )
 from roundsurgery import textio
-from roundsurgery.textio import _MAX_KNOT_DEPTH
+from roundsurgery.textio import _MAX_KNOT_DEPTH, validate_any
 
 BASIC_ROUND = "ROUND\nCOMP a knot=unknot\nCOMP b knot=unknot\nPAIR a b n1=0 n2=0 m=1\nLK a b 1\n"
 
@@ -399,8 +399,10 @@ def _grammar_lines(draw):
         if len(ids) % 2:
             lines.append(["LOOSE", ids[-1], "m=" + draw(ints)])
     elif header == "KIRBY":
-        lines.append(["HANDLE1", "h"])
-        lines += [["HANDLE2", cid, "framing=" + draw(ints), "over=h:" + draw(ints)] for cid in ids]
+        lines += [["HANDLE1", "h"], ["HANDLE1", "g"]]
+        for cid in ids:
+            over = [draw(st.sampled_from(("h", "g"))) + ":" + draw(ints) for _ in range(draw(st.integers(1, 2)))]
+            lines.append(["HANDLE2", cid, "framing=" + draw(ints), "over=" + ",".join(over)])
     pairs = st.sampled_from([(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]])
     for a, b in draw(st.lists(pairs, max_size=4, unique=True)):
         lines.append(["LK", a, b, draw(ints)])
@@ -437,15 +439,21 @@ def _mutate(draw, words):
     return [words, words] if kind == "twice" else [words]
 
 
+def _mutated(draw, lines):
+    """lines with up to two of them mutated by _mutate."""
+    lines = list(lines)
+    for at in sorted(draw(st.lists(st.integers(0, len(lines) - 1), max_size=2, unique=True)), reverse=True):
+        lines[at:at + 1] = _mutate(draw, lines[at])
+    return lines
+
+
 @settings(max_examples=300, deadline=None)
 @given(lines=_grammar_lines(), data=st.data())
 def test_the_statement_patterns_agree_with_the_walker(lines, data):
     """parse gives the same diagram, or byte-identical diagnostics, with the
     statement patterns patched so that they never match: the walker is the
     reference for every line the patterns read."""
-    lines = list(lines)
-    for at in sorted(data.draw(st.lists(st.integers(0, len(lines) - 1), max_size=2, unique=True)), reverse=True):
-        lines[at:at + 1] = _mutate(data.draw, lines[at])
+    lines = _mutated(data.draw, lines)
     space = st.text(st.sampled_from(" \t\x1c\u00a0"), min_size=1, max_size=3)
     text = ""
     for words in lines:
@@ -463,3 +471,31 @@ def test_the_statement_patterns_agree_with_the_walker(lines, data):
     with mock.patch.multiple(textio, _COMP_RE=never, _PAIR_RE=never, _LK_RE=never):
         expected = outcome()
     assert outcome() == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=_grammar_lines(), data=st.data())
+def test_every_document_parse_accepts_round_trips_and_validates_clean(lines, data):
+    """parse either rejects a document with diagnostics, or its diagram
+    prints, parses back to an equal diagram, prints the same again, and has
+    no violation: a document parse accepts never fails validation."""
+    text = "".join(" ".join(words) + "\n" for words in _mutated(data.draw, lines))
+    try:
+        doc = parse(text)
+    except ParseError:
+        return
+    printed = print_diagram(doc.diagram)
+    again = parse(printed)
+    assert (again.kind, again.diagram) == (doc.kind, doc.diagram)
+    assert print_diagram(again.diagram) == printed
+    assert validate_any(doc.diagram) == []
+
+
+@pytest.mark.parametrize("over", ["h:1,h:1", "h:1,h:-1", "h:0,h:2", "g:1,h:2,g:0"])
+def test_a_1_handle_named_twice_in_one_over_list_is_a_diagnostic_at_its_token(over):
+    text = f"KIRBY\nCOMP t knot=unknot\nHANDLE1 g\nHANDLE1 h\nHANDLE2 t framing=0 over={over}\n"
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    (d,) = info.value.diagnostics
+    named = over.split(":")[0]
+    assert (d.line, d.col, d.message) == (5, 21, f"run-over count of {named} already given")
