@@ -1,6 +1,8 @@
 import itertools
 import random
 import time
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,9 +38,11 @@ from roundsurgery import (
     kirby1_del,
     kirby2_slide,
     normalize_k,
+    parse,
     shuffle_a,
     shuffle_b,
 )
+from roundsurgery import moves
 from roundsurgery.moves import EQ_MOVE4_VARIANTS, _band_sum_bound
 
 # which Dehn components the corresponding handle slide acts on, per variant
@@ -812,3 +816,65 @@ def _search_queries(draw):
 def test_search_equals_the_reference_on_random_queries(query):
     r1, r2, depth, ks = query
     assert bounded_equivalence_search(r1, r2, depth, ks) == _reference_search(r1, r2, depth, ks)
+
+
+def test_search_equals_the_reference_on_wide_k_ranges():
+    """Inner levels try only the least k and the goal's n2 values.  On k
+    ranges of 5-7 values, contiguous or gapped, with goals planted by moves
+    whose k is neither the least nor next to it, the search agrees with the
+    reference, which tries every k in every slot."""
+    rng = random.Random(13)
+    least_used = False
+    for case in range(12):
+        npairs = 1 + case % 2
+        depth = 2 if npairs == 1 or case % 4 == 1 else 1
+        lo, size = rng.randint(-8, -6), rng.randint(5, 7)
+        if case % 4 < 2:
+            ks = tuple(range(lo, lo + size))
+        else:
+            ks = (lo, *sorted(rng.sample(range(lo + 1, lo + 14), size - 1)))
+        r = random_joint_diagram(rng, min_pairs=npairs, max_pairs=npairs, span=2, lk_probability=0.3)
+        goal = r
+        for _ in range(depth):
+            box = list(reference_box(len(goal.pairs), tuple(k for k in ks if k > lo + 1)))
+            rng.shuffle(box)
+            for move in box:
+                try:
+                    goal = apply_move(goal, move)
+                    break
+                except MoveError:
+                    pass
+        assert not {p.n2 for p in goal.pairs} & {lo, lo + 1}, case
+        found = bounded_equivalence_search(r, goal, depth, ks)
+        assert found is not None and found == _reference_search(r, goal, depth, ks), case
+        least_used |= any(lo in (move.k, move.k2) for move in found[:-1])
+    assert least_used  # some found sequence writes the least k on an inner level
+
+
+def test_search_cost_does_not_grow_with_the_k_range(monkeypatch):
+    # the goal is in the start's gauge class, with k = 9 outside both k
+    # ranges: the class pass admits it, the exact search exhausts depth 3
+    r = random_joint_diagram(random.Random(3), min_pairs=2, max_pairs=2, span=3)
+    goal = eq_move1(r, 0, 9)
+    calls = []
+    apply = moves.apply_move
+    monkeypatch.setattr(moves, "apply_move", lambda d, move: calls.append(move) or apply(d, move))
+    counts = []
+    for ks in (range(-5, 6), range(-500, 6)):
+        calls.clear()
+        assert bounded_equivalence_search(r, goal, 3, ks) is None
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_search_reads_a_wide_k_range_in_constant_memory():
+    r = parse((Path(__file__).parent / "corpus" / "07_round_two_pairs_linked.rsd").read_text()).diagram
+    goal = eq_move1(r, 0, 7)
+    tracemalloc.start()
+    try:
+        found = bounded_equivalence_search(r, goal, 2, range(-10**6, 10**6 + 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == (MoveDescriptor(MoveKind.EQ_MOVE1, pair=0, k=7),)
+    assert peak < 5 * 2**20
