@@ -81,24 +81,14 @@ def split_connected_sum(r: RoundDiagram) -> list[RoundDiagram]:
     for (a, b), _v in r.lk.items():
         union(a, b)
 
-    blocks: dict[str, tuple[list, list]] = {}
-    order: list[str] = []
+    blocks: dict[str, tuple[list, list]] = {}  # in order of first appearance
     for p in r.pairs:
-        root = find(p.c1.id)
-        if root not in blocks:
-            blocks[root] = ([], [])
-            order.append(root)
-        blocks[root][0].append(p)
+        blocks.setdefault(find(p.c1.id), ([], []))[0].append(p)
     for l in r.loose:
-        root = find(l.component.id)
-        if root not in blocks:
-            blocks[root] = ([], [])
-            order.append(root)
-        blocks[root][1].append(l)
+        blocks.setdefault(find(l.component.id), ([], []))[1].append(l)
 
     out = []
-    for root in order:
-        pairs, loose = blocks[root]
+    for pairs, loose in blocks.values():
         ids = {c.id for p in pairs for c in (p.c1, p.c2)} | {l.component.id for l in loose}
         out.append(RoundDiagram(pairs, loose, r.lk.restricted(ids)))
     return out

@@ -17,11 +17,6 @@ from .model import DehnDiagram, RoundDiagram, SurgeryError
 #: Rectangular matrix of exact integers, row-major.
 IntegerMatrix = list[list[int]]
 
-#: Pivot selection policies for the reduction.  Both yield the same diagonal;
-#: the second exists so tests can witness uniqueness of the normal form.
-PIVOT_MIN_ABS = "min_abs"
-PIVOT_ROW_MAJOR = "row_major"
-
 
 @dataclass(frozen=True)
 class AbelianGroup:
@@ -108,13 +103,9 @@ def _check_rectangular(m: IntegerMatrix) -> tuple[int, int]:
     return rows, cols
 
 
-def _select_pivot(d: IntegerMatrix, t: int, rows: int, cols: int, policy: str):
-    if policy == PIVOT_ROW_MAJOR:
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if d[i][j] != 0:
-                    return i, j
-        return None
+def _select_pivot(d: IntegerMatrix, t: int, rows: int, cols: int):
+    """The smallest nonzero entry by absolute value in the submatrix from
+    (t, t), the first in row-major order on ties; None if there is none."""
     best = None
     for i in range(t, rows):
         for j in range(t, cols):
@@ -126,7 +117,7 @@ def _select_pivot(d: IntegerMatrix, t: int, rows: int, cols: int, policy: str):
     return None if best is None else (best[1], best[2])
 
 
-def _eliminate(m: IntegerMatrix, pivot: str, transforms: bool):
+def _eliminate(m: IntegerMatrix, transforms: bool):
     """Reduce a copy d of m to Smith normal form.  Returns (d, u, v) with
     u @ m @ v == d, or (d, None, None) without tracking the transforms; the
     same operations run either way, so d does not depend on it.
@@ -152,7 +143,7 @@ def _eliminate(m: IntegerMatrix, pivot: str, transforms: bool):
 
     t = 0
     while True:
-        found = _select_pivot(d, t, rows, cols, pivot)
+        found = _select_pivot(d, t, rows, cols)
         if found is None:
             break
         pi, pj = found
@@ -215,20 +206,14 @@ def _eliminate(m: IntegerMatrix, pivot: str, transforms: bool):
     return d, u, v
 
 
-def smith_normal_form(
-    m: IntegerMatrix, pivot: str = PIVOT_MIN_ABS
-) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:
+def smith_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:
     """Diagonalise an integer matrix by unimodular row and column operations.
 
     Returns (d, u, v) with u @ m @ v == d, u and v unimodular, and d diagonal
-    with non-negative entries satisfying d1 | d2 | ... .  The default pivot
-    policy picks the smallest nonzero absolute value (ties broken row-major);
-    ``pivot=PIVOT_ROW_MAJOR`` picks the first nonzero entry instead.  The
-    resulting diagonal is the same either way.
+    with non-negative entries satisfying d1 | d2 | ... .  Each pivot is the
+    smallest nonzero absolute value left (ties broken row-major).
     """
-    if pivot not in (PIVOT_MIN_ABS, PIVOT_ROW_MAJOR):
-        raise SurgeryError(f"unknown pivot policy {pivot!r}")
-    return _eliminate(m, pivot, transforms=True)
+    return _eliminate(m, transforms=True)
 
 
 def invariant_factors(m: IntegerMatrix) -> list[int]:
@@ -236,7 +221,7 @@ def invariant_factors(m: IntegerMatrix) -> list[int]:
     per min(rows, cols); zeros come last and stand for free rank.  It runs
     ``smith_normal_form``'s elimination without the transforms, whose
     entries grow far faster than the diagonal."""
-    d, _, _ = _eliminate(m, PIVOT_MIN_ABS, transforms=False)
+    d, _, _ = _eliminate(m, transforms=False)
     return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
 
 
@@ -255,13 +240,8 @@ def presentation_matrix(d: DehnDiagram) -> IntegerMatrix:
 
 def cokernel(m: IntegerMatrix) -> AbelianGroup:
     """The cokernel of m acting on column vectors, in canonical form."""
-    rows, cols = _check_rectangular(m)
-    if rows == 0:
-        return AbelianGroup(0)
-    if cols == 0:
-        return AbelianGroup(rows)
     factors = invariant_factors(m)
-    return AbelianGroup.from_factors(factors, extra_free=rows - len(factors))
+    return AbelianGroup.from_factors(factors, extra_free=len(m) - len(factors))
 
 
 def first_homology(d: DehnDiagram) -> AbelianGroup:

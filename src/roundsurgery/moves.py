@@ -637,8 +637,13 @@ def _class_reachable(r1: RoundDiagram, r2: RoundDiagram, depth: int, ks: Sequenc
 def _search_ks(k_range: Iterable[int], goal: RoundDiagram) -> tuple[int, ...]:
     """The k values the exact search writes on its inner levels, ascending:
     the least of k_range and every n2 of goal's pairs that k_range holds; ()
-    if k_range is empty.  k_range is read once, as ints, and never stored."""
+    if k_range is empty.  A range is read in O(1) time; any other k_range
+    is read once, as ints, and never stored."""
     wanted = {p.n2 for p in goal.pairs}
+    if isinstance(k_range, range):
+        if not k_range:
+            return ()
+        return tuple(sorted({k for k in wanted if k in k_range} | {min(k_range[0], k_range[-1])}))
     least, held = None, set()
     for k in map(int, k_range):
         if least is None or k < least:

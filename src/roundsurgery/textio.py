@@ -31,10 +31,15 @@ diagnostic.
 Reading: COMP, PAIR with an integral or no m, and LK lines, almost every
 line of a document, are read by one compiled pattern each, matched against
 the statement's words joined by single spaces.  Every other line, and one
-whose fields do not convert, goes to the per-token walker, the only source
-of syntax diagnostics; the semantic checks after it are shared.  Token
-columns are worked out only when the walker or a diagnostic asks for them,
-and each distinct knot text is parsed once per document.
+whose fields do not convert, goes to the field walker (_walk), the only
+source of syntax diagnostics.  One table (_FIELDS) lists the fields of each
+statement kind, and the walker reads every kind by one rule: each field,
+left to right, checks the token at its place, each missing required field
+is reported, and so is the first token left over.  The patterns are written
+by hand, apart from the table, so that a test can check them against the
+walker.  The semantic checks after the walker are shared.  Token columns
+are worked out only when the walker or a diagnostic asks for them, and each
+distinct knot text is parsed once per document.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Any, Callable, NamedTuple, Optional, Union
 
 from .bridge import KirbyDiagram, TwoHandle, validate_kirby
 from .model import (
@@ -189,14 +194,20 @@ def _expect(text: str, at: int, want: str) -> int:
     return at + len(want)
 
 
-def _keyed(
-    token: str, key: str, line: int, col: int, diags: list[Diagnostic]
-) -> Optional[str]:
-    prefix = key + "="
-    if not token.startswith(prefix):
-        diags.append(Diagnostic(line, col, f"expected {prefix}..., got {token!r}"))
+def _read_knot(text: str, line: int, col: int, diags: list[Diagnostic]) -> Optional[KnotExpr]:
+    try:
+        return _parse_knot(text)
+    except _KnotSyntax as exc:
+        diags.append(Diagnostic(line, col + exc.offset, exc.message))
         return None
-    return token[len(prefix):]
+
+
+def _no_framing(text: str, line: int, col: int, diags: list[Diagnostic]) -> None:
+    diags.append(Diagnostic(line, col, "framing= is only allowed in DEHN documents"))
+
+
+def _word(text: str, line: int, col: int, diags: list[Diagnostic]) -> str:
+    return text  # checked by the statement's builder, if at all
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +250,78 @@ _ID, _INT = _ID_RE.pattern, _INT_RE.pattern
 _COMP_RE = re.compile(rf"COMP ({_ID}) knot=([^ ]+)(?: framing=({_INT}))?( fibred)?")
 _PAIR_RE = re.compile(rf"PAIR ({_ID}) ({_ID}) n1=({_INT}) n2=({_INT})(?: m=({_INT}))?")
 _LK_RE = re.compile(rf"LK ({_ID}) ({_ID}) ({_INT})")
+
+
+class _Field(NamedTuple):
+    """One field of a statement, as _walk reads it.  A required field (one
+    with a missing text) or a greedy one reads the token at its place,
+    whatever it is; any other optional field reads it only if the token is
+    its key or, for a key ending in "=", starts with it.  The token must
+    start with key, and read gets the rest, with the token's column or, if
+    shift, the rest's."""
+
+    key: str
+    read: Callable[[str, int, int, list[Diagnostic]], Any]
+    missing: str = ""
+    greedy: bool = False
+    shift: bool = False
+
+
+_CID, _WORD_CID = _Field("", _parse_id, "component id"), _Field("", _word, "component id")
+_KNOT = _Field("knot=", _read_knot, "knot=EXPR", shift=True)
+_FIBRED = _Field("fibred", lambda *_: True)
+_NO_FRAMING = _Field("framing=", _no_framing)
+
+#: The fields after the keyword of each statement kind, COMP by header.
+#: PAIR and LOOSE ids are words: a name no COMP line declares is reported
+#: as an unknown component.
+_FIELDS: dict[str, tuple[_Field, ...]] = {
+    "COMP ROUND": (_CID, _KNOT, _NO_FRAMING, _FIBRED),
+    "COMP DEHN": (_CID, _KNOT, _Field("framing=", _parse_int, "framing=INT", shift=True), _FIBRED),
+    "COMP KIRBY": (_CID, _KNOT, _NO_FRAMING),
+    "PAIR": (
+        _WORD_CID,
+        _WORD_CID,
+        _Field("n1=", _parse_int, "n1=INT"),
+        _Field("n2=", _parse_int, "n2=INT"),
+        _Field("m=", _parse_rational, greedy=True, shift=True),
+    ),
+    "LOOSE": (_WORD_CID, _Field("m=", _parse_rational, "m=RAT", shift=True)),
+    "LK": (_CID, _CID, _Field("", _parse_int, "linking number")),
+    "HANDLE1": (_Field("", _parse_id, "handle id"),),
+    "HANDLE2": (
+        _Field("", _parse_id, "2-handle id"),
+        _Field("framing=", _parse_int, "framing=INT"),
+        _Field("over=", _word, greedy=True),
+    ),
+}
+
+
+def _walk(s: _Stmt, fields: tuple[_Field, ...], diags: list[Diagnostic]) -> tuple[list, bool]:
+    """The value of each field of s, and whether s got no diagnostic.  The
+    fields are read left to right, each checking the token it reads; a
+    field without a token, or whose token fails, is None.  Each required
+    field without a token is reported at column 1, and the first token
+    left over as unexpected."""
+    before, tokens, at, values = len(diags), s.tokens, 0, []
+    for f in fields:
+        value = None
+        if at == len(tokens):
+            if f.missing:
+                diags.append(Diagnostic(s.line, 1, f"{s.kind}: missing {f.missing}"))
+        else:
+            token, col = tokens[at]
+            if f.missing or f.greedy or token == f.key or (f.key.endswith("=") and token.startswith(f.key)):
+                at += 1
+                if not token.startswith(f.key):
+                    diags.append(Diagnostic(s.line, col, f"expected {f.key}..., got {token!r}"))
+                else:
+                    value = f.read(token[len(f.key):], s.line, col + f.shift * len(f.key), diags)
+        values.append(value)
+    if at < len(tokens):
+        token, col = tokens[at]
+        diags.append(Diagnostic(s.line, col, f"unexpected token {token!r}"))
+    return values, len(diags) == before
 
 
 def parse(text: str) -> DiagramDocument:
@@ -289,19 +372,6 @@ def parse(text: str) -> DiagramDocument:
     return DiagramDocument(header, diagram)
 
 
-def _take(stmt: _Stmt, index: int, diags: list[Diagnostic], what: str) -> Optional[tuple[str, int]]:
-    if index >= len(stmt.tokens):
-        diags.append(Diagnostic(stmt.line, 1, f"{stmt.kind}: missing {what}"))
-        return None
-    return stmt.tokens[index]
-
-
-def _no_extra(stmt: _Stmt, index: int, diags: list[Diagnostic]) -> None:
-    if len(stmt.tokens) > index:
-        token, col = stmt.tokens[index]
-        diags.append(Diagnostic(stmt.line, col, f"unexpected token {token!r}"))
-
-
 @dataclass
 class _Comp:
     line: int
@@ -311,59 +381,20 @@ class _Comp:
     fibred: bool
 
 
-def _parse_comp(
-    stmt: _Stmt, diags: list[Diagnostic], knots: dict[str, KnotExpr], expect_framing: bool, allow_fibred: bool
-) -> Optional[_Comp]:
+def _parse_comp(stmt: _Stmt, diags: list[Diagnostic], knots: dict[str, KnotExpr], header: str) -> Optional[_Comp]:
     """The component of a COMP line, or None with its diagnostics.  knots
     maps each knot text the pattern path has parsed to its expression."""
     m = _COMP_RE.fullmatch(stmt.text)
-    if m and (m[3] is not None) == expect_framing and (allow_fibred or m[4] is None):
+    if m and (m[3] is not None) == (header == "DEHN") and (header != "KIRBY" or m[4] is None):
         try:
             knot = knots.get(m[2])
             if knot is None:
                 knot = knots[m[2]] = _parse_knot(m[2])
-            framing = None if m[3] is None else int(m[3])
+            return _Comp(stmt.line, m[1], knot, None if m[3] is None else int(m[3]), m[4] is not None)
         except (_KnotSyntax, ValueError):
             pass  # the walker below reports it
-        else:
-            return _Comp(stmt.line, m[1], knot, framing, m[4] is not None)
-    before = len(diags)
-    got = _take(stmt, 0, diags, "component id")
-    if got is None:
-        return None
-    cid = _parse_id(got[0], stmt.line, got[1], diags)
-    got = _take(stmt, 1, diags, "knot=EXPR")
-    if got is None:
-        return None
-    knot_text = _keyed(got[0], "knot", stmt.line, got[1], diags)
-    knot: Optional[KnotExpr] = None
-    if knot_text is not None:
-        try:
-            knot = _parse_knot(knot_text)
-        except _KnotSyntax as exc:
-            col = got[1] + len("knot=") + exc.offset
-            diags.append(Diagnostic(stmt.line, col, exc.message))
-    index = 2
-    framing = None
-    if expect_framing:
-        got = _take(stmt, index, diags, "framing=INT")
-        if got is not None:
-            value = _keyed(got[0], "framing", stmt.line, got[1], diags)
-            if value is not None:
-                framing = _parse_int(value, stmt.line, got[1] + len("framing="), diags)
-        index += 1
-    elif index < len(stmt.tokens) and stmt.tokens[index][0].startswith("framing="):
-        token, col = stmt.tokens[index]
-        diags.append(Diagnostic(stmt.line, col, "framing= is only allowed in DEHN documents"))
-        index += 1
-    fibred = False
-    if allow_fibred and index < len(stmt.tokens) and stmt.tokens[index][0] == "fibred":
-        fibred = True
-        index += 1
-    _no_extra(stmt, index, diags)
-    if len(diags) > before or cid is None or knot is None:
-        return None
-    return _Comp(stmt.line, cid, knot, framing, fibred)
+    values, ok = _walk(stmt, _FIELDS["COMP " + header], diags)
+    return _Comp(stmt.line, *values[:3], values[3:] == [True]) if ok else None  # KIRBY has no fibred field
 
 
 def _note_failed(s: _Stmt, failed: set[str]) -> None:
@@ -373,9 +404,7 @@ def _note_failed(s: _Stmt, failed: set[str]) -> None:
         failed.add(s.tokens[0][0])
 
 
-def _collect_comps(
-    stmts: list[_Stmt], diags: list[Diagnostic], expect_framing: bool, allow_fibred: bool = True
-) -> tuple[dict[str, _Comp], set[str]]:
+def _collect_comps(stmts: list[_Stmt], diags: list[Diagnostic], header: str) -> tuple[dict[str, _Comp], set[str]]:
     """The components, and the valid ids of COMP lines that have a
     diagnostic of their own: lines naming those ids are not reported again
     (KIRBY adds the ids of such HANDLE2 lines)."""
@@ -387,7 +416,7 @@ def _collect_comps(
     for s in stmts:
         if s.kind != "COMP":
             continue
-        comp = _parse_comp(s, diags, knots, expect_framing, allow_fibred)
+        comp = _parse_comp(s, diags, knots, header)
         if comp is None:
             _note_failed(s, failed)
             continue
@@ -406,19 +435,8 @@ def _lk_fields(s: _Stmt, diags: list[Diagnostic]) -> Optional[tuple[str, str, in
             return m[1], m[2], int(m[3])
         except ValueError:
             pass  # the walker below reports it
-    before = len(diags)
-    ga = _take(s, 0, diags, "component id")
-    gb = _take(s, 1, diags, "component id")
-    gv = _take(s, 2, diags, "linking number")
-    if None in (ga, gb, gv):
-        return None
-    a = _parse_id(ga[0], s.line, ga[1], diags)
-    b = _parse_id(gb[0], s.line, gb[1], diags)
-    v = _parse_int(gv[0], s.line, gv[1], diags)
-    _no_extra(s, 3, diags)
-    if len(diags) > before or a is None or b is None or v is None:
-        return None
-    return a, b, v
+    values, ok = _walk(s, _FIELDS["LK"], diags)
+    return tuple(values) if ok else None
 
 
 def _collect_lk(
@@ -467,33 +485,12 @@ def _pair_fields(
             return match[1], match[2], int(match[3]), int(match[4]), m
         except ValueError:
             pass  # the walker below reports it
-    before = len(diags)
-    g1 = _take(s, 0, diags, "component id")
-    g2 = _take(s, 1, diags, "component id")
-    g3 = _take(s, 2, diags, "n1=INT")
-    g4 = _take(s, 3, diags, "n2=INT")
-    if None in (g1, g2, g3, g4):
-        return None
-    n1_text = _keyed(g3[0], "n1", s.line, g3[1], diags)
-    n2_text = _keyed(g4[0], "n2", s.line, g4[1], diags)
-    n1 = _parse_int(n1_text, s.line, g3[1], diags) if n1_text is not None else None
-    n2 = _parse_int(n2_text, s.line, g4[1], diags) if n2_text is not None else None
-    m = None
-    index = 4
-    if index < len(s.tokens):
-        token, col = s.tokens[index]
-        m_text = _keyed(token, "m", s.line, col, diags)
-        if m_text is not None:
-            m = _parse_rational(m_text, s.line, col + 2, diags)
-        index += 1
-    _no_extra(s, index, diags)
-    if len(diags) > before or n1 is None or n2 is None:
-        return None
-    return g1[0], g2[0], n1, n2, m
+    values, ok = _walk(s, _FIELDS["PAIR"], diags)
+    return tuple(values) if ok else None
 
 
 def _build_round(stmts: list[_Stmt], diags: list[Diagnostic]) -> RoundDiagram:
-    comps, failed = _collect_comps(stmts, diags, expect_framing=False)
+    comps, failed = _collect_comps(stmts, diags, "ROUND")
     used: dict[str, int] = {}
     pairs: list[JointPair] = []
     loose: list[LooseKnot] = []
@@ -527,20 +524,10 @@ def _build_round(stmts: list[_Stmt], diags: list[Diagnostic]) -> RoundDiagram:
                 continue
             pairs.append(JointPair(c1, n1, c2, n2, m))
         elif s.kind == "LOOSE":
-            before = len(diags)
-            g1 = _take(s, 0, diags, "component id")
-            g2 = _take(s, 1, diags, "m=RAT")
-            if None in (g1, g2):
-                continue
-            m_text = _keyed(g2[0], "m", s.line, g2[1], diags)
-            m = _parse_rational(m_text, s.line, g2[1] + 2, diags) if m_text is not None else None
-            _no_extra(s, 2, diags)
-            if len(diags) > before or m is None:
-                continue
-            c = claim(g1[0], s, 0)
-            if c is None:
-                continue
-            loose.append(LooseKnot(c, m))
+            (cid, m), ok = _walk(s, _FIELDS["LOOSE"], diags)
+            c = claim(cid, s, 0) if ok else None
+            if c is not None:
+                loose.append(LooseKnot(c, m))
 
     # A component named on a PAIR or LOOSE line that has a diagnostic of its
     # own is not reported again as unused.
@@ -558,7 +545,7 @@ def _build_round(stmts: list[_Stmt], diags: list[Diagnostic]) -> RoundDiagram:
 
 
 def _build_dehn(stmts: list[_Stmt], diags: list[Diagnostic]) -> DehnDiagram:
-    comps, failed = _collect_comps(stmts, diags, expect_framing=True)
+    comps, failed = _collect_comps(stmts, diags, "DEHN")
     entries = _collect_lk(stmts, diags, comps, failed)
     components = [FramedComponent(c.id, c.knot, c.fibred) for c in comps.values()]
     framing = {c.id: c.framing for c in comps.values() if c.framing is not None}
@@ -566,21 +553,17 @@ def _build_dehn(stmts: list[_Stmt], diags: list[Diagnostic]) -> DehnDiagram:
 
 
 def _build_kirby(stmts: list[_Stmt], diags: list[Diagnostic]) -> KirbyDiagram:
-    comps, failed = _collect_comps(stmts, diags, expect_framing=False, allow_fibred=False)
+    comps, failed = _collect_comps(stmts, diags, "KIRBY")
     one_handles: dict[str, int] = {}
     handle2: dict[str, tuple[int, int, tuple[tuple[str, int], ...]]] = {}
 
     for s in stmts:
         if s.kind == "HANDLE1":
-            got = _take(s, 0, diags, "handle id")
-            if got is None:
-                continue
-            hid = _parse_id(got[0], s.line, got[1], diags)
-            _no_extra(s, 1, diags)
-            if hid is None:
+            (hid,), _ = _walk(s, _FIELDS["HANDLE1"], diags)
+            if hid is None:  # a line with an extra token still declares its handle
                 continue
             if hid in one_handles or hid in comps:
-                diags.append(Diagnostic(s.line, got[1], f"duplicate id {hid}"))
+                diags.append(Diagnostic(s.line, s.tokens[0][1], f"duplicate id {hid}"))
                 continue
             one_handles[hid] = s.line
 
@@ -588,45 +571,29 @@ def _build_kirby(stmts: list[_Stmt], diags: list[Diagnostic]) -> KirbyDiagram:
         if s.kind != "HANDLE2":
             continue
         before = len(diags)
-        g1 = _take(s, 0, diags, "2-handle id")
-        g2 = _take(s, 1, diags, "framing=INT")
-        if None in (g1, g2):
-            _note_failed(s, failed)
-            continue
-        hid = _parse_id(g1[0], s.line, g1[1], diags)
-        fr_text = _keyed(g2[0], "framing", s.line, g2[1], diags)
-        framing = _parse_int(fr_text, s.line, g2[1], diags) if fr_text is not None else None
+        (hid, framing, over_text), _ = _walk(s, _FIELDS["HANDLE2"], diags)
         over: dict[str, int] = {}
-        index = 2
-        if index < len(s.tokens):
-            token, col = s.tokens[index]
-            over_text = _keyed(token, "over", s.line, col, diags)
-            if over_text is not None:
-                for piece in over_text.split(","):
-                    hpart, sep, cpart = piece.partition(":")
-                    if not sep or not _ID_RE.fullmatch(hpart) or not _INT_RE.fullmatch(cpart):
-                        diags.append(Diagnostic(s.line, col, f"expected over=id:INT,..., got {piece!r}"))
-                        continue
-                    if hpart not in one_handles:
-                        diags.append(Diagnostic(s.line, col, f"unknown 1-handle {hpart}"))
-                        continue
-                    if hpart in over:
-                        diags.append(Diagnostic(s.line, col, f"run-over count of {hpart} already given"))
-                        continue
-                    count = _parse_int(cpart, s.line, col, diags)
-                    if count is not None:
-                        over[hpart] = count
-            index += 1
-        _no_extra(s, index, diags)
-        if len(diags) > before or hid is None or framing is None:
+        for piece in () if over_text is None else over_text.split(","):
+            col, (hpart, sep, cpart) = s.tokens[2][1], piece.partition(":")
+            if not sep or not _ID_RE.fullmatch(hpart) or not _INT_RE.fullmatch(cpart):
+                diags.append(Diagnostic(s.line, col, f"expected over=id:INT,..., got {piece!r}"))
+            elif hpart not in one_handles:
+                diags.append(Diagnostic(s.line, col, f"unknown 1-handle {hpart}"))
+            elif hpart in over:
+                diags.append(Diagnostic(s.line, col, f"run-over count of {hpart} already given"))
+            else:
+                count = _parse_int(cpart, s.line, col, diags)
+                if count is not None:
+                    over[hpart] = count
+        if len(diags) > before:
             _note_failed(s, failed)
             continue
         if hid in handle2:
-            diags.append(Diagnostic(s.line, g1[1], f"duplicate 2-handle {hid}"))
+            diags.append(Diagnostic(s.line, s.tokens[0][1], f"duplicate 2-handle {hid}"))
             continue
         if hid not in comps:
             if hid not in failed:
-                diags.append(Diagnostic(s.line, g1[1], f"2-handle {hid} has no COMP line for its knot"))
+                diags.append(Diagnostic(s.line, s.tokens[0][1], f"2-handle {hid} has no COMP line for its knot"))
             continue
         handle2[hid] = (s.line, framing, tuple(over.items()))
 

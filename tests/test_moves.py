@@ -1,5 +1,6 @@
 import itertools
 import random
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -878,3 +879,18 @@ def test_search_reads_a_wide_k_range_in_constant_memory():
         tracemalloc.stop()
     assert found == (MoveDescriptor(MoveKind.EQ_MOVE1, pair=0, k=7),)
     assert peak < 5 * 2**20
+
+
+def test_search_reads_a_range_in_constant_time():
+    """A range's least value and membership are read without walking it, so
+    a search over two trillion k values returns at once; it runs in a
+    daemon thread so that a slow read fails the test instead of holding it."""
+    r = parse((Path(__file__).parent / "corpus" / "07_round_two_pairs_linked.rsd").read_text()).diagram
+    goal = eq_move1(r, 0, 7)
+    found = []
+    worker = threading.Thread(
+        target=lambda: found.append(bounded_equivalence_search(r, goal, 2, range(-10**12, 10**12 + 1))), daemon=True
+    )
+    worker.start()
+    worker.join(timeout=1.0)
+    assert found == [(MoveDescriptor(MoveKind.EQ_MOVE1, pair=0, k=7),)]

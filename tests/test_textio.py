@@ -499,3 +499,41 @@ def test_a_1_handle_named_twice_in_one_over_list_is_a_diagnostic_at_its_token(ov
     (d,) = info.value.diagnostics
     named = over.split(":")[0]
     assert (d.line, d.col, d.message) == (5, 21, f"run-over count of {named} already given")
+
+
+_R2 = "ROUND\nCOMP a knot=unknot\nCOMP b knot=unknot\n"
+_D2 = "DEHN\nCOMP a knot=unknot framing=0\nCOMP b knot=unknot framing=0\n"
+_K1 = "KIRBY\nCOMP t knot=unknot\nHANDLE1 h\n"
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("DEHN\nCOMP a!\n", ["2:1: COMP: missing knot=EXPR", "2:1: COMP: missing framing=INT",
+                            "2:6: invalid identifier 'a!'"]),
+        ("ROUND\nCOMP a knot=unknot fibred x\nLOOSE a m=1\n", ["2:27: unexpected token 'x'"]),
+        (_R2 + "PAIR a b n1=x\n", ["4:1: PAIR: missing n2=INT", "4:10: expected an integer, got 'x'"]),
+        (_R2 + "PAIR a b n1=0 n2=0 m=1 x\n", ["4:24: unexpected token 'x'"]),
+        ("ROUND\nCOMP a knot=unknot\nLOOSE\n", ["2:1: component a is not part of any pair or loose knot",
+                                               "3:1: LOOSE: missing component id", "3:1: LOOSE: missing m=RAT"]),
+        ("ROUND\nCOMP a knot=unknot\nLOOSE a m=1/x 2\n", ["3:11: expected INT/NAT, got '1/x'",
+                                                          "3:15: unexpected token '2'"]),
+        (_D2 + "LK a b!\n", ["4:1: LK: missing linking number", "4:6: invalid identifier 'b!'"]),
+        (_D2 + "LK a b 1 x\n", ["4:10: unexpected token 'x'"]),
+        (_K1 + "HANDLE1\nHANDLE2 t framing=0\n", ["4:1: HANDLE1: missing handle id"]),
+        # the handle is still declared, so the over= list that names it is fine
+        ("KIRBY\nCOMP t knot=unknot\nHANDLE1 h x\nHANDLE2 t framing=0 over=h:1\n", ["3:11: unexpected token 'x'"]),
+        (_K1 + "HANDLE2 t!\n", ["2:1: component t is not attached to any 2-handle",
+                                "4:1: HANDLE2: missing framing=INT", "4:9: invalid identifier 't!'"]),
+        (_K1 + "HANDLE2 t framing=0 over=h:1 x\n", ["4:30: unexpected token 'x'"]),
+    ],
+    ids=["comp-missing", "comp-extra", "pair-missing", "pair-extra", "loose-missing", "loose-extra", "lk-missing",
+         "lk-extra", "handle1-missing", "handle1-extra", "handle2-missing", "handle2-extra"],
+)
+def test_the_walker_checks_every_token_and_reports_every_missing_one(text, expected):
+    """Every statement kind follows one rule: each field is read left to
+    right, each token there is checked, each missing required token is
+    reported, and the first extra token is unexpected."""
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value).split("\n") == expected
