@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import product
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .bridge import _dehn_framings, _pair_from_framings
 from .model import (
@@ -430,6 +430,7 @@ def _is_joint(p: JointPair) -> bool:
 def _round_moves(
     r: RoundDiagram,
     slot_ks: Sequence[Sequence[int]],
+    spines: Mapping[ComponentId, Container[KnotExpr]],
     kinds: Optional[frozenset[MoveKind]] = None,
 ) -> Iterator[MoveDescriptor]:
     """Candidate round moves on r, in ascending sort_key order so that
@@ -442,6 +443,12 @@ def _round_moves(
     EqMove3Add appends, each ascending: on inner levels of the search the
     few values of _search_ks, so ShuffleB's (k, k2) product stays small.
     When kinds is given, only moves of those kinds are yielded.
+
+    Two kinds of candidate are never yielded, because the search would
+    drop what they build: EqMove1 with k equal to the pair's n2, which
+    yields r itself, and an EqMove4 whose slid component's new knot is not
+    in spines under its id (the goal's spines, see _spines), so that the
+    state it builds cannot grow into the goal.
     """
     n = len(r.pairs)
     joint = [_is_joint(p) for p in r.pairs]
@@ -449,11 +456,18 @@ def _round_moves(
     def wanted(kind: MoveKind) -> bool:
         return kinds is None or kind in kinds
 
+    def on_spine(variant: str, i: int, j: int) -> bool:
+        slot, _, over_slot = _EQ_MOVE4_SLIDES[variant]
+        slid, over = (r.pairs[i].c1, r.pairs[i].c2)[slot], (r.pairs[j].c1, r.pairs[j].c2)[over_slot]
+        knot = BandSum(slid.knot, Cable(over.knot, _dehn_framings(r.pairs[j])[over_slot]))
+        return knot in spines.get(slid.id, ())
+
     if wanted(MoveKind.EQ_MOVE1):
         for i in range(n):
             if joint[i]:
                 for k in slot_ks[i]:
-                    yield MoveDescriptor(MoveKind.EQ_MOVE1, pair=i, k=k)
+                    if k != r.pairs[i].n2:
+                        yield MoveDescriptor(MoveKind.EQ_MOVE1, pair=i, k=k)
     if wanted(MoveKind.EQ_MOVE3_ADD):
         for k in slot_ks[n]:
             for delta, sign in ((-2, 1), (0, -1), (0, 1), (2, -1)):
@@ -467,14 +481,16 @@ def _round_moves(
             if not joint[i]:
                 continue
             for variant in _SINGLE_PAIR_VARIANTS:
-                for k in slot_ks[i]:
-                    yield MoveDescriptor(MoveKind.EQ_MOVE4, pair=i, variant=variant, k=k)
+                if on_spine(variant, i, i):
+                    for k in slot_ks[i]:
+                        yield MoveDescriptor(MoveKind.EQ_MOVE4, pair=i, variant=variant, k=k)
             for j in range(n):
                 if j == i or not joint[j]:
                     continue
                 for variant in _DOUBLE_PAIR_VARIANTS:
-                    for k in slot_ks[i]:
-                        yield MoveDescriptor(MoveKind.EQ_MOVE4, pair=i, pair2=j, variant=variant, k=k)
+                    if on_spine(variant, i, j):
+                        for k in slot_ks[i]:
+                            yield MoveDescriptor(MoveKind.EQ_MOVE4, pair=i, pair2=j, variant=variant, k=k)
     if wanted(MoveKind.SHUFFLE_A):
         for i in range(n):
             if joint[i]:
@@ -502,6 +518,20 @@ def _gauge_class(r: RoundDiagram) -> RoundDiagram:
     return RoundDiagram(pairs, r.loose, r.lk)
 
 
+def _spines(goal: RoundDiagram) -> dict[ComponentId, dict[KnotExpr, int]]:
+    """For each component id of goal, the knots on the left spine of its
+    knot (see the module docstring), each with the number of band sums
+    above it there."""
+    spines: dict[ComponentId, dict[KnotExpr, int]] = {}
+    for c in goal.components():
+        knot, spine = c.knot, {c.knot: 0}
+        while isinstance(knot, BandSum):
+            knot = knot.left
+            spine[knot] = len(spine)
+        spines[c.id] = spine
+    return spines
+
+
 def _band_sum_bound(goal: RoundDiagram) -> Callable[[RoundDiagram], Optional[int]]:
     """A function giving, for a state, the number of band sums goal's knots
     have that the state's still lack, or None when no move sequence carries
@@ -514,13 +544,7 @@ def _band_sum_bound(goal: RoundDiagram) -> Callable[[RoundDiagram], Optional[int
     only be deleted, and only unknots are.  Goal's spines are worked out
     once, here.
     """
-    spines: dict[ComponentId, dict[KnotExpr, int]] = {}
-    for c in goal.components():
-        knot, spine = c.knot, {c.knot: 0}
-        while isinstance(knot, BandSum):
-            knot = knot.left
-            spine[knot] = len(spine)
-        spines[c.id] = spine
+    spines = _spines(goal)
     deletable = {UNKNOT: 0}
 
     def bound(state: RoundDiagram) -> Optional[int]:
@@ -550,13 +574,19 @@ def _can_yield(
     A move cannot yield goal when it leaves unchanged something in which
     state differs from goal: the pair count, the loose knots, the linking
     matrix unless its kind rewrites it, or a pair at an index it does not
-    rewrite.  Pairs are compared by index only for kinds that delete none.
-    Nor can it when it adds other than need band sums: fewer leave a knot
-    short of goal's, and more put one off goal's spine.
+    rewrite.  A kind that deletes a pair rewrites no other, so it can yield
+    goal only at an index i where state.pairs without pair i are goal's
+    pairs; if there is none, no kind is named.  Nor can a move yield goal
+    when it adds other than need band sums: fewer leave a knot short of
+    goal's, and more put one off goal's spine.
     """
     if state.loose != goal.loose:
         return frozenset(), lambda move: False
     delta = len(goal.pairs) - len(state.pairs)
+    if delta < 0:
+        at = {i for i in range(len(state.pairs)) if state.pairs[:i] + state.pairs[i + 1 :] == goal.pairs}
+        if not at:
+            return frozenset(), lambda move: False
     # a move that rebuilds a matrix with conflicting entries drops them
     same_lk = state.lk == goal.lk or bool(state.lk.conflicts())
     differ = [i for i, (p, q) in enumerate(zip(state.pairs, goal.pairs)) if p != q] if delta >= 0 else []
@@ -571,7 +601,8 @@ def _can_yield(
     }
 
     def test(move: MoveDescriptor) -> bool:
-        return all(i in [getattr(move, name) for name in rewrites[move.kind]] for i in differ)
+        rewritten = [getattr(move, name) for name in rewrites[move.kind]]
+        return rewritten[0] in at if delta < 0 else all(i in rewritten for i in differ)
 
     return frozenset(rewrites), test
 
@@ -585,8 +616,10 @@ def _breadth_first(start: RoundDiagram, goal: RoundDiagram, depth: int, ks: Sequ
     moves left can add, or cannot reach goal at all (_band_sum_bound); an
     empty level ends the search.  The last level stores nothing, tries only
     the kinds _can_yield names and the moves its test passes, and writes
-    into each pair slot only goal's n2 there, if ks holds it."""
-    bound = _band_sum_bound(goal)
+    into each pair slot only goal's n2 there, if ks holds it.  _round_moves
+    yields no identity regauge and no slide off goal's spines, whose states
+    would be dropped."""
+    bound, spines = _band_sum_bound(goal), _spines(goal)
     goal_ks = [(p.n2,) if p.n2 in ks else () for p in goal.pairs]
     need = bound(start)
     frontier: list[tuple[RoundDiagram, MoveSequence, int]] = []
@@ -601,11 +634,11 @@ def _breadth_first(start: RoundDiagram, goal: RoundDiagram, depth: int, ks: Sequ
         for state, path, need in frontier:
             n = len(state.pairs)
             if left:
-                moves = _round_moves(state, [ks] * (n + 1))
+                moves = _round_moves(state, [ks] * (n + 1), spines)
             else:
                 kinds, test = _can_yield(state, goal, need)
                 slot_ks = goal_ks + [()] * (n + 1 - len(goal_ks))
-                moves = filter(test, _round_moves(state, slot_ks, kinds)) if kinds else ()
+                moves = filter(test, _round_moves(state, slot_ks, spines, kinds)) if kinds else ()
             for move in moves:
                 try:
                     new = apply_move(state, move)
@@ -685,17 +718,23 @@ def bounded_equivalence_search(
     differs from r2: the pair count, the loose knots (no move touches
     them), the linking matrix when its kind does not rewrite it, or a pair
     at an index it does not rewrite; MOVES declares what each kind
-    rewrites.  Nor can it when it writes into a pair an n2 other than
-    r2's.  The survivors keep their sort_key order and every move skipped
-    could not have matched, so the first hit is the one the unpruned level
-    would find, and the result is still the lexicographically least.
+    rewrites.  A deletion rewrites only the pair it deletes, so it can
+    yield r2 only at an index whose removal leaves r2's pairs.  Nor can a
+    move yield r2 when it writes into a pair an n2 other than r2's.  The
+    survivors keep their sort_key order and every move skipped could not
+    have matched, so the first hit is the one the unpruned level would
+    find, and the result is still the lexicographically least.
 
     Knots only grow along their left spines, one band sum per slide (see
     the module docstring), so every level also counts the band sums of
     r2's knots that a state lacks.  A state whose knots cannot grow into
     r2's, or that lacks more band sums than the moves left can add
     (MoveSpec.band_sums), is not expanded, and the last level applies only
-    the kinds that add exactly the band sums the state lacks.  A pruned
+    the kinds that add exactly the band sums the state lacks.  A slide
+    changes one knot, so its arguments alone decide the first test: a
+    slide whose new knot is off r2's spine for its id is never applied.
+    When the new knot is on the spine, the state lacks one band sum fewer
+    than the state it came from, and the second test holds too.  A pruned
     state lies on no path that reaches r2 within the depth, and the states
     kept keep their order, so the first hit, and the result, are the same
     as without the prune.  A level with no state left ends the search.
@@ -703,6 +742,8 @@ def bounded_equivalence_search(
     A state reached before is not expanded again.  States are compared
     exactly: moves address pairs by index, so a state whose pairs are a
     reordering of a seen state's reaches other diagrams and is kept.
+    EqMove1 with k equal to the pair's n2 gives the state itself, which
+    has been seen and is not r2, so it is never applied.
 
     Above depth 1 a cheaper pass runs first: the same breadth-first search
     from r1's gauge class to r2's (every joint pair regauged to n2 = 0)
@@ -717,9 +758,9 @@ def bounded_equivalence_search(
     lexicographically-least contract, are the same as without the class
     pass.  At depth 1 the exact search's one pruned level is already as
     cheap, so the class pass is skipped there.  The class pass still pays
-    with the inner-level k rule above: without it the benchmark's search
-    workload ran at 1,137 queries/s instead of 1,964 (three alternating
-    30 s pairs, seed 41), because its out-of-reach queries end there.
+    with the prunes above: without it the benchmark's search workload ran
+    at 1,958 queries/s instead of 3,534 (three alternating 30 s pairs,
+    seed 41), because its out-of-reach queries end there.
     """
     if depth < 0:
         raise MoveError(f"depth must be non-negative, got {depth}")

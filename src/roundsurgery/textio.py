@@ -267,26 +267,24 @@ class _Field(NamedTuple):
     shift: bool = False
 
 
-_CID, _WORD_CID = _Field("", _parse_id, "component id"), _Field("", _word, "component id")
+_CID = _Field("", _parse_id, "component id")
 _KNOT = _Field("knot=", _read_knot, "knot=EXPR", shift=True)
 _FIBRED = _Field("fibred", lambda *_: True)
 _NO_FRAMING = _Field("framing=", _no_framing)
 
 #: The fields after the keyword of each statement kind, COMP by header.
-#: PAIR and LOOSE ids are words: a name no COMP line declares is reported
-#: as an unknown component.
 _FIELDS: dict[str, tuple[_Field, ...]] = {
     "COMP ROUND": (_CID, _KNOT, _NO_FRAMING, _FIBRED),
     "COMP DEHN": (_CID, _KNOT, _Field("framing=", _parse_int, "framing=INT", shift=True), _FIBRED),
     "COMP KIRBY": (_CID, _KNOT, _NO_FRAMING),
     "PAIR": (
-        _WORD_CID,
-        _WORD_CID,
+        _CID,
+        _CID,
         _Field("n1=", _parse_int, "n1=INT"),
         _Field("n2=", _parse_int, "n2=INT"),
         _Field("m=", _parse_rational, greedy=True, shift=True),
     ),
-    "LOOSE": (_WORD_CID, _Field("m=", _parse_rational, "m=RAT", shift=True)),
+    "LOOSE": (_CID, _Field("m=", _parse_rational, "m=RAT", shift=True)),
     "LK": (_CID, _CID, _Field("", _parse_int, "linking number")),
     "HANDLE1": (_Field("", _parse_id, "handle id"),),
     "HANDLE2": (

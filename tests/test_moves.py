@@ -819,6 +819,105 @@ def test_search_equals_the_reference_on_random_queries(query):
     assert bounded_equivalence_search(r1, r2, depth, ks) == _reference_search(r1, r2, depth, ks)
 
 
+_SLID_KNOTS = (UNKNOT, Atom("trefoil"), _band(Atom("trefoil")), _band(UNKNOT, Atom("fig8"), -1))
+
+
+@st.composite
+def _slide_queries(draw):
+    """(r1, r2, depth, ks) on one to three joint pairs of unknots, trefoils
+    and band sums, with the goal planted mostly by slides: every planted
+    move is an EqMove4, except that in a plant of three moves one of them
+    may be any move.  Depth 3 on one pair only, depth 2 on at most two,
+    and few k values, to keep the reference fast.  Some goals are then
+    regauged to k = 9, outside ks, which no sequence reaches."""
+    npairs = draw(st.integers(1, 3))
+    depth = draw(st.integers(1, 4 - npairs))
+    lo = draw(st.integers(-2, 1))
+    ks = tuple(range(lo, lo + draw(st.integers(1, 2 if depth * npairs >= 3 else 3))))
+    small = st.integers(-2, 2)
+    knot = st.sampled_from(_SLID_KNOTS)
+    pairs = [
+        JointPair(FramedComponent(f"a{2 * i}", draw(knot)), draw(small), FramedComponent(f"a{2 * i + 1}", draw(knot)),
+                  draw(small), Rational(draw(small)))
+        for i in range(npairs)
+    ]
+    ids = [c.id for p in pairs for c in (p.c1, p.c2)]
+    lk = LinkingMatrix((x, y, draw(st.integers(-1, 1))) for x, y in itertools.combinations(ids, 2))
+    r1 = r2 = RoundDiagram(pairs, (), lk)
+    planted = draw(st.integers(1, depth))
+    other = draw(st.integers(0, 2)) if planted == 3 else None
+    for t in range(planted):
+        legal = []
+        for move in reference_box(len(r2.pairs), ks):
+            if t == other or move.kind is MoveKind.EQ_MOVE4:
+                try:
+                    legal.append(apply_move(r2, move))
+                except MoveError:
+                    pass
+        if not legal:
+            break
+        r2 = draw(st.sampled_from(legal))
+    if r2.pairs and draw(st.booleans()):
+        r2 = eq_move1(r2, draw(st.integers(0, len(r2.pairs) - 1)), 9)
+    return r1, r2, depth, ks
+
+
+@settings(max_examples=40, deadline=None)
+@given(_slide_queries())
+def test_search_equals_the_reference_on_slide_planted_goals(query):
+    """The search builds no state for a slide off the goal's spine, an
+    identity regauge or a last-level deletion that leaves other pairs than
+    the goal's; on goals planted mostly by slides its result is still the
+    reference's."""
+    r1, r2, depth, ks = query
+    assert bounded_equivalence_search(r1, r2, depth, ks) == _reference_search(r1, r2, depth, ks)
+
+
+def test_search_builds_no_state_it_would_drop(monkeypatch):
+    """Every move that reaches apply_move could lead to the goal: no slide
+    leaves a knot off the goal's spine, no EqMove1 writes the n2 its pair
+    already has, and no EqMove3Del on a pass's last level leaves other
+    pairs than the goal's.  The goal is the start after a slide, regauged
+    to k = 9 outside the k range: the class pass finds its class, and the
+    exact search exhausts depth 3, adding and deleting the unknot pair on
+    the way."""
+    start = RoundDiagram(
+        [joint(comp("a", "trefoil"), 2, comp("b"), 1, 3), joint(comp("u1"), 0, comp("u2"), 0, 1)],
+        (),
+        LinkingMatrix([("a", "b", 1)]),
+    )
+    goal = eq_move1(eq_move4(start, "11over12", 0, None, 0), 0, 9)
+    passes = []  # (start, goal, depth, [(state, move) for each apply_move call])
+    breadth_first, apply = moves._breadth_first, moves.apply_move
+
+    def traced_breadth_first(s, g, depth, ks):
+        passes.append((s, g, depth, []))
+        return breadth_first(s, g, depth, ks)
+
+    def traced_apply(d, move):
+        passes[-1][3].append((d, move))
+        return apply(d, move)
+
+    monkeypatch.setattr(moves, "_breadth_first", traced_breadth_first)
+    monkeypatch.setattr(moves, "apply_move", traced_apply)
+    assert bounded_equivalence_search(start, goal, 3, range(-1, 2)) is None
+    assert len(passes) == 2  # the class pass, then the exact search
+    kinds = set()
+    for s, g, depth, calls in passes:
+        bound, level = _band_sum_bound(g), {s: 0}
+        for d, move in calls:
+            kinds.add(move.kind)
+            new = apply(d, move)
+            level.setdefault(new, level[d] + 1)  # breadth first: the first level a state is reached on
+            if move.kind is MoveKind.EQ_MOVE4:
+                assert bound(new) is not None, move
+            if move.kind is MoveKind.EQ_MOVE1:
+                assert move.k != d.pairs[move.pair].n2, move
+            if move.kind is MoveKind.EQ_MOVE3_DEL and level[d] == depth - 1:
+                assert new.pairs == g.pairs, move
+    assert {MoveKind.EQ_MOVE1, MoveKind.EQ_MOVE3_ADD, MoveKind.EQ_MOVE3_DEL, MoveKind.EQ_MOVE4} <= kinds
+
+
 def test_search_equals_the_reference_on_wide_k_ranges():
     """Inner levels try only the least k and the goal's n2 values.  On k
     ranges of 5-7 values, contiguous or gapped, with goals planted by moves

@@ -537,3 +537,30 @@ def test_the_walker_checks_every_token_and_reports_every_missing_one(text, expec
     with pytest.raises(ParseError) as info:
         parse(text)
     assert str(info.value).split("\n") == expected
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("ROUND\nCOMP a! knot=unknot\nCOMP b knot=unknot\nPAIR a b n1=0 n2=0\n",
+         ["2:6: invalid identifier 'a!'", "4:6: unknown component a"]),
+        (_R2 + "PAIR a! b n1=0 n2=0\n",
+         ["2:1: component a is not part of any pair or loose knot", "4:6: invalid identifier 'a!'"]),
+        (_R2 + "PAIR a b! n1=0 n2=0\n",
+         ["3:1: component b is not part of any pair or loose knot", "4:8: invalid identifier 'b!'"]),
+        ("ROUND\nCOMP a knot=unknot\nLOOSE a! m=1\n",
+         ["2:1: component a is not part of any pair or loose knot", "3:7: invalid identifier 'a!'"]),
+        (_D2 + "LK a! b 1\n", ["4:4: invalid identifier 'a!'"]),
+        ("KIRBY\nCOMP t knot=unknot\nHANDLE1 h!\nHANDLE2 t framing=0\n", ["3:9: invalid identifier 'h!'"]),
+        (_K1 + "HANDLE2 t! framing=0 over=h:1\n",
+         ["2:1: component t is not attached to any 2-handle", "4:9: invalid identifier 't!'"]),
+    ],
+    ids=["comp", "pair-first", "pair-second", "loose", "lk", "handle1", "handle2"],
+)
+def test_every_statement_kind_checks_its_ids_as_identifiers(text, expected):
+    """An id that is not an identifier is reported as one at its token, on
+    every statement kind; a PAIR or LOOSE line no longer reports it as an
+    unknown component."""
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value).split("\n") == expected
