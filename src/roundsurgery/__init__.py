@@ -14,7 +14,6 @@ from .analysis import (
     AnalysisError,
     FoliationRefusal,
     FoliationWitness,
-    is_disconnected_summand,
     is_trivial,
     split_connected_sum,
     suture_slope,
@@ -45,7 +44,6 @@ from .model import (
     BandSum,
     Cable,
     ComponentId,
-    CoordinateError,
     DehnDiagram,
     FramedComponent,
     JointPair,
@@ -55,11 +53,8 @@ from .model import (
     Rational,
     RoundDiagram,
     SurgeryError,
-    TorusSlope,
     UNKNOT,
     UnknownComponentError,
-    change_coordinates,
-    linking_number,
     validate_diagram,
 )
 from .moves import (
@@ -78,7 +73,6 @@ from .moves import (
     kirby1_add,
     kirby1_del,
     kirby2_slide,
-    normalize_k,
     shuffle_a,
     shuffle_b,
 )

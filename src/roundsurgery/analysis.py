@@ -94,11 +94,6 @@ def split_connected_sum(r: RoundDiagram) -> list[RoundDiagram]:
     return out
 
 
-def is_disconnected_summand(r: RoundDiagram) -> bool:
-    """True for a summand produced by a loose round 2-surgery knot."""
-    return bool(r.loose)
-
-
 def suture_slope(r: RoundDiagram, pair_index: int) -> FoliationWitness:
     """The boundary slope lk(c1, c2) - n along which a foliation can extend,
     for a pair with the same coefficient n on both components."""

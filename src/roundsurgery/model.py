@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Union
 
 ComponentId = str
 
@@ -30,10 +30,6 @@ class SurgeryError(Exception):
 
 class UnknownComponentError(SurgeryError):
     """A referenced component id is not present in the diagram."""
-
-
-class CoordinateError(SurgeryError):
-    """A coordinate-change matrix is not unimodular."""
 
 
 # ---------------------------------------------------------------------------
@@ -132,11 +128,6 @@ class Rational:
         if self.q == 0:
             return self.p == 1
         return math.gcd(abs(self.p), self.q) == 1
-
-    def as_int(self) -> int:
-        if not self.is_integer:
-            raise SurgeryError(f"{self} is not an integer slope")
-        return self.p
 
     def __str__(self) -> str:
         if self.q == 1:
@@ -369,41 +360,6 @@ Diagram = Union[RoundDiagram, DehnDiagram]
 
 
 # ---------------------------------------------------------------------------
-# Torus slopes and coordinate changes
-
-
-@dataclass(frozen=True)
-class TorusSlope:
-    """The class a*(1,0) + b*(0,1) of a simple closed curve on the torus.
-    Must be primitive: gcd(|a|, |b|) == 1, which also rules out (0, 0)."""
-
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if math.gcd(self.a, self.b) != 1:
-            raise ValueError(f"slope ({self.a}, {self.b}) is not primitive")
-
-
-Matrix2 = Sequence[Sequence[int]]
-
-
-def change_coordinates(mat: Matrix2, s: TorusSlope) -> TorusSlope:
-    """Rewrite a slope under a self-homeomorphism of the torus given by a
-    unimodular 2x2 integer matrix (acting on column vectors).
-
-    Composition matches matrix multiplication:
-    change_coordinates(A, change_coordinates(B, s)) equals
-    change_coordinates(A @ B, s).
-    """
-    (m00, m01), (m10, m11) = mat[0], mat[1]
-    det = m00 * m11 - m01 * m10
-    if det not in (1, -1):
-        raise CoordinateError(f"matrix has determinant {det}, expected +-1")
-    return TorusSlope(m00 * s.a + m01 * s.b, m10 * s.a + m11 * s.b)
-
-
-# ---------------------------------------------------------------------------
 # Validation and elementary queries
 
 
@@ -462,16 +418,6 @@ def validate_diagram(d: Diagram) -> list[str]:
             out.append(f"framing for unknown component {cid}")
     out.extend(_lk_violations(d.lk, d.ids))
     return out
-
-
-def linking_number(d: Diagram, a: ComponentId, b: ComponentId) -> int:
-    """The linking number of two distinct components of a diagram."""
-    if a == b:
-        raise SurgeryError(f"linking number of {a!r} with itself is not defined here")
-    for cid in (a, b):
-        if cid not in d.ids:
-            raise UnknownComponentError(f"no component {cid!r}")
-    return d.lk.get(a, b)
 
 
 def fresh_id(prefix: str, used: Iterable[ComponentId]) -> ComponentId:

@@ -328,18 +328,6 @@ def eq_move4(r: RoundDiagram, variant: str, i: int, j: Optional[int] = None, k: 
     return _replace_pair(r, i, _pair_from_framings(*comps, framings, k), lk)
 
 
-def normalize_k(r: RoundDiagram, ks: Sequence[int]) -> RoundDiagram:
-    """Regauge every pair at once (eq_move1 with ks[i] on pair i).  With
-    ks[i] = m_i and a +-1 Dehn image this lands on a diagram whose round
-    coefficients are all +-1."""
-    if len(ks) != len(r.pairs):
-        raise MoveError(f"need {len(r.pairs)} k values, got {len(ks)}")
-    out = r
-    for index, k in enumerate(ks):
-        out = eq_move1(out, index, k)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Replay and bounded search
 
@@ -532,7 +520,9 @@ def _spines(goal: RoundDiagram) -> dict[ComponentId, dict[KnotExpr, int]]:
     return spines
 
 
-def _band_sum_bound(goal: RoundDiagram) -> Callable[[RoundDiagram], Optional[int]]:
+def _band_sum_bound(
+    goal: RoundDiagram, spines: Optional[dict[ComponentId, dict[KnotExpr, int]]] = None
+) -> Callable[[RoundDiagram], Optional[int]]:
     """A function giving, for a state, the number of band sums goal's knots
     have that the state's still lack, or None when no move sequence carries
     the state to goal.
@@ -541,10 +531,10 @@ def _band_sum_bound(goal: RoundDiagram) -> Callable[[RoundDiagram], Optional[int
     the state's knot of an id goal has must lie on the left spine of goal's
     knot, and every band sum above it there is one the state lacks.  An id
     the state lacks can only be added, as an unknot; an id goal lacks can
-    only be deleted, and only unknots are.  Goal's spines are worked out
-    once, here.
+    only be deleted, and only unknots are.  spines are goal's spines (see
+    _spines), worked out here once unless the caller has them.
     """
-    spines = _spines(goal)
+    spines = _spines(goal) if spines is None else spines
     deletable = {UNKNOT: 0}
 
     def bound(state: RoundDiagram) -> Optional[int]:
@@ -619,7 +609,8 @@ def _breadth_first(start: RoundDiagram, goal: RoundDiagram, depth: int, ks: Sequ
     into each pair slot only goal's n2 there, if ks holds it.  _round_moves
     yields no identity regauge and no slide off goal's spines, whose states
     would be dropped."""
-    bound, spines = _band_sum_bound(goal), _spines(goal)
+    spines = _spines(goal)
+    bound = _band_sum_bound(goal, spines)
     goal_ks = [(p.n2,) if p.n2 in ks else () for p in goal.pairs]
     need = bound(start)
     frontier: list[tuple[RoundDiagram, MoveSequence, int]] = []

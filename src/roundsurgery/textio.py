@@ -35,11 +35,15 @@ whose fields do not convert, goes to the field walker (_walk), the only
 source of syntax diagnostics.  One table (_FIELDS) lists the fields of each
 statement kind, and the walker reads every kind by one rule: each field,
 left to right, checks the token at its place, each missing required field
-is reported, and so is the first token left over.  The patterns are written
-by hand, apart from the table, so that a test can check them against the
-walker.  The semantic checks after the walker are shared.  Token columns
-are worked out only when the walker or a diagnostic asks for them, and each
-distinct knot text is parsed once per document.
+is reported, and so is the first token left over.  A diagnostic about a
+value points at its first character (in over=, at its piece, or its count);
+one about a token itself (wrong key, unexpected token, invalid id), at the
+token.  The patterns are written by hand, apart from the table: the walker
+alone cut the CLI's calls per second by half or more, and patterns derived
+from the table took as many lines and parsed about 10% slower.  A test
+checks them against the walker.  The semantic checks after the walker are
+shared.  Token columns are worked out only when the walker or a diagnostic
+asks for them, and each distinct knot text is parsed once per document.
 """
 
 from __future__ import annotations
@@ -203,11 +207,8 @@ def _read_knot(text: str, line: int, col: int, diags: list[Diagnostic]) -> Optio
 
 
 def _no_framing(text: str, line: int, col: int, diags: list[Diagnostic]) -> None:
-    diags.append(Diagnostic(line, col, "framing= is only allowed in DEHN documents"))
-
-
-def _word(text: str, line: int, col: int, diags: list[Diagnostic]) -> str:
-    return text  # checked by the statement's builder, if at all
+    # about the key, so at the token rather than its value
+    diags.append(Diagnostic(line, col - len("framing="), "framing= is only allowed in DEHN documents"))
 
 
 # ---------------------------------------------------------------------------
@@ -257,40 +258,39 @@ class _Field(NamedTuple):
     with a missing text) or a greedy one reads the token at its place,
     whatever it is; any other optional field reads it only if the token is
     its key or, for a key ending in "=", starts with it.  The token must
-    start with key, and read gets the rest, with the token's column or, if
-    shift, the rest's."""
+    start with key, and read gets the rest with the rest's column, so that
+    a diagnostic about a value points at its first character."""
 
     key: str
     read: Callable[[str, int, int, list[Diagnostic]], Any]
     missing: str = ""
     greedy: bool = False
-    shift: bool = False
 
 
 _CID = _Field("", _parse_id, "component id")
-_KNOT = _Field("knot=", _read_knot, "knot=EXPR", shift=True)
+_KNOT = _Field("knot=", _read_knot, "knot=EXPR")
 _FIBRED = _Field("fibred", lambda *_: True)
 _NO_FRAMING = _Field("framing=", _no_framing)
 
 #: The fields after the keyword of each statement kind, COMP by header.
 _FIELDS: dict[str, tuple[_Field, ...]] = {
     "COMP ROUND": (_CID, _KNOT, _NO_FRAMING, _FIBRED),
-    "COMP DEHN": (_CID, _KNOT, _Field("framing=", _parse_int, "framing=INT", shift=True), _FIBRED),
+    "COMP DEHN": (_CID, _KNOT, _Field("framing=", _parse_int, "framing=INT"), _FIBRED),
     "COMP KIRBY": (_CID, _KNOT, _NO_FRAMING),
     "PAIR": (
         _CID,
         _CID,
         _Field("n1=", _parse_int, "n1=INT"),
         _Field("n2=", _parse_int, "n2=INT"),
-        _Field("m=", _parse_rational, greedy=True, shift=True),
+        _Field("m=", _parse_rational, greedy=True),
     ),
-    "LOOSE": (_CID, _Field("m=", _parse_rational, "m=RAT", shift=True)),
+    "LOOSE": (_CID, _Field("m=", _parse_rational, "m=RAT")),
     "LK": (_CID, _CID, _Field("", _parse_int, "linking number")),
     "HANDLE1": (_Field("", _parse_id, "handle id"),),
     "HANDLE2": (
         _Field("", _parse_id, "2-handle id"),
         _Field("framing=", _parse_int, "framing=INT"),
-        _Field("over=", _word, greedy=True),
+        _Field("over=", lambda text, *_: text, greedy=True),  # checked by _build_kirby
     ),
 }
 
@@ -314,7 +314,7 @@ def _walk(s: _Stmt, fields: tuple[_Field, ...], diags: list[Diagnostic]) -> tupl
                 if not token.startswith(f.key):
                     diags.append(Diagnostic(s.line, col, f"expected {f.key}..., got {token!r}"))
                 else:
-                    value = f.read(token[len(f.key):], s.line, col + f.shift * len(f.key), diags)
+                    value = f.read(token[len(f.key):], s.line, col + len(f.key), diags)
         values.append(value)
     if at < len(tokens):
         token, col = tokens[at]
@@ -571,8 +571,9 @@ def _build_kirby(stmts: list[_Stmt], diags: list[Diagnostic]) -> KirbyDiagram:
         before = len(diags)
         (hid, framing, over_text), _ = _walk(s, _FIELDS["HANDLE2"], diags)
         over: dict[str, int] = {}
+        col = 0 if over_text is None else s.tokens[2][1] + len("over=")  # of each piece in turn
         for piece in () if over_text is None else over_text.split(","):
-            col, (hpart, sep, cpart) = s.tokens[2][1], piece.partition(":")
+            hpart, sep, cpart = piece.partition(":")
             if not sep or not _ID_RE.fullmatch(hpart) or not _INT_RE.fullmatch(cpart):
                 diags.append(Diagnostic(s.line, col, f"expected over=id:INT,..., got {piece!r}"))
             elif hpart not in one_handles:
@@ -580,9 +581,10 @@ def _build_kirby(stmts: list[_Stmt], diags: list[Diagnostic]) -> KirbyDiagram:
             elif hpart in over:
                 diags.append(Diagnostic(s.line, col, f"run-over count of {hpart} already given"))
             else:
-                count = _parse_int(cpart, s.line, col, diags)
+                count = _parse_int(cpart, s.line, col + len(hpart) + 1, diags)
                 if count is not None:
                     over[hpart] = count
+            col += len(piece) + 1
         if len(diags) > before:
             _note_failed(s, failed)
             continue

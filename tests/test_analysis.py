@@ -14,7 +14,6 @@ from roundsurgery import (
     Rational,
     RoundDiagram,
     first_homology_round,
-    is_disconnected_summand,
     is_trivial,
     split_connected_sum,
     suture_slope,
@@ -80,7 +79,7 @@ def test_split_loose_knot_is_disconnected_summand():
     )
     blocks = split_connected_sum(r)
     assert len(blocks) == 2
-    flags = [is_disconnected_summand(b) for b in blocks]
+    flags = [bool(b.loose) for b in blocks]
     assert flags.count(True) == 1
     loose_block = blocks[flags.index(True)]
     assert loose_block.loose[0].component.id == "z"

@@ -301,7 +301,7 @@ def test_integers_beyond_the_digit_limit_exit_without_a_traceback(tmp_path):
     path = write(tmp_path, "big.rsd", f"ROUND\nCOMP a knot=unknot\nCOMP b knot=unknot\nPAIR a b n1={big} n2=0 m=0\n")
     code, out, err = run(["to-dehn", path])
     assert (code, out) == (1, "")
-    assert f"{path}:4:10: integer too large: 5000 digits" in err
+    assert f"{path}:4:13: integer too large: 5000 digits" in err
     code, out, err = run(["foliations", write(tmp_path, "h.rsd", HOPF_PAIR), "--pair", "0", "--range", f"0..{big}"])
     assert (code, out) == (2, "")
     assert err.startswith("error: bad range: a bound has more than")

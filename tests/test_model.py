@@ -1,26 +1,16 @@
-import math
 import random
-
-import pytest
-from hypothesis import given, strategies as st
 
 from helpers import comp, joint, one_pair_diagram, random_joint_diagram
 from roundsurgery import (
     Atom,
     BandSum,
     Cable,
-    CoordinateError,
     DehnDiagram,
     JointPair,
     LinkingMatrix,
     LooseKnot,
     Rational,
     RoundDiagram,
-    SurgeryError,
-    TorusSlope,
-    UnknownComponentError,
-    change_coordinates,
-    linking_number,
     validate_diagram,
 )
 
@@ -79,33 +69,12 @@ def test_validate_dehn_framing_domain():
 
 
 def test_rational_properties():
-    assert Rational(4).is_integer and Rational(4).as_int() == 4
+    assert Rational(4).is_integer
     assert Rational.infinity().is_infinite
     assert Rational.reduced(4, -6) == Rational(-2, 3)
     assert str(Rational(1, 0)) == "1/0"
     assert str(Rational(-3, 2)) == "-3/2"
     assert not Rational(2, 4).is_reduced
-    with pytest.raises(SurgeryError):
-        Rational(1, 2).as_int()
-
-
-def test_linking_number_on_hopf_pair():
-    r = one_pair_diagram(0, 0, 1, lk=1)
-    assert linking_number(r, "a", "b") == 1
-    assert linking_number(r, "b", "a") == 1
-
-
-def test_linking_number_unlinked_defaults_to_zero():
-    r = one_pair_diagram(0, 0, 1)
-    assert linking_number(r, "a", "b") == 0
-
-
-def test_linking_number_errors():
-    r = one_pair_diagram(0, 0, 1)
-    with pytest.raises(UnknownComponentError):
-        linking_number(r, "a", "zz")
-    with pytest.raises(SurgeryError):
-        linking_number(r, "a", "a")
 
 
 def test_linking_matrix_symmetry_and_equality():
@@ -122,74 +91,6 @@ def test_knot_expressions_are_structural():
     k2 = BandSum(Atom("trefoil"), Cable(Atom("unknot"), 3))
     assert k1 == k2
     assert k1 != BandSum(Atom("trefoil"), Cable(Atom("unknot"), 4))
-
-
-def test_change_coordinates_identity():
-    s = TorusSlope(3, 1)
-    assert change_coordinates([[1, 0], [0, 1]], s) == s
-
-
-@pytest.mark.parametrize("k", range(-6, 7))
-def test_change_coordinates_shear_sends_01_to_k1(k):
-    assert change_coordinates([[1, k], [0, 1]], TorusSlope(0, 1)) == TorusSlope(k, 1)
-
-
-def test_change_coordinates_quarter_turn_twice():
-    rot = [[0, -1], [1, 0]]
-    once = change_coordinates(rot, TorusSlope(1, 0))
-    assert change_coordinates(rot, once) == TorusSlope(-1, 0)
-
-
-def test_change_coordinates_rejects_non_unimodular():
-    with pytest.raises(CoordinateError):
-        change_coordinates([[2, 0], [0, 1]], TorusSlope(1, 0))
-
-
-def test_torus_slope_must_be_primitive():
-    with pytest.raises(ValueError):
-        TorusSlope(0, 0)
-    with pytest.raises(ValueError):
-        TorusSlope(2, 4)
-    TorusSlope(1, 0)
-    TorusSlope(0, -1)
-
-
-_unimodular = st.builds(
-    lambda a, b, t, flip: _shear_product(a, b, t, flip),
-    st.integers(-4, 4),
-    st.integers(-4, 4),
-    st.integers(-4, 4),
-    st.booleans(),
-)
-
-
-def _shear_product(a, b, t, flip):
-    # products of elementary shears (and an optional swap) are unimodular
-    m = [[1, a], [0, 1]]
-    n = [[1, 0], [b, 1]]
-    prod = _mat_mul(m, n)
-    prod = _mat_mul(prod, [[1, t], [0, 1]])
-    if flip:
-        prod = _mat_mul(prod, [[0, 1], [1, 0]])
-    return prod
-
-
-def _mat_mul(x, y):
-    return [
-        [x[0][0] * y[0][0] + x[0][1] * y[1][0], x[0][0] * y[0][1] + x[0][1] * y[1][1]],
-        [x[1][0] * y[0][0] + x[1][1] * y[1][0], x[1][0] * y[0][1] + x[1][1] * y[1][1]],
-    ]
-
-
-@given(_unimodular, _unimodular, st.integers(-20, 20), st.integers(-20, 20))
-def test_change_coordinates_respects_composition(a, b, p, q):
-    g = math.gcd(p, q)
-    if g == 0:
-        p = 1
-        g = 1
-    s = TorusSlope(p // g, q // g)
-    lhs = change_coordinates(a, change_coordinates(b, s))
-    assert lhs == change_coordinates(_mat_mul(a, b), s)
 
 
 def test_diagram_equality_is_structural_and_order_sensitive_for_pairs():

@@ -38,7 +38,6 @@ from roundsurgery import (
     kirby1_add,
     kirby1_del,
     kirby2_slide,
-    normalize_k,
     parse,
     shuffle_a,
     shuffle_b,
@@ -183,6 +182,15 @@ def test_eq_move1_bridge_invariance_exhaustive_and_random():
         image = joint_pair_to_dehn(d)
         i = rng.randrange(len(d.pairs))
         assert joint_pair_to_dehn(eq_move1(d, i, rng.randint(-50, 50))) == image
+
+
+def test_eq_move1_with_k_equal_to_m_realizes_plus_minus_one_diagrams():
+    # bridge image (1, 1): n1 == n2, m = 1; take k = m
+    out = eq_move1(one_pair_diagram(6, 6, 1), 0, 1)
+    assert (out.pairs[0].n1, out.pairs[0].n2, out.pairs[0].m) == (1, 1, Rational(1))
+    # bridge image (1, -1): n1 - n2 = 2, m = -1; k = -1 gives (1, -1, -1)
+    out = eq_move1(one_pair_diagram(5, 3, -1), 0, -1)
+    assert (out.pairs[0].n1, out.pairs[0].n2, out.pairs[0].m) == (1, -1, Rational(-1))
 
 
 def test_eq_move1_rejects_non_joint_pair():
@@ -399,33 +407,6 @@ def test_eq_move4_rejections():
     )
     with pytest.raises(MoveError, match="distinct"):
         eq_move4(two, "12over22", 1, 1, 0)
-
-
-# ---------------------------------------------------------------------------
-# normalize_k
-
-
-def test_normalize_k_with_n2_is_identity():
-    rng = random.Random(41)
-    for _ in range(30):
-        r = random_joint_diagram(rng, max_pairs=3)
-        assert normalize_k(r, [p.n2 for p in r.pairs]) == r
-
-
-def test_normalize_k_realizes_plus_minus_one_diagrams():
-    # bridge image (1, 1): n1 == n2, m = 1; take k = m
-    r = one_pair_diagram(6, 6, 1)
-    out = normalize_k(r, [1])
-    assert (out.pairs[0].n1, out.pairs[0].n2, out.pairs[0].m) == (1, 1, Rational(1))
-    # bridge image (1, -1): n1 - n2 = 2, m = -1; k = -1 gives (1, -1, -1)
-    r = one_pair_diagram(5, 3, -1)
-    out = normalize_k(r, [-1])
-    assert (out.pairs[0].n1, out.pairs[0].n2, out.pairs[0].m) == (1, -1, Rational(-1))
-
-
-def test_normalize_k_length_mismatch():
-    with pytest.raises(MoveError, match="k values"):
-        normalize_k(one_pair_diagram(0, 0, 1), [1, 2])
 
 
 # ---------------------------------------------------------------------------

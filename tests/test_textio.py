@@ -227,14 +227,14 @@ BIG = "7" * 5000  # more digits than Python's default str->int limit of 4,300
 @pytest.mark.parametrize(
     "text, line, col",
     [
-        (f"ROUND\nCOMP a knot=unknot\nCOMP b knot=unknot\nPAIR a b n1={BIG} n2=0 m=0\n", 4, 10),
+        (f"ROUND\nCOMP a knot=unknot\nCOMP b knot=unknot\nPAIR a b n1={BIG} n2=0 m=0\n", 4, 13),
         (f"ROUND\nCOMP a knot=unknot\nCOMP b knot=unknot\nPAIR a b n1=0 n2=0 m=-{BIG}/1\n", 4, 22),
         (f"ROUND\nCOMP a knot=unknot\nCOMP b knot=unknot\nPAIR a b n1=0 n2=0 m=1/{BIG}\n", 4, 22),
         (f"ROUND\nCOMP a knot=unknot\nLOOSE a m={BIG}\n", 3, 11),
         (f"DEHN\nCOMP a knot=unknot framing={BIG}\n", 2, 28),
         (f"DEHN\nCOMP a knot=unknot framing=0\nCOMP b knot=unknot framing=0\nLK a b {BIG}\n", 4, 8),
         (f"DEHN\nCOMP a knot=band(unknot,cable(unknot,{BIG})) framing=0\n", 2, 38),
-        (f"KIRBY\nCOMP t knot=unknot\nHANDLE1 h\nHANDLE2 t framing=0 over=h:{BIG}\n", 4, 21),
+        (f"KIRBY\nCOMP t knot=unknot\nHANDLE1 h\nHANDLE2 t framing=0 over=h:{BIG}\n", 4, 28),
     ],
     ids=["n1", "m-numerator", "m-denominator", "loose-m", "framing", "lk", "knot-framing", "over"],
 )
@@ -249,8 +249,8 @@ def test_parse_reports_an_integer_beyond_the_digit_limit_at_its_token(text, line
 @pytest.mark.parametrize(
     "text, line, col",
     [
-        (f"ROUND\nCOMP a knot=unknot\nCOMP b knot=unknot\nPAIR a b n1={BIG} n2=0 m=0\n", 4, 10),
-        ("ROUND\nCOMP a knot=unknot\nCOMP b knot=unknot\nPAIR a b n1=x n2=0 m=0\n", 4, 10),
+        (f"ROUND\nCOMP a knot=unknot\nCOMP b knot=unknot\nPAIR a b n1={BIG} n2=0 m=0\n", 4, 13),
+        ("ROUND\nCOMP a knot=unknot\nCOMP b knot=unknot\nPAIR a b n1=x n2=0 m=0\n", 4, 13),
         ("ROUND\nCOMP a knot=unknot\nCOMP b knot=unknot\nPAIR a b n1=0 n2=0 m=0 x\n", 4, 24),
         ("ROUND\nCOMP a knot=unknot\nLOOSE a m=x\n", 3, 11),
         ("ROUND\nCOMP a knot=band(unknot\nCOMP b knot=unknot\nPAIR a b n1=0 n2=0 m=1\nLK a b 1\n", 2, 24),
@@ -261,7 +261,7 @@ def test_parse_reports_an_integer_beyond_the_digit_limit_at_its_token(text, line
             "KIRBY\nCOMP t knot=unknot\nCOMP u knot=unknot\nHANDLE1 h\nHANDLE2 t framing=1 over=q:1\n"
             "HANDLE2 u framing=0\nLK t u 1\n",
             5,
-            21,
+            26,
         ),
         ("KIRBY\nCOMP t knot=unknot\nCOMP u knot=unknot\nHANDLE2 t\nHANDLE2 u framing=0\nLK t u 1\n", 4, 1),
     ],
@@ -498,7 +498,8 @@ def test_a_1_handle_named_twice_in_one_over_list_is_a_diagnostic_at_its_token(ov
         parse(text)
     (d,) = info.value.diagnostics
     named = over.split(":")[0]
-    assert (d.line, d.col, d.message) == (5, 21, f"run-over count of {named} already given")
+    col = len("HANDLE2 t framing=0 over=") + over.rindex(named + ":") + 1  # the second piece naming it
+    assert (d.line, d.col, d.message) == (5, col, f"run-over count of {named} already given")
 
 
 _R2 = "ROUND\nCOMP a knot=unknot\nCOMP b knot=unknot\n"
@@ -507,12 +508,40 @@ _K1 = "KIRBY\nCOMP t knot=unknot\nHANDLE1 h\n"
 
 
 @pytest.mark.parametrize(
+    "text, at",
+    [
+        (_R2 + "PAIR a b n1=x n2=0\n", "x"),
+        (_R2 + "PAIR a b n1=0 n2=y\n", "y"),
+        (_R2 + "PAIR a b n1=0 n2=0 m=1/z\n", "1/z"),
+        ("ROUND\nCOMP a knot=unknot\nLOOSE a m=q\n", "q"),
+        ("DEHN\nCOMP a knot=unknot framing=x\n", "x"),
+        (_K1 + "HANDLE2 t framing=x\n", "x"),
+        ("DEHN\nCOMP a knot=band(unknot,cable(unknot,x)) framing=0\n", "x))"),
+        (_K1 + "HANDLE2 t framing=0 over=h:1,q:2\n", "q:2"),
+        (_K1 + "HANDLE2 t framing=0 over=h:1,h:2\n", "h:2"),
+        (_K1 + "HANDLE2 t framing=0 over=h:1,h;2\n", "h;2"),
+        (_K1 + f"HANDLE2 t framing=0 over=h:{BIG}\n", BIG),
+    ],
+    ids=["pair-n1", "pair-n2", "pair-m", "loose-m", "comp-framing", "handle2-framing", "knot", "over-unknown",
+         "over-twice", "over-malformed", "over-long-count"],
+)
+def test_a_diagnostic_about_a_value_points_at_its_first_character(text, at):
+    """One column rule for every value field: the diagnostic points at the
+    first character of the value it is about, or of the over= piece, or of
+    the piece's count, not at the field's key."""
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    lines = text.rstrip("\n").split("\n")
+    assert [(d.line, d.col) for d in info.value.diagnostics] == [(len(lines), lines[-1].index(at) + 1)]
+
+
+@pytest.mark.parametrize(
     "text, expected",
     [
         ("DEHN\nCOMP a!\n", ["2:1: COMP: missing knot=EXPR", "2:1: COMP: missing framing=INT",
                             "2:6: invalid identifier 'a!'"]),
         ("ROUND\nCOMP a knot=unknot fibred x\nLOOSE a m=1\n", ["2:27: unexpected token 'x'"]),
-        (_R2 + "PAIR a b n1=x\n", ["4:1: PAIR: missing n2=INT", "4:10: expected an integer, got 'x'"]),
+        (_R2 + "PAIR a b n1=x\n", ["4:1: PAIR: missing n2=INT", "4:13: expected an integer, got 'x'"]),
         (_R2 + "PAIR a b n1=0 n2=0 m=1 x\n", ["4:24: unexpected token 'x'"]),
         ("ROUND\nCOMP a knot=unknot\nLOOSE\n", ["2:1: component a is not part of any pair or loose knot",
                                                "3:1: LOOSE: missing component id", "3:1: LOOSE: missing m=RAT"]),
