@@ -520,21 +520,18 @@ def _spines(goal: RoundDiagram) -> dict[ComponentId, dict[KnotExpr, int]]:
     return spines
 
 
-def _band_sum_bound(
-    goal: RoundDiagram, spines: Optional[dict[ComponentId, dict[KnotExpr, int]]] = None
-) -> Callable[[RoundDiagram], Optional[int]]:
-    """A function giving, for a state, the number of band sums goal's knots
-    have that the state's still lack, or None when no move sequence carries
-    the state to goal.
+def _band_sum_bound(spines: dict[ComponentId, dict[KnotExpr, int]]) -> Callable[[RoundDiagram], Optional[int]]:
+    """Given a goal's spines (see _spines), a function giving, for a state,
+    the number of band sums goal's knots have that the state's still lack,
+    or None when no move sequence carries the state to goal.
 
     Knots only grow along their left spine (see the module docstring), so
     the state's knot of an id goal has must lie on the left spine of goal's
     knot, and every band sum above it there is one the state lacks.  An id
     the state lacks can only be added, as an unknot; an id goal lacks can
-    only be deleted, and only unknots are.  spines are goal's spines (see
-    _spines), worked out here once unless the caller has them.
+    only be deleted, and only unknots are.
     """
-    spines = _spines(goal) if spines is None else spines
+    goal_ids = frozenset(spines)
     deletable = {UNKNOT: 0}
 
     def bound(state: RoundDiagram) -> Optional[int]:
@@ -544,7 +541,7 @@ def _band_sum_bound(
             if lacks is None:
                 return None
             total += lacks
-        for cid in goal.ids - state.ids:
+        for cid in goal_ids - state.ids:
             lacks = spines[cid].get(UNKNOT)
             if lacks is None:
                 return None
@@ -610,7 +607,7 @@ def _breadth_first(start: RoundDiagram, goal: RoundDiagram, depth: int, ks: Sequ
     yields no identity regauge and no slide off goal's spines, whose states
     would be dropped."""
     spines = _spines(goal)
-    bound = _band_sum_bound(goal, spines)
+    bound = _band_sum_bound(spines)
     goal_ks = [(p.n2,) if p.n2 in ks else () for p in goal.pairs]
     need = bound(start)
     frontier: list[tuple[RoundDiagram, MoveSequence, int]] = []

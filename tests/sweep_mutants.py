@@ -8,12 +8,11 @@ or 1 with only `path:LINE:COL: ` diagnostics on stdout, and stderr must
 hold no traceback.  The script lists every call that breaks this and then
 exits 1; it exits 0 if none does.
 
-    PYTHONPATH=src python tests/sweep_mutants.py [--seed N] [--timeout S]
+    PYTHONPATH=src python tests/sweep_mutants.py
 """
 
 from __future__ import annotations
 
-import argparse
 import random
 import re
 import subprocess
@@ -23,6 +22,8 @@ from collections import Counter
 from pathlib import Path
 
 CORPUS = Path(__file__).parent / "corpus"
+SEED = 0
+TIMEOUT = 60  # seconds allowed per call
 # a key=INT or key=RAT token, or a bare integer such as an LK linking number
 _NUMBER = re.compile(r"((?:n1|n2|m|framing)=)?-?[0-9]+(/[0-9]+)?")
 NON_INTEGERS = ("x", "1.5", "--3", "1/2/3", "0x10", "", "½")
@@ -79,11 +80,7 @@ def _problems(path: Path, proc: subprocess.CompletedProcess) -> list[str]:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--timeout", type=int, default=60, help="seconds allowed per call")
-    args = ap.parse_args()
-    rng = random.Random(args.seed)
+    rng = random.Random(SEED)
     failures, exits = [], Counter()
     with tempfile.TemporaryDirectory() as tmp:
         for source in sorted(CORPUS.glob("*.rsd")):
@@ -92,7 +89,7 @@ def main() -> int:
                 mutate(lines, rng)
                 path = Path(tmp) / f"{source.stem}.{name}.rsd"
                 path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-                cmd = ["timeout", str(args.timeout), sys.executable, "-m", "roundsurgery.cli", "validate", str(path)]
+                cmd = ["timeout", str(TIMEOUT), sys.executable, "-m", "roundsurgery.cli", "validate", str(path)]
                 proc = subprocess.run(cmd, capture_output=True, encoding="utf-8", errors="replace")
                 exits[proc.returncode] += 1
                 failures += [f"{path.name}: {p}\n{path.read_text(encoding='utf-8')}" for p in _problems(path, proc)]

@@ -37,7 +37,7 @@ from roundsurgery import (
     shuffle_b,
 )
 from roundsurgery.cli import _parse_move
-from roundsurgery.moves import MOVES, _band_sum_bound
+from roundsurgery.moves import MOVES, _band_sum_bound, _spines
 
 DEHN = DehnDiagram([comp("a"), comp("b", "trefoil")], {"a": 1, "b": 3})
 # two random joint pairs plus a deletable third pair
@@ -240,5 +240,5 @@ def test_band_sum_bound_counts_the_slides_of_any_legal_sequence(r, data):
         kind = data.draw(st.sampled_from(sorted(legal, key=lambda kind: kind.value)))
         move, out = data.draw(st.sampled_from(legal[kind]))
         added += MOVES[move.kind].band_sums
-    assert _band_sum_bound(out)(r) == added
-    assert _band_sum_bound(r)(r) == 0
+    assert _band_sum_bound(_spines(out))(r) == added
+    assert _band_sum_bound(_spines(r))(r) == 0

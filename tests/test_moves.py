@@ -43,7 +43,7 @@ from roundsurgery import (
     shuffle_b,
 )
 from roundsurgery import moves
-from roundsurgery.moves import EQ_MOVE4_VARIANTS, _band_sum_bound
+from roundsurgery.moves import EQ_MOVE4_VARIANTS, _band_sum_bound, _spines
 
 # which Dehn components the corresponding handle slide acts on, per variant
 SLIDE_TARGETS = {
@@ -543,22 +543,22 @@ def test_band_sum_bound_counts_the_band_sums_on_the_goal_spines():
         pairs = [JointPair(FramedComponent("a", a_knot), 0, comp("b"), 0, Rational(2)), *extra]
         return RoundDiagram(pairs, [LooseKnot(comp("z", "fig8"), Rational(1))])
 
-    assert _band_sum_bound(goal(trefoil))(start) == 0  # u1 and u2 are unknots, so deletable
-    assert _band_sum_bound(goal(_band(_band(trefoil), trefoil, 3)))(start) == 2
+    assert _band_sum_bound(_spines(goal(trefoil)))(start) == 0  # u1 and u2 are unknots, so deletable
+    assert _band_sum_bound(_spines(goal(_band(_band(trefoil), trefoil, 3))))(start) == 2
     # a fresh id enters as an unknot and may then be slid
     u3 = FramedComponent("u3", _band(UNKNOT))
-    assert _band_sum_bound(goal(trefoil, [JointPair(u3, 0, comp("u4"), 0, Rational(1))]))(start) == 1
+    assert _band_sum_bound(_spines(goal(trefoil, [JointPair(u3, 0, comp("u4"), 0, Rational(1))])))(start) == 1
     # trefoil lies on the cable side of a's goal knot, not on its left spine
-    assert _band_sum_bound(goal(_band(UNKNOT, trefoil)))(start) is None
+    assert _band_sum_bound(_spines(goal(_band(UNKNOT, trefoil))))(start) is None
     # a band sum is never removed
     banded = eq_move4(start, "11over12", 0, None, 0)
-    assert _band_sum_bound(goal(trefoil))(banded) is None
+    assert _band_sum_bound(_spines(goal(trefoil)))(banded) is None
     # an id the goal lacks must be deleted, and only unknots are
     slid = eq_move4(start, "11over21", 1, 0, 0)
-    assert _band_sum_bound(goal(trefoil))(slid) is None
+    assert _band_sum_bound(_spines(goal(trefoil)))(slid) is None
     # an id the start lacks enters as an unknot only
     u3 = comp("u3", "trefoil")
-    assert _band_sum_bound(goal(trefoil, [JointPair(u3, 0, comp("u4"), 0, Rational(1))]))(start) is None
+    assert _band_sum_bound(_spines(goal(trefoil, [JointPair(u3, 0, comp("u4"), 0, Rational(1))])))(start) is None
 
 
 def test_search_stops_at_once_when_the_goal_is_out_of_reach():
@@ -885,7 +885,7 @@ def test_search_builds_no_state_it_would_drop(monkeypatch):
     assert len(passes) == 2  # the class pass, then the exact search
     kinds = set()
     for s, g, depth, calls in passes:
-        bound, level = _band_sum_bound(g), {s: 0}
+        bound, level = _band_sum_bound(_spines(g)), {s: 0}
         for d, move in calls:
             kinds.add(move.kind)
             new = apply(d, move)
