@@ -42,7 +42,6 @@ from .homology import (
 from .model import (
     Atom,
     BandSum,
-    Cable,
     ComponentId,
     DehnDiagram,
     FramedComponent,

@@ -20,7 +20,6 @@ from typing import Iterable, Optional
 
 from .model import (
     BandSum,
-    Cable,
     ComponentId,
     DehnDiagram,
     FramedComponent,
@@ -216,7 +215,7 @@ def round1_to_kirby(r: RoundDiagram) -> KirbyDiagram:
     handle = fresh_id("h", r.ids)
     fused = TwoHandle(
         id=p.c1.id,
-        knot=BandSum(p.c1.knot, Cable(p.c2.knot, p.n2)),
+        knot=BandSum(p.c1.knot, p.c2.knot, p.n2),
         framing=p.n1 + p.n2 + 2 * r.lk.get(p.c1.id, p.c2.id),
         runs_over=((handle, 2),),
     )

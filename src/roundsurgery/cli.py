@@ -20,7 +20,6 @@ from typing import Optional, get_type_hints
 
 from . import analysis, homology
 from .bridge import (
-    BridgeError,
     KirbyDiagram,
     dehn_to_joint_pairs,
     joint_pair_to_dehn,
@@ -142,10 +141,7 @@ def _parse_range(text: str) -> range:
     m = _RANGE_RE.match(text)
     if not m:
         raise _CliError(f"bad range {text!r}, expected A..B", 2)
-    try:
-        lo, hi = int(m.group(1)), int(m.group(2))
-    except ValueError as exc:
-        raise _CliError(f"bad range: a bound has more than {sys.get_int_max_str_digits()} digits", 2) from exc
+    lo, hi = (_int(g, "bad range: a bound", "") for g in m.groups())
     if lo > hi:
         raise _CliError(f"empty range {text!r}", 2)
     return range(lo, hi + 1)
@@ -352,10 +348,7 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (BridgeError, SurgeryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SurgeryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

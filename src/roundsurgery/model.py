@@ -8,11 +8,13 @@ equality: two knots are equal when their expressions are, and two diagrams
 when their parts are, with no attempt to decide isotopy.  The canonical
 text of :mod:`roundsurgery.textio` is the normal form of that equality.
 
-Every value is immutable after construction.  Containers deliberately accept
-ill-formed data (an unreduced coefficient, an asymmetric linking entry) so
-that :func:`validate_diagram` can report the problem instead of the
-constructor hiding it; operations in the other modules assume their inputs
-validate cleanly.
+Every value is immutable after construction.  Knots and linking matrices
+are well-formed by construction: a knot is an atom or a band sum, and a
+linking matrix never holds a diagonal entry or a pair given two values.  A
+coefficient is kept as given, reduced or not, and a diagram accepts any
+component ids, framings and linking ids, so that :func:`validate_diagram`
+can report a problem instead of a constructor hiding it; operations in the
+other modules assume their inputs validate cleanly.
 """
 
 from __future__ import annotations
@@ -44,21 +46,13 @@ class Atom:
 
 
 @dataclass(frozen=True)
-class Cable:
-    """The framing curve of ``of``: a parallel push-off with linking number
-    ``framing`` against its companion.  Appears only as the right-hand side
-    of a :class:`BandSum`."""
-
-    of: "KnotExpr"
-    framing: int
-
-
-@dataclass(frozen=True)
 class BandSum:
-    """Band connected sum of ``left`` with the framing curve ``right``."""
+    """Band connected sum of ``left`` with the framing curve of ``of``: a
+    parallel push-off of ``of`` with linking number ``framing`` against it."""
 
     left: "KnotExpr"
-    right: Cable
+    of: "KnotExpr"
+    framing: int
 
 
 KnotExpr = Union[Atom, BandSum]
@@ -72,14 +66,8 @@ def _knot_violations(expr: object, where: str) -> list[str]:
     if isinstance(expr, Atom):
         return []
     if isinstance(expr, BandSum):
-        out = []
-        if isinstance(expr.right, Cable):
-            out.extend(_knot_violations(expr.right.of, where))
-        else:
-            out.append(f"{where}: band sum right-hand side must be a cable")
-        out.extend(_knot_violations(expr.left, where))
-        return out
-    return [f"{where}: not a knot expression (cable outside a band sum?)"]
+        return _knot_violations(expr.of, where) + _knot_violations(expr.left, where)
+    return [f"{where}: not a knot expression"]
 
 
 # ---------------------------------------------------------------------------
@@ -150,51 +138,43 @@ class FramedComponent:
 
 
 class LinkingMatrix:
-    """Pairwise linking numbers keyed by unordered component pairs.
-
-    Entries are kept as given (possibly duplicated or asymmetric) so that
-    validation can point at conflicts; lookups, equality and iteration use
-    the canonical symmetric form with zero entries dropped.
+    """Pairwise linking numbers keyed by unordered component pairs, in
+    canonical form: symmetric, with zero entries dropped from lookups,
+    equality and iteration.  An entry may be given twice with the same
+    value; a diagonal entry, or one pair given two values, raises
+    SurgeryError.
     """
 
-    __slots__ = ("_raw", "_canon", "_conflicts", "_hash", "_token")
+    __slots__ = ("_given", "_hash", "_token")
 
     def __init__(self, entries: Iterable[tuple[ComponentId, ComponentId, int]] = ()):
-        raw = tuple((a, b, int(v)) for (a, b, v) in entries)
-        canon: dict[tuple[str, str], int] = {}
-        conflicts = set()
-        for a, b, v in raw:
+        given: dict[tuple[ComponentId, ComponentId], int] = {}
+        for a, b, v in entries:
+            if a == b:
+                raise SurgeryError(f"lk({a}, {a}): diagonal entries are not allowed (framings live on diagrams)")
             key = (a, b) if a <= b else (b, a)
-            if key in canon and canon[key] != v:
-                conflicts.add(key)
-            canon[key] = v
-        self._raw = raw
-        self._canon = {k: v for k, v in canon.items() if v != 0}
-        self._conflicts = tuple(sorted(conflicts))
-        self._token = tuple(sorted(self._canon.items())) if not conflicts else ("raw",) + raw
+            v = int(v)
+            if given.setdefault(key, v) != v:
+                raise SurgeryError(f"lk({key[0]}, {key[1]}): conflicting asymmetric entries")
+        self._given = given  # zero entries included, for ids()
+        self._token = tuple(sorted((key, v) for key, v in given.items() if v))
         self._hash = None  # computed on the first __hash__ call
 
     def get(self, a: ComponentId, b: ComponentId) -> int:
         key = (a, b) if a <= b else (b, a)
-        return self._canon.get(key, 0)
-
-    def conflicts(self) -> tuple[tuple[ComponentId, ComponentId], ...]:
-        return self._conflicts
+        return self._given.get(key, 0)
 
     def items(self) -> Iterator[tuple[tuple[ComponentId, ComponentId], int]]:
-        """Canonical nonzero entries, sorted by unordered key."""
-        # without conflicts, _token is exactly these entries, sorted
-        return iter(sorted(self._canon.items()) if self._conflicts else self._token)
+        """Nonzero entries, sorted by unordered key."""
+        return iter(self._token)
 
     def ids(self) -> frozenset[ComponentId]:
-        return frozenset(x for a, b, _ in self._raw for x in (a, b))
-
-    def diagonal_keys(self) -> list[ComponentId]:
-        return sorted({a for a, b, _ in self._raw if a == b})
+        """Every id an entry names, zero entries included."""
+        return frozenset(x for key in self._given for x in key)
 
     def with_entries(self, updates: Mapping[tuple[ComponentId, ComponentId], int]) -> "LinkingMatrix":
         """A new matrix with the given unordered entries replaced."""
-        merged = dict(self._canon)
+        merged = dict(self._token)
         for (a, b), v in updates.items():
             key = (a, b) if a <= b else (b, a)
             if v == 0:
@@ -206,7 +186,7 @@ class LinkingMatrix:
     def restricted(self, keep: Iterable[ComponentId]) -> "LinkingMatrix":
         keep = set(keep)
         return LinkingMatrix(
-            (a, b, v) for (a, b), v in self._canon.items() if a in keep and b in keep
+            (a, b, v) for (a, b), v in self._token if a in keep and b in keep
         )
 
     def token(self) -> tuple:
@@ -308,12 +288,6 @@ class RoundDiagram(_Diagram):
         for l in self.loose:
             yield l.component
 
-    def component(self, cid: ComponentId) -> FramedComponent:
-        for c in self.components():
-            if c.id == cid:
-                return c
-        raise UnknownComponentError(f"no component {cid!r}")
-
     def pair(self, index: int) -> JointPair:
         if not 0 <= index < len(self.pairs):
             raise SurgeryError(f"pair index {index} out of range (have {len(self.pairs)} pairs)")
@@ -376,14 +350,7 @@ def _rational_violations(r: Rational) -> list[str]:
 
 
 def _lk_violations(lk: LinkingMatrix, known: frozenset[ComponentId]) -> list[str]:
-    out = []
-    for a, b in lk.conflicts():
-        out.append(f"lk({a}, {b}): conflicting asymmetric entries")
-    for cid in lk.diagonal_keys():
-        out.append(f"lk({cid}, {cid}): diagonal entries are not allowed (framings live on diagrams)")
-    for cid in sorted(lk.ids() - known):
-        out.append(f"lk: unknown component {cid}")
-    return out
+    return [f"lk: unknown component {cid}" for cid in sorted(lk.ids() - known)]
 
 
 def validate_diagram(d: Diagram) -> list[str]:

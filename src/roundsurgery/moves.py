@@ -48,7 +48,6 @@ from typing import Callable, Container, Iterable, Iterator, Mapping, Optional, S
 from .bridge import _dehn_framings, _pair_from_framings
 from .model import (
     BandSum,
-    Cable,
     ComponentId,
     DehnDiagram,
     Diagram,
@@ -167,7 +166,7 @@ def _slide(
     ab = lk.get(a.id, b.id)
     updates = {(a.id, x): lk.get(a.id, x) + lk.get(b.id, x) for x in ids if x not in (a.id, b.id)}
     updates[(a.id, b.id)] = ab + nb
-    slid = FramedComponent(a.id, BandSum(a.knot, Cable(b.knot, nb)), a.fibred)
+    slid = FramedComponent(a.id, BandSum(a.knot, b.knot, nb), a.fibred)
     return slid, na + nb + 2 * ab, lk.with_entries(updates)
 
 
@@ -430,7 +429,8 @@ def _round_moves(
     values tried for pair i, and slot_ks[len(r.pairs)] those for the pair
     EqMove3Add appends, each ascending: on inner levels of the search the
     few values of _search_ks, so ShuffleB's (k, k2) product stays small.
-    When kinds is given, only moves of those kinds are yielded.
+    When kinds is given, only moves of those kinds are yielded.  Every
+    candidate is one apply_move accepts on r.
 
     Two kinds of candidate are never yielded, because the search would
     drop what they build: EqMove1 with k equal to the pair's n2, which
@@ -447,7 +447,7 @@ def _round_moves(
     def on_spine(variant: str, i: int, j: int) -> bool:
         slot, _, over_slot = _EQ_MOVE4_SLIDES[variant]
         slid, over = (r.pairs[i].c1, r.pairs[i].c2)[slot], (r.pairs[j].c1, r.pairs[j].c2)[over_slot]
-        knot = BandSum(slid.knot, Cable(over.knot, _dehn_framings(r.pairs[j])[over_slot]))
+        knot = BandSum(slid.knot, over.knot, _dehn_framings(r.pairs[j])[over_slot])
         return knot in spines.get(slid.id, ())
 
     if wanted(MoveKind.EQ_MOVE1):
@@ -574,8 +574,7 @@ def _can_yield(
         at = {i for i in range(len(state.pairs)) if state.pairs[:i] + state.pairs[i + 1 :] == goal.pairs}
         if not at:
             return frozenset(), lambda move: False
-    # a move that rebuilds a matrix with conflicting entries drops them
-    same_lk = state.lk == goal.lk or bool(state.lk.conflicts())
+    same_lk = state.lk == goal.lk
     differ = [i for i, (p, q) in enumerate(zip(state.pairs, goal.pairs)) if p != q] if delta >= 0 else []
     rewrites = {
         kind: spec.rewrites
@@ -628,10 +627,7 @@ def _breadth_first(start: RoundDiagram, goal: RoundDiagram, depth: int, ks: Sequ
                 slot_ks = goal_ks + [()] * (n + 1 - len(goal_ks))
                 moves = filter(test, _round_moves(state, slot_ks, spines, kinds)) if kinds else ()
             for move in moves:
-                try:
-                    new = apply_move(state, move)
-                except MoveError:
-                    continue
+                new = apply_move(state, move)
                 if new == goal:
                     return path + (move,)
                 if left:

@@ -57,7 +57,6 @@ from .bridge import KirbyDiagram, TwoHandle, validate_kirby
 from .model import (
     Atom,
     BandSum,
-    Cable,
     DehnDiagram,
     FramedComponent,
     JointPair,
@@ -81,8 +80,8 @@ HEADERS = ("ROUND", "DEHN", "KIRBY")
 
 #: The deepest nesting of band(...) a knot expression may have.  Comparing,
 #: hashing and printing a knot recurse once per level; under Python's
-#: default recursion limit, comparing two equal knots nested through
-#: cable(...) gives out first, near 166 levels (hashing near 249).  The
+#: default recursion limit, comparing two equal knots gives out first, near
+#: 332 levels whichever side the band sums nest on (hashing near 497).  The
 #: rest is headroom for the caller's stack and for EqMove4, which nests the
 #: slid knot one level deeper per slide.
 _MAX_KNOT_DEPTH = 100
@@ -185,7 +184,7 @@ def _knot_expr(text: str, at: int, depth: int = 0) -> tuple[KnotExpr, int]:
         except ValueError:
             raise _KnotSyntax(at, _too_long(m.group())) from None
         at = _expect(text, m.end(), "))")
-        return BandSum(left, Cable(of, framing)), at
+        return BandSum(left, of, framing), at
     m = _ID_RE.match(text, at)
     if not m:
         raise _KnotSyntax(at, "expected a knot name or band(...)")
@@ -616,7 +615,7 @@ def _build_kirby(stmts: list[_Stmt], diags: list[Diagnostic]) -> KirbyDiagram:
 def format_knot(expr: KnotExpr) -> str:
     if isinstance(expr, Atom):
         return expr.label
-    return f"band({format_knot(expr.left)},cable({format_knot(expr.right.of)},{expr.right.framing}))"
+    return f"band({format_knot(expr.left)},cable({format_knot(expr.of)},{expr.framing}))"
 
 
 def _comp_line(c: FramedComponent, framing: Optional[int] = None) -> str:

@@ -8,7 +8,6 @@ from roundsurgery import (
     Atom,
     BandSum,
     BridgeError,
-    Cable,
     DehnDiagram,
     JointPair,
     KirbyDiagram,
@@ -141,8 +140,23 @@ def test_round1_to_kirby_hopf_framing_two():
     (h,) = k.two_handles
     assert h.framing == 2
     assert h.runs_over == ((k.one_handles[0], 2),)
-    assert h.knot == BandSum(Atom("unknot"), Cable(Atom("unknot"), 0))
+    assert h.knot == BandSum(Atom("unknot"), Atom("unknot"), 0)
     assert validate_kirby(k) == []
+
+
+@pytest.mark.parametrize(
+    "one_handles, runs_over, two_handle_id, message",
+    [
+        (("h", "h"), (), "t", "handle h: duplicate id"),
+        (("h",), (), "h", "handle h: duplicate id"),
+        (("h",), (("q", 1),), "t", "2-handle t: runs over unknown 1-handle q"),
+        (("h",), (("h", 1), ("h", 2)), "t", "2-handle t: duplicate run-over entry for h"),
+    ],
+    ids=["duplicate-1-handle", "2-handle-named-like-a-1-handle", "unknown-1-handle", "run-over-twice"],
+)
+def test_validate_kirby_reports_each_violation(one_handles, runs_over, two_handle_id, message):
+    k = KirbyDiagram(one_handles, (TwoHandle(two_handle_id, UNKNOT, 0, runs_over),))
+    assert validate_kirby(k) == [message]
 
 
 def test_round1_to_kirby_unlinked_zero():

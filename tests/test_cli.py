@@ -340,6 +340,28 @@ def test_a_malformed_integer_option_exits_2_naming_it(tmp_path):
         assert err == f"error: argument {name} must be an integer, got {argv[argv.index(name) + 1]!r}\n", argv
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["search", "FILE", "FILE", "--depth", "1", "--k-range", "1-2"], "bad range '1-2', expected A..B"),
+        (["foliations", "FILE", "--pair", "0", "--range", "5..1"], "empty range '5..1'"),
+        (["move", "FILE", "--kind", "EqMove1", "--args", "pair0"], "bad move argument 'pair0', expected key=value"),
+    ],
+    ids=["k-range-syntax", "empty-range", "args-without-value"],
+)
+def test_a_malformed_option_exits_2_naming_it(tmp_path, argv, message):
+    path = write(tmp_path, "h.rsd", HOPF_PAIR)
+    code, out, err = run([arg.replace("FILE", path) for arg in argv])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_a_missing_file_exits_2(tmp_path):
+    path = str(tmp_path / "missing.rsd")
+    code, out, err = run(["validate", path])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and path in err
+
+
 def test_results_beyond_the_digit_limit_exit_2_without_a_traceback(tmp_path):
     limit = sys.get_int_max_str_digits()
     nines = "9" * limit

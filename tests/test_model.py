@@ -1,16 +1,18 @@
 import random
 
-from helpers import comp, joint, one_pair_diagram, random_joint_diagram
+import pytest
+
+from helpers import comp, joint, random_joint_diagram
 from roundsurgery import (
     Atom,
     BandSum,
-    Cable,
     DehnDiagram,
     JointPair,
     LinkingMatrix,
     LooseKnot,
     Rational,
     RoundDiagram,
+    SurgeryError,
     validate_diagram,
 )
 
@@ -28,12 +30,9 @@ def test_validate_well_formed_two_pair_diagram():
 
 
 def test_validate_reports_asymmetric_lk_entry():
-    r = one_pair_diagram(0, 0, 1)
-    bad = RoundDiagram(r.pairs, (), LinkingMatrix([("a", "b", 1), ("b", "a", 2)]))
-    violations = validate_diagram(bad)
-    assert len(violations) == 1
-    assert "a" in violations[0] and "b" in violations[0]
-    assert "asymmetric" in violations[0]
+    with pytest.raises(SurgeryError) as exc:
+        LinkingMatrix([("a", "b", 1), ("b", "a", 2)])
+    assert str(exc.value) == "lk(a, b): conflicting asymmetric entries"
 
 
 def test_validate_reports_unreduced_coefficient():
@@ -54,12 +53,13 @@ def test_validate_duplicate_ids_and_unknown_lk_ids():
     r = RoundDiagram(
         [joint(comp("a"), 0, comp("a"), 0, 1)],
         (),
-        LinkingMatrix([("a", "zz", 4), ("q", "q", 1)]),
+        LinkingMatrix([("a", "zz", 4)]),
     )
     messages = "\n".join(validate_diagram(r))
     assert "duplicate id" in messages
     assert "unknown component" in messages
-    assert "diagonal" in messages
+    with pytest.raises(SurgeryError, match=r"lk\(q, q\): diagonal entries are not allowed"):
+        LinkingMatrix([("q", "q", 1)])
 
 
 def test_validate_dehn_framing_domain():
@@ -82,15 +82,16 @@ def test_linking_matrix_symmetry_and_equality():
     m2 = LinkingMatrix([("b", "a", 3)])
     assert m1 == m2 and hash(m1) == hash(m2)
     assert m1.get("b", "a") == 3
-    assert m1.conflicts() == ()
-    assert LinkingMatrix([("a", "b", 1), ("b", "a", 2)]).conflicts() == (("a", "b"),)
+    assert LinkingMatrix([("a", "b", 3), ("b", "a", 3)]) == m1
+    with pytest.raises(SurgeryError, match="asymmetric"):
+        LinkingMatrix([("a", "b", 1), ("b", "a", 2)])
 
 
 def test_knot_expressions_are_structural():
-    k1 = BandSum(Atom("trefoil"), Cable(Atom("unknot"), 3))
-    k2 = BandSum(Atom("trefoil"), Cable(Atom("unknot"), 3))
+    k1 = BandSum(Atom("trefoil"), Atom("unknot"), 3)
+    k2 = BandSum(Atom("trefoil"), Atom("unknot"), 3)
     assert k1 == k2
-    assert k1 != BandSum(Atom("trefoil"), Cable(Atom("unknot"), 4))
+    assert k1 != BandSum(Atom("trefoil"), Atom("unknot"), 4)
 
 
 def test_diagram_equality_is_structural_and_order_sensitive_for_pairs():
@@ -132,7 +133,6 @@ def test_linking_matrix_stays_symmetric_after_restriction_and_updates():
 def test_malformed_knot_is_reported_not_thrown():
     from roundsurgery import FramedComponent
 
-    bad = FramedComponent("a", BandSum(Atom("trefoil"), Atom("unknot")))
+    bad = FramedComponent("a", BandSum(Atom("trefoil"), "unknot", 0))
     r = RoundDiagram([JointPair(bad, 0, comp("b"), 0, Rational(1))])
-    violations = validate_diagram(r)
-    assert any("cable" in v for v in violations)
+    assert validate_diagram(r) == ["component a: not a knot expression"]

@@ -12,7 +12,6 @@ from test_acceptance import SLIDE_TARGETS
 from roundsurgery import (
     Atom,
     BandSum,
-    Cable,
     DehnDiagram,
     FramedComponent,
     JointPair,
@@ -37,7 +36,7 @@ from roundsurgery import (
     shuffle_b,
 )
 from roundsurgery.cli import _parse_move
-from roundsurgery.moves import MOVES, _band_sum_bound, _spines
+from roundsurgery.moves import MOVES, _band_sum_bound, _round_moves, _spines
 
 DEHN = DehnDiagram([comp("a"), comp("b", "trefoil")], {"a": 1, "b": 3})
 # two random joint pairs plus a deletable third pair
@@ -134,7 +133,7 @@ def _registry_diagrams(draw, bridgeable=False):
     a loose knot, and an unlinked pair that EqMove3Del deletes, at any
     index.  When bridgeable, every pair is joint with integral m and there
     is no loose knot, so that joint_pair_to_dehn accepts the diagram."""
-    knot = st.sampled_from((UNKNOT, Atom("trefoil"), BandSum(Atom("trefoil"), Cable(UNKNOT, 2))))
+    knot = st.sampled_from((UNKNOT, Atom("trefoil"), BandSum(Atom("trefoil"), UNKNOT, 2)))
     small = st.integers(-2, 2)
     m = small.map(Rational) if bridgeable else st.one_of(small.map(Rational), st.sampled_from((None, Rational(1, 2))))
     pairs = [
@@ -177,6 +176,27 @@ def test_round_moves_change_only_what_their_spec_declares(r):
         else:
             assert len(out.pairs) == len(r.pairs) + spec.pair_delta, move
             assert all(out.pairs[i] == p for i, p in kept), move
+
+
+class _EveryKnot:
+    """A spine holding every knot, so that _round_moves yields every slide."""
+
+    def __contains__(self, knot):
+        return True
+
+
+@settings(max_examples=50, deadline=None)
+@given(_registry_diagrams(), st.sampled_from((None, Rational(1, 0), Rational(3, 2), Rational(-1))), st.data())
+def test_apply_move_accepts_every_candidate_round_move(r, m, data):
+    """The search applies every move _round_moves yields without a guard.
+    Besides the registry diagrams' pairs, a pair with m None, 1/0, p/q or
+    an integer is inserted at any index, and every slide is on the spine."""
+    pairs = list(r.pairs)
+    pairs.insert(data.draw(st.integers(0, len(pairs))), JointPair(comp("v1", "trefoil"), 1, comp("v2"), 0, m))
+    r = RoundDiagram(pairs, r.loose, r.lk)
+    spines = {cid: _EveryKnot() for cid in r.ids}
+    for move in _round_moves(r, [(-1, 0, 2)] * (len(pairs) + 1), spines):
+        apply_move(r, move)
 
 
 def _slide(d, r, move):

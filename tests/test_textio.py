@@ -11,7 +11,6 @@ from helpers import comp, joint, random_dehn, random_joint_diagram, random_loose
 from roundsurgery import (
     Atom,
     BandSum,
-    Cable,
     KirbyDiagram,
     LinkingMatrix,
     LooseKnot,
@@ -113,7 +112,7 @@ def test_parse_kirby_document():
     assert doc.kind == "KIRBY"
     assert k.one_handles == ("h",)
     (handle,) = k.two_handles
-    assert handle.knot == BandSum(Atom("unknot"), Cable(Atom("trefoil"), 3))
+    assert handle.knot == BandSum(Atom("unknot"), Atom("trefoil"), 3)
     assert handle.runs_over == (("h", 2),)
 
 
@@ -179,7 +178,7 @@ def test_print_parse_identity_kirby():
         ("h1", "h2"),
         (
             TwoHandle("s", Atom("unknot"), -4, (("h1", 1), ("h2", -2))),
-            TwoHandle("t", BandSum(Atom("fig8"), Cable(Atom("unknot"), 1)), 3),
+            TwoHandle("t", BandSum(Atom("fig8"), Atom("unknot"), 1), 3),
         ),
         LinkingMatrix([("s", "t", 2)]),
     )

@@ -10,7 +10,6 @@ from roundsurgery import (
     UNKNOT,
     Atom,
     BandSum,
-    Cable,
     DehnDiagram,
     FramedComponent,
     JointPair,
@@ -26,7 +25,7 @@ from roundsurgery import (
 
 knots = st.recursive(
     st.sampled_from(("unknot", "trefoil", "fig8")).map(Atom),
-    lambda inner: st.builds(lambda left, of, f: BandSum(left, Cable(of, f)), inner, inner, st.integers(-3, 3)),
+    lambda inner: st.builds(BandSum, inner, inner, st.integers(-3, 3)),
     max_leaves=4,
 )
 slopes = st.one_of(
@@ -80,7 +79,7 @@ def _other_slope(m):
 
 
 def _component_variants(c):
-    return [replace(c, knot=BandSum(c.knot, Cable(UNKNOT, 1))), replace(c, fibred=not c.fibred)]
+    return [replace(c, knot=BandSum(c.knot, UNKNOT, 1)), replace(c, fibred=not c.fibred)]
 
 
 def _lk_variants(lk, ids):
@@ -127,7 +126,7 @@ def _kirby_variants(k):
     for i, h in enumerate(k.two_handles):
         hs = [
             replace(h, framing=h.framing + 1),
-            replace(h, knot=BandSum(h.knot, Cable(UNKNOT, 1))),
+            replace(h, knot=BandSum(h.knot, UNKNOT, 1)),
             *(replace(h, runs_over=((hid, c + 1),)) for hid, c in h.runs_over[:1]),
         ]
         out += [KirbyDiagram(k.one_handles, _swapped(k.two_handles, i, v), k.lk) for v in hs]
