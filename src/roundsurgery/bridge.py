@@ -52,7 +52,8 @@ class BridgeError(SurgeryError):
 class TwoHandle:
     """A 2-handle: attaching knot, framing, and how many strands of the
     attaching circle run over each 1-handle (orientation-agreeing count).
-    Run-over entries are kept sorted with zero counts dropped."""
+    Canonical when built: run-over entries are kept sorted with zero counts
+    dropped, and a 1-handle named twice raises SurgeryError."""
 
     id: ComponentId
     knot: KnotExpr
@@ -60,8 +61,11 @@ class TwoHandle:
     runs_over: tuple[tuple[HandleId, int], ...] = ()
 
     def __post_init__(self):
-        canon = tuple(sorted((h, int(c)) for h, c in self.runs_over if c != 0))
-        object.__setattr__(self, "runs_over", canon)
+        given = sorted((h, int(c)) for h, c in self.runs_over)
+        for (h, _), (next_h, _) in zip(given, given[1:]):
+            if h == next_h:
+                raise SurgeryError(f"2-handle {self.id}: duplicate run-over entry for {h}")
+        object.__setattr__(self, "runs_over", tuple((h, c) for h, c in given if c != 0))
 
 
 class KirbyDiagram(_Diagram):
@@ -86,7 +90,7 @@ class KirbyDiagram(_Diagram):
 
 
 def validate_kirby(k: KirbyDiagram) -> list[str]:
-    """Structural checks for a Kirby diagram, mirroring validate_diagram."""
+    """The id and type checks of validate_diagram, for a Kirby diagram."""
     out: list[str] = []
     seen: set[str] = set()
     for hid in k.one_handles:
@@ -98,13 +102,9 @@ def validate_kirby(k: KirbyDiagram) -> list[str]:
             out.append(f"handle {h.id}: duplicate id")
         seen.add(h.id)
         out.extend(_knot_violations(h.knot, f"2-handle {h.id}"))
-        over_seen = set()
         for hid, _count in h.runs_over:
             if hid not in k.one_handles:
                 out.append(f"2-handle {h.id}: runs over unknown 1-handle {hid}")
-            if hid in over_seen:
-                out.append(f"2-handle {h.id}: duplicate run-over entry for {hid}")
-            over_seen.add(hid)
     out.extend(_lk_violations(k.lk, frozenset(h.id for h in k.two_handles)))
     return out
 

@@ -8,19 +8,21 @@ equality: two knots are equal when their expressions are, and two diagrams
 when their parts are, with no attempt to decide isotopy.  The canonical
 text of :mod:`roundsurgery.textio` is the normal form of that equality.
 
-Every value is immutable after construction.  Knots and linking matrices
-are well-formed by construction: a knot is an atom or a band sum, and a
-linking matrix never holds a diagonal entry or a pair given two values.  A
-coefficient is kept as given, reduced or not, and a diagram accepts any
-component ids, framings and linking ids, so that :func:`validate_diagram`
-can report a problem instead of a constructor hiding it; operations in the
-other modules assume their inputs validate cleanly.
+Every value is immutable after construction, and canonical when built: a
+knot is an atom or a band sum, a coefficient is a slope in lowest terms, and
+a linking matrix holds only its nonzero entries, with no diagonal entry or
+pair given two values; building anything else raises SurgeryError.  A
+diagram accepts any component ids, framings and linking ids, so that
+:func:`validate_diagram`, which checks ids and types only, can report a
+problem instead of a constructor hiding it; operations in the other modules
+assume their inputs validate cleanly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
 ComponentId = str
@@ -76,30 +78,23 @@ def _knot_violations(expr: object, where: str) -> list[str]:
 
 @dataclass(frozen=True)
 class Rational:
-    """A surgery slope p/q with q >= 0; q == 0 encodes the infinity slope 1/0.
-
-    Stored exactly as given.  Reducedness (gcd(|p|, q) == 1, and p == 1 when
-    q == 0) is a diagram invariant checked by :func:`validate_diagram`.
-    """
+    """A surgery slope p/q in lowest terms, with q >= 0; 1/0 is the only
+    infinite slope.  Any other p, q raises SurgeryError, so that equal
+    slopes are equal values."""
 
     p: int
     q: int = 1
 
-    @classmethod
-    def reduced(cls, p: int, q: int = 1) -> "Rational":
-        """Construct the reduced form of p/q (q may be negative here)."""
-        if q == 0:
-            if p == 0:
-                raise SurgeryError("0/0 is not a slope")
-            return cls(1, 0)
+    def __post_init__(self):
+        if self.q == 1:  # every slope the search builds
+            return
+        p, q = self.p, self.q
         if q < 0:
-            p, q = -p, -q
-        g = math.gcd(p, q)
-        return cls(p // g, q // g)
-
-    @classmethod
-    def infinity(cls) -> "Rational":
-        return cls(1, 0)
+            raise SurgeryError(f"denominator of {p}/{q} is negative")
+        if q == 0 and p != 1:
+            raise SurgeryError(f"infinity slope must be written 1/0, got {p}/0")
+        if q and math.gcd(p, q) != 1:
+            raise SurgeryError(f"coefficient {p}/{q} is not reduced")
 
     @property
     def is_infinite(self) -> bool:
@@ -108,14 +103,6 @@ class Rational:
     @property
     def is_integer(self) -> bool:
         return self.q == 1
-
-    @property
-    def is_reduced(self) -> bool:
-        if self.q < 0:
-            return False
-        if self.q == 0:
-            return self.p == 1
-        return math.gcd(abs(self.p), self.q) == 1
 
     def __str__(self) -> str:
         if self.q == 1:
@@ -139,13 +126,12 @@ class FramedComponent:
 
 class LinkingMatrix:
     """Pairwise linking numbers keyed by unordered component pairs, in
-    canonical form: symmetric, with zero entries dropped from lookups,
-    equality and iteration.  An entry may be given twice with the same
-    value; a diagonal entry, or one pair given two values, raises
-    SurgeryError.
+    canonical form: one store of the nonzero entries, symmetric and sorted
+    by unordered key.  An entry may be given twice with the same value; a
+    diagonal entry, or one pair given two values, raises SurgeryError.
     """
 
-    __slots__ = ("_given", "_hash", "_token")
+    __slots__ = ("_entries", "_token", "_hash")
 
     def __init__(self, entries: Iterable[tuple[ComponentId, ComponentId, int]] = ()):
         given: dict[tuple[ComponentId, ComponentId], int] = {}
@@ -156,25 +142,26 @@ class LinkingMatrix:
             v = int(v)
             if given.setdefault(key, v) != v:
                 raise SurgeryError(f"lk({key[0]}, {key[1]}): conflicting asymmetric entries")
-        self._given = given  # zero entries included, for ids()
-        self._token = tuple(sorted((key, v) for key, v in given.items() if v))
-        self._hash = None  # computed on the first __hash__ call
+        self._entries = {key: given[key] for key in sorted(given) if given[key]}
+        # views of _entries, made on first use: most matrices built are
+        # shared by many diagrams, whose keys read the token
+        self._token = self._hash = None
 
     def get(self, a: ComponentId, b: ComponentId) -> int:
         key = (a, b) if a <= b else (b, a)
-        return self._given.get(key, 0)
+        return self._entries.get(key, 0)
 
     def items(self) -> Iterator[tuple[tuple[ComponentId, ComponentId], int]]:
         """Nonzero entries, sorted by unordered key."""
-        return iter(self._token)
+        return iter(self._entries.items())
 
     def ids(self) -> frozenset[ComponentId]:
-        """Every id an entry names, zero entries included."""
-        return frozenset(x for key in self._given for x in key)
+        """Every id a nonzero entry names."""
+        return frozenset(x for key in self._entries for x in key)
 
     def with_entries(self, updates: Mapping[tuple[ComponentId, ComponentId], int]) -> "LinkingMatrix":
         """A new matrix with the given unordered entries replaced."""
-        merged = dict(self._token)
+        merged = dict(self._entries)
         for (a, b), v in updates.items():
             key = (a, b) if a <= b else (b, a)
             if v == 0:
@@ -186,20 +173,22 @@ class LinkingMatrix:
     def restricted(self, keep: Iterable[ComponentId]) -> "LinkingMatrix":
         keep = set(keep)
         return LinkingMatrix(
-            (a, b, v) for (a, b), v in self._token if a in keep and b in keep
+            (a, b, v) for (a, b), v in self._entries.items() if a in keep and b in keep
         )
 
     def token(self) -> tuple:
+        if self._token is None:
+            self._token = tuple(self._entries.items())
         return self._token
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinkingMatrix):
             return NotImplemented
-        return self._token == other._token
+        return self._entries == other._entries
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self._token)
+            self._hash = hash(self.token())
         return self._hash
 
     def __repr__(self) -> str:
@@ -315,7 +304,7 @@ class DehnDiagram(_Diagram):
         lk: Optional[LinkingMatrix] = None,
     ):
         self.components = tuple(sorted(components, key=lambda c: c.id))
-        self.framing = dict(framing)
+        self.framing = MappingProxyType(dict(framing))
         self.lk = lk if lk is not None else LinkingMatrix()
         self.ids = frozenset(c.id for c in self.components)
         self._set_key((self.components, tuple(sorted(self.framing.items())), self.lk.token()))
@@ -338,15 +327,7 @@ Diagram = Union[RoundDiagram, DehnDiagram]
 
 
 def _rational_violations(r: Rational) -> list[str]:
-    if not isinstance(r, Rational):
-        return ["coefficient is not a rational slope"]
-    if r.q < 0:
-        return [f"denominator of {r.p}/{r.q} is negative"]
-    if not r.is_reduced:
-        if r.q == 0:
-            return [f"infinity slope must be written 1/0, got {r.p}/0"]
-        return [f"coefficient {r} is not reduced"]
-    return []
+    return [] if isinstance(r, Rational) else ["coefficient is not a rational slope"]
 
 
 def _lk_violations(lk: LinkingMatrix, known: frozenset[ComponentId]) -> list[str]:
@@ -354,7 +335,8 @@ def _lk_violations(lk: LinkingMatrix, known: frozenset[ComponentId]) -> list[str
 
 
 def validate_diagram(d: Diagram) -> list[str]:
-    """Check every structural invariant; return one message per violation.
+    """Check the ids and types of a diagram's parts, whose values are
+    canonical when built; return one message per violation.
 
     An empty list means the diagram is well-formed.  Violations are
     reported, never raised, so the caller can surface all of them at once.

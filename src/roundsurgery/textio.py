@@ -65,7 +65,7 @@ from .model import (
     LooseKnot,
     Rational,
     RoundDiagram,
-    _rational_violations,
+    SurgeryError,
     validate_diagram,
 )
 
@@ -141,9 +141,11 @@ def _parse_rational(token: str, line: int, col: int, diags: list[Diagnostic]) ->
         p, q = _parse_int(num, line, col, diags), _parse_int(den, line, col, diags)
         if p is None or q is None:
             return None
-        r = Rational(p, q)
-        diags.extend(Diagnostic(line, col, msg) for msg in _rational_violations(r))
-        return r
+        try:
+            return Rational(p, q)
+        except SurgeryError as exc:  # the constructor states the slope rule
+            diags.append(Diagnostic(line, col, str(exc)))
+            return None
     value = _parse_int(token, line, col, diags)
     return None if value is None else Rational(value)
 

@@ -17,6 +17,7 @@ from roundsurgery import (
     ParseError,
     Rational,
     RoundDiagram,
+    SurgeryError,
     TwoHandle,
     parse,
     print_diagram,
@@ -499,6 +500,34 @@ def test_a_1_handle_named_twice_in_one_over_list_is_a_diagnostic_at_its_token(ov
     named = over.split(":")[0]
     col = len("HANDLE2 t framing=0 over=") + over.rindex(named + ":") + 1  # the second piece naming it
     assert (d.line, d.col, d.message) == (5, col, f"run-over count of {named} already given")
+
+
+def test_a_slope_builds_exactly_when_its_text_parses():
+    """Rational(p, q) raises exactly when m=p/q is a diagnostic, with the
+    same message, at the value's first character; a slope that builds
+    prints and parses back equal."""
+    col = len("LOOSE z m=") + 1
+    for p in range(-12, 13):
+        for q in range(-3, 13):
+            try:
+                slope, message = Rational(p, q), None
+            except SurgeryError as exc:
+                slope, message = None, str(exc)
+            if q < 0:  # no text: the grammar's denominator has no sign
+                assert message == f"denominator of {p}/{q} is negative"
+                continue
+            text = f"ROUND\nCOMP z knot=unknot\nLOOSE z m={p}/{q}\n"
+            try:
+                doc, got = parse(text), None
+            except ParseError as exc:
+                (d,) = exc.diagnostics
+                doc, got = None, (d.line, d.col, d.message)
+            if slope is None:
+                assert got == (3, col, message)
+                continue
+            assert got is None and doc.diagram.loose[0].m == slope
+            r = RoundDiagram((), [LooseKnot(comp("z"), slope)])
+            assert parse(print_diagram(r)).diagram == r
 
 
 _R2 = "ROUND\nCOMP a knot=unknot\nCOMP b knot=unknot\n"

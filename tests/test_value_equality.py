@@ -2,8 +2,10 @@
 form: two diagrams are equal exactly when they print the same."""
 
 import itertools
+import math
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, strategies as st
 
 from roundsurgery import (
@@ -21,6 +23,7 @@ from roundsurgery import (
     TwoHandle,
     parse,
     print_diagram,
+    validate_diagram,
 )
 
 knots = st.recursive(
@@ -30,8 +33,8 @@ knots = st.recursive(
 )
 slopes = st.one_of(
     st.integers(-4, 4).map(Rational),
-    st.tuples(st.integers(-9, 9), st.integers(2, 9)).map(lambda t: Rational.reduced(*t)),
-    st.just(Rational.infinity()),
+    st.tuples(st.integers(-9, 9), st.integers(2, 9)).filter(lambda t: math.gcd(*t) == 1).map(lambda t: Rational(*t)),
+    st.just(Rational(1, 0)),
 )
 small = st.integers(-5, 5)
 
@@ -158,6 +161,35 @@ def test_dehn_equality_is_equality_of_canonical_text(d):
 @given(kirby_diagrams())
 def test_kirby_equality_is_equality_of_canonical_text(k):
     _check_value_equality(k, _kirby_variants(k))
+
+
+@st.composite
+def round_diagrams_given_zero_links(draw):
+    """Two equal round diagrams whose linking matrices were given different
+    zero entries; any entry may name an id the diagram does not have."""
+    r = draw(round_diagrams())
+    names = sorted(r.ids | {"x", "y"})
+    two_ids = st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True)
+    given = draw(st.lists(st.tuples(two_ids, st.integers(-1, 1)), unique_by=lambda e: frozenset(e[0]), max_size=6))
+    linked = {frozenset(ab) for ab, v in given if v}
+    zeros = [ab for ab in draw(st.lists(two_ids, max_size=4)) if frozenset(ab) not in linked]
+    lk1 = LinkingMatrix((a, b, v) for (a, b), v in given)
+    lk2 = LinkingMatrix([*((a, b, v) for (a, b), v in given if v), *((a, b, 0) for a, b in zeros)])
+    return RoundDiagram(r.pairs, r.loose, lk1), RoundDiagram(r.pairs, r.loose, lk2)
+
+
+@given(round_diagrams_given_zero_links())
+def test_equal_round_diagrams_validate_alike(diagrams):
+    r1, r2 = diagrams
+    assert r1 == r2 and print_diagram(r1) == print_diagram(r2)
+    assert validate_diagram(r1) == validate_diagram(r2)
+
+
+def test_a_dehn_diagrams_framings_cannot_be_assigned():
+    d = DehnDiagram([FramedComponent("a", UNKNOT)], {"a": 0})
+    with pytest.raises(TypeError):
+        d.framing["a"] = 5
+    assert d == DehnDiagram([FramedComponent("a", UNKNOT)], {"a": 0}) and d.framing == {"a": 0}
 
 
 def test_diagrams_of_different_types_are_never_equal():
