@@ -255,10 +255,16 @@ def eq_move3_add(r: RoundDiagram, k: int, delta: int, sign: int) -> RoundDiagram
         raise MoveError(
             f"(delta, sign) = ({delta}, {sign}) does not yield +-1 Dehn framings"
         )
-    u1 = fresh_id("u", r.ids)
-    u2 = fresh_id("u", set(r.ids) | {u1})
+    u1, u2 = _fresh_pair_ids(r)
     pair = _pair_from_framings(FramedComponent(u1, UNKNOT), FramedComponent(u2, UNKNOT), (delta + sign, sign), k)
     return RoundDiagram((*r.pairs, pair), r.loose, r.lk)
+
+
+def _fresh_pair_ids(r: RoundDiagram) -> tuple[ComponentId, ComponentId]:
+    """The ids of the two unknots eq_move3_add appends to r: the two least
+    ``u<n>`` that r does not use."""
+    u1 = fresh_id("u", r.ids)
+    return u1, fresh_id("u", r.ids | {u1})
 
 
 def _check_move3_del(r: RoundDiagram, index: int) -> JointPair:
@@ -338,18 +344,19 @@ class MoveSpec:
     fn is the move function and acts_on the diagram type it acts on;
     fields are the MoveDescriptor fields passed to fn in call order (those
     in ``optional`` may be None).  pair_delta is the change in the number
-    of round pairs (Dehn diagrams have none).  rewrites names the
-    descriptor fields that hold the indices of the pairs a round move
+    of round pairs, -1, 0 or 1 (Dehn diagrams have none).  rewrites names
+    the descriptor fields that hold the indices of the pairs a round move
     rewrites or deletes: every other pair keeps its value, and its index
     unless a pair before it is deleted.  rewrites_lk says whether the
     result's linking matrix can differ from the input's.  band_sums is the
     number of band sums the move adds to the knots: the slid component's
     knot K becomes band(K, cable(...)), and no move removes one.  No move
-    changes the loose knots.  The search's last level relies on pair_delta,
-    rewrites, rewrites_lk and band_sums, and its inner levels on band_sums
-    (see bounded_equivalence_search).  Both only skip moves and states from
-    which the goal cannot be reached within the depth, so the first hit in
-    sort_key order is the one the unpruned search finds."""
+    changes the loose knots.  Every level of the search relies on
+    pair_delta and band_sums, and its last level also on rewrites and
+    rewrites_lk (see _can_yield and bounded_equivalence_search).  The search
+    only skips moves and states from which the goal cannot be reached within
+    the depth, so the first hit in sort_key order is the one the unpruned
+    search finds."""
 
     fn: Callable[..., Diagram]
     acts_on: type
@@ -384,8 +391,10 @@ MOVES: dict[MoveKind, MoveSpec] = {
     ),
 }
 
+#: The registry entries of the round moves.
+_ROUND_SPECS = {kind: spec for kind, spec in MOVES.items() if spec.acts_on is RoundDiagram}
 #: The most band sums one round move adds.
-_MOST_BAND_SUMS = max(spec.band_sums for spec in MOVES.values() if spec.acts_on is RoundDiagram)
+_MOST_BAND_SUMS = max(spec.band_sums for spec in _ROUND_SPECS.values())
 
 
 def apply_move(d: Diagram, move: MoveDescriptor) -> Diagram:
@@ -520,56 +529,75 @@ def _spines(goal: RoundDiagram) -> dict[ComponentId, dict[KnotExpr, int]]:
     return spines
 
 
-def _band_sum_bound(spines: dict[ComponentId, dict[KnotExpr, int]]) -> Callable[[RoundDiagram], Optional[int]]:
-    """Given a goal's spines (see _spines), a function giving, for a state,
-    the number of band sums goal's knots have that the state's still lack,
-    or None when no move sequence carries the state to goal.
+def _band_sum_bound(spines: dict[ComponentId, dict[KnotExpr, int]], state: RoundDiagram) -> Optional[int]:
+    """The number of band sums that the knots of the goal with these spines
+    (see _spines) have and state's still lack, or None when no move
+    sequence carries state to the goal.
 
     Knots only grow along their left spine (see the module docstring), so
-    the state's knot of an id goal has must lie on the left spine of goal's
-    knot, and every band sum above it there is one the state lacks.  An id
-    the state lacks can only be added, as an unknot; an id goal lacks can
-    only be deleted, and only unknots are.
+    the state's knot of an id the goal has must lie on the left spine of
+    the goal's knot, and every band sum above it there is one the state
+    lacks.  An id the state lacks can only be added, as an unknot; an id
+    the goal lacks can only be deleted, and only unknots are.
     """
-    goal_ids = frozenset(spines)
-    deletable = {UNKNOT: 0}
-
-    def bound(state: RoundDiagram) -> Optional[int]:
-        total = 0
-        for c in state.components():
-            lacks = spines.get(c.id, deletable).get(c.knot)
-            if lacks is None:
-                return None
-            total += lacks
-        for cid in goal_ids - state.ids:
-            lacks = spines[cid].get(UNKNOT)
-            if lacks is None:
-                return None
-            total += lacks
-        return total
-
-    return bound
+    total = 0
+    for c in state.components():
+        lacks = spines.get(c.id, {UNKNOT: 0}).get(c.knot)
+        if lacks is None:
+            return None
+        total += lacks
+    for cid in spines.keys() - state.ids:
+        lacks = spines[cid].get(UNKNOT)
+        if lacks is None:
+            return None
+        total += lacks
+    return total
 
 
 def _can_yield(
-    state: RoundDiagram, goal: RoundDiagram, need: int
+    state: RoundDiagram, goal: RoundDiagram, need: int, left: int
 ) -> tuple[frozenset[MoveKind], Callable[[MoveDescriptor], bool]]:
-    """The round move kinds whose result can equal goal, read off MOVES, and
-    a test that every such move passes; need is the number of band sums the
-    state lacks (see _band_sum_bound).
+    """The round move kinds whose moves on state can still lead to goal
+    within left more moves, read off MOVES, and a test that every such move
+    passes; need is the number of band sums the state lacks (see
+    _band_sum_bound).
 
-    A move cannot yield goal when it leaves unchanged something in which
-    state differs from goal: the pair count, the loose knots, the linking
-    matrix unless its kind rewrites it, or a pair at an index it does not
-    rewrite.  A kind that deletes a pair rewrites no other, so it can yield
-    goal only at an index i where state.pairs without pair i are goal's
-    pairs; if there is none, no kind is named.  Nor can a move yield goal
-    when it adds other than need band sums: fewer leave a knot short of
-    goal's, and more put one off goal's spine.
+    No move changes the loose knots, so if state's differ from goal's no
+    kind is named.  A round move changes the pair count by its pair_delta,
+    -1, 0 or 1, and adds its band_sums, so a kind is named only if after it
+    the pair count is at most left from goal's and the band sums still
+    lacking are at least none and at most what left moves can add.  With
+    at most one move left, EqMove3Add is named only if goal has both ids it
+    appends (_fresh_pair_ids).  Else the id goal lacks stays unless the
+    last move deletes it, and only EqMove3Del deletes an id, here the
+    appended pair's, which gives back the state: it has been compared with
+    goal and is not goal.  This assumes that the linking matrix names only
+    the diagram's own ids, as the model's contract does, so that the
+    deletion's restricted matrix is the state's.
+
+    With no move left, a move yields goal only if it rewrites everything in
+    which state differs from goal: the linking matrix unless its kind
+    rewrites it, and every pair at an index the move does not rewrite.  A
+    kind that deletes a pair rewrites no other, so it can yield goal only at
+    an index i where state.pairs without pair i are goal's pairs; if there
+    is none, no kind is named.  ShuffleA and ShuffleB carry components over
+    unchanged, so one yields goal only if the components it writes into
+    each pair it rewrites are goal's there: ShuffleA swaps pair i's two,
+    and ShuffleB gives pair i the second component of pair j and pair j
+    that of pair i.
     """
     if state.loose != goal.loose:
         return frozenset(), lambda move: False
     delta = len(goal.pairs) - len(state.pairs)
+    kinds = {
+        kind
+        for kind, spec in _ROUND_SPECS.items()
+        if abs(delta - spec.pair_delta) <= left and 0 <= need - spec.band_sums <= left * _MOST_BAND_SUMS
+    }
+    if left <= 1 and MoveKind.EQ_MOVE3_ADD in kinds and not goal.ids.issuperset(_fresh_pair_ids(state)):
+        kinds.remove(MoveKind.EQ_MOVE3_ADD)
+    if left:
+        return frozenset(kinds), lambda move: True
     if delta < 0:
         at = {i for i in range(len(state.pairs)) if state.pairs[:i] + state.pairs[i + 1 :] == goal.pairs}
         if not at:
@@ -577,38 +605,50 @@ def _can_yield(
     same_lk = state.lk == goal.lk
     differ = [i for i, (p, q) in enumerate(zip(state.pairs, goal.pairs)) if p != q] if delta >= 0 else []
     rewrites = {
-        kind: spec.rewrites
-        for kind, spec in MOVES.items()
-        if spec.acts_on is RoundDiagram
-        and spec.pair_delta == delta
-        and spec.band_sums == need
-        and (same_lk or spec.rewrites_lk)
-        and len(spec.rewrites) >= len(differ)
+        kind: MOVES[kind].rewrites
+        for kind in kinds
+        if (same_lk or MOVES[kind].rewrites_lk) and len(MOVES[kind].rewrites) >= len(differ)
     }
+
+    def writes_goal_components(move: MoveDescriptor) -> bool:
+        if move.kind is MoveKind.SHUFFLE_A:
+            p, q = state.pairs[move.pair], goal.pairs[move.pair]
+            return (q.c1, q.c2) == (p.c2, p.c1)
+        if move.kind is MoveKind.SHUFFLE_B:
+            p, pj = state.pairs[move.pair], state.pairs[move.pair2]
+            q, qj = goal.pairs[move.pair], goal.pairs[move.pair2]
+            return (q.c1, q.c2, qj.c1, qj.c2) == (p.c1, pj.c2, pj.c1, p.c2)
+        return True
 
     def test(move: MoveDescriptor) -> bool:
         rewritten = [getattr(move, name) for name in rewrites[move.kind]]
-        return rewritten[0] in at if delta < 0 else all(i in rewritten for i in differ)
+        if delta < 0:
+            return rewritten[0] in at
+        return all(i in rewritten for i in differ) and writes_goal_components(move)
 
     return frozenset(rewrites), test
 
 
 def _breadth_first(start: RoundDiagram, goal: RoundDiagram, depth: int, ks: Sequence[int]) -> Optional[MoveSequence]:
     """The first sequence of at most depth moves, level by level and in
-    _round_moves order, that carries start to goal; None if there is none.
-    Inner levels write every k of ks (ascending; the exact search passes
-    _search_ks) into every pair slot.  A state reached before is not
-    expanded again, nor is one that lacks more band sums of goal than the
-    moves left can add, or cannot reach goal at all (_band_sum_bound); an
-    empty level ends the search.  The last level stores nothing, tries only
-    the kinds _can_yield names and the moves its test passes, and writes
-    into each pair slot only goal's n2 there, if ks holds it.  _round_moves
-    yields no identity regauge and no slide off goal's spines, whose states
-    would be dropped."""
+    _round_moves order, that carries start to goal, which start is not;
+    None if there is none.  Inner levels write every k of ks (ascending;
+    the exact search passes _search_ks) into every pair slot, and the last
+    level only goal's n2 there, if ks holds it.
+
+    Every level tries only the kinds _can_yield names for the moves left
+    and the moves its test passes, and _round_moves yields no identity
+    regauge and no slide off goal's spines.  So no state is built that
+    cannot reach goal within the moves left: none whose loose knots, pair
+    count, band sums or fresh ids they cannot carry to goal's, and on the
+    last level none that differs from goal where its move does not write.
+    A move keeps what the state has of goal's knots and adds its kind's
+    band_sums (see _band_sum_bound), so a new state lacks its parent's
+    count less that.  A state reached before is not expanded again, the
+    last level stores nothing, and an empty level ends the search."""
     spines = _spines(goal)
-    bound = _band_sum_bound(spines)
+    need = _band_sum_bound(spines, start)
     goal_ks = [(p.n2,) if p.n2 in ks else () for p in goal.pairs]
-    need = bound(start)
     frontier: list[tuple[RoundDiagram, MoveSequence, int]] = []
     if need is not None and need <= depth * _MOST_BAND_SUMS:
         frontier.append((start, (), need))
@@ -619,22 +659,18 @@ def _breadth_first(start: RoundDiagram, goal: RoundDiagram, depth: int, ks: Sequ
         left = depth - 1 - level  # moves after this level's
         next_frontier: list[tuple[RoundDiagram, MoveSequence, int]] = []
         for state, path, need in frontier:
+            kinds, test = _can_yield(state, goal, need, left)
+            if not kinds:
+                continue
             n = len(state.pairs)
-            if left:
-                moves = _round_moves(state, [ks] * (n + 1), spines)
-            else:
-                kinds, test = _can_yield(state, goal, need)
-                slot_ks = goal_ks + [()] * (n + 1 - len(goal_ks))
-                moves = filter(test, _round_moves(state, slot_ks, spines, kinds)) if kinds else ()
-            for move in moves:
+            slot_ks = [ks] * (n + 1) if left else goal_ks + [()] * (n + 1 - len(goal_ks))
+            for move in filter(test, _round_moves(state, slot_ks, spines, kinds)):
                 new = apply_move(state, move)
                 if new == goal:
                     return path + (move,)
-                if left:
-                    lacks = bound(new)
-                    if lacks is not None and lacks <= left * _MOST_BAND_SUMS and new not in seen:
-                        seen.add(new)
-                        next_frontier.append((new, path + (move,), lacks))
+                if left and new not in seen:
+                    seen.add(new)
+                    next_frontier.append((new, path + (move,), need - MOVES[move.kind].band_sums))
         frontier = next_frontier
     return None
 
@@ -697,31 +733,41 @@ def bounded_equivalence_search(
     writes only these values on inner levels, and the search finds it; any
     larger set of values would too.
 
-    The last level tries only the moves whose result can be r2.  A move
-    cannot yield r2 when it leaves unchanged something in which the state
-    differs from r2: the pair count, the loose knots (no move touches
-    them), the linking matrix when its kind does not rewrite it, or a pair
-    at an index it does not rewrite; MOVES declares what each kind
-    rewrites.  A deletion rewrites only the pair it deletes, so it can
-    yield r2 only at an index whose removal leaves r2's pairs.  Nor can a
-    move yield r2 when it writes into a pair an n2 other than r2's.  The
-    survivors keep their sort_key order and every move skipped could not
-    have matched, so the first hit is the one the unpruned level would
-    find, and the result is still the lexicographically least.
+    Every level tries only the moves after which the moves left can still
+    carry the state to r2 (_can_yield); the others are dropped before their
+    state is built.  No move touches the loose knots, and a move changes
+    the pair count by its kind's pair_delta, -1, 0 or 1 (MOVES), so a move
+    after which the pair count is further from r2's than the moves left is
+    dropped.  With at most one move left, an EqMove3Add whose two fresh ids
+    are not both r2's is dropped: only deleting the appended pair removes
+    them, and that gives back the state, which has been compared with r2.
+    On the last level a move is dropped when it leaves unchanged something
+    in which the state differs from r2: the linking matrix when its kind
+    does not rewrite it, or a pair at an index it does not rewrite; MOVES
+    declares what each kind rewrites.  A deletion rewrites only the pair it
+    deletes, so it can yield r2 only at an index whose removal leaves r2's
+    pairs.  ShuffleA and ShuffleB carry components over unchanged, so one
+    whose components in a pair it rewrites differ from r2's there is
+    dropped, and so is any move that writes into a pair an n2 other than
+    r2's.
 
     Knots only grow along their left spines, one band sum per slide (see
     the module docstring), so every level also counts the band sums of
-    r2's knots that a state lacks.  A state whose knots cannot grow into
-    r2's, or that lacks more band sums than the moves left can add
-    (MoveSpec.band_sums), is not expanded, and the last level applies only
-    the kinds that add exactly the band sums the state lacks.  A slide
-    changes one knot, so its arguments alone decide the first test: a
-    slide whose new knot is off r2's spine for its id is never applied.
-    When the new knot is on the spine, the state lacks one band sum fewer
-    than the state it came from, and the second test holds too.  A pruned
-    state lies on no path that reaches r2 within the depth, and the states
-    kept keep their order, so the first hit, and the result, are the same
-    as without the prune.  A level with no state left ends the search.
+    r2's knots that a state lacks.  The start is not expanded if its knots
+    cannot grow into r2's, and a move is dropped when its state would lack
+    more band sums than the moves left can add (MoveSpec.band_sums), so
+    the last level applies only the kinds that add exactly the band sums
+    the state lacks.  A slide changes one knot, so its arguments alone
+    decide whether its new knot is on r2's spine for its id; one that is
+    not is never applied.  Every other move keeps the knots r2's can grow
+    from, so each state's count is its parent's less the band sums its
+    move adds.
+
+    Every dropped move's state lies on no path that reaches r2 within the
+    depth, and the moves kept keep their sort_key order, so the first hit
+    is the one the search without the drops finds, and the result is still
+    the lexicographically least.  A level with no state left ends the
+    search.
 
     A state reached before is not expanded again.  States are compared
     exactly: moves address pairs by index, so a state whose pairs are a
@@ -742,9 +788,9 @@ def bounded_equivalence_search(
     lexicographically-least contract, are the same as without the class
     pass.  At depth 1 the exact search's one pruned level is already as
     cheap, so the class pass is skipped there.  The class pass still pays
-    with the prunes above: without it the benchmark's search workload ran
-    at 1,958 queries/s instead of 3,534 (three alternating 30 s pairs,
-    seed 41), because its out-of-reach queries end there.
+    with the drops above: without it the benchmark's search workload ran
+    at 3,272 queries/s instead of 6,825 (four alternating 30 s
+    pairs, seed 41), because its out-of-reach queries end there.
     """
     if depth < 0:
         raise MoveError(f"depth must be non-negative, got {depth}")

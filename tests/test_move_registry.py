@@ -260,5 +260,5 @@ def test_band_sum_bound_counts_the_slides_of_any_legal_sequence(r, data):
         kind = data.draw(st.sampled_from(sorted(legal, key=lambda kind: kind.value)))
         move, out = data.draw(st.sampled_from(legal[kind]))
         added += MOVES[move.kind].band_sums
-    assert _band_sum_bound(_spines(out))(r) == added
-    assert _band_sum_bound(_spines(r))(r) == 0
+    assert _band_sum_bound(_spines(out), r) == added
+    assert _band_sum_bound(_spines(r), r) == 0

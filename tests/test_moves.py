@@ -542,22 +542,22 @@ def test_band_sum_bound_counts_the_band_sums_on_the_goal_spines():
         pairs = [JointPair(FramedComponent("a", a_knot), 0, comp("b"), 0, Rational(2)), *extra]
         return RoundDiagram(pairs, [LooseKnot(comp("z", "fig8"), Rational(1))])
 
-    assert _band_sum_bound(_spines(goal(trefoil)))(start) == 0  # u1 and u2 are unknots, so deletable
-    assert _band_sum_bound(_spines(goal(_band(_band(trefoil), trefoil, 3))))(start) == 2
+    assert _band_sum_bound(_spines(goal(trefoil)), start) == 0  # u1 and u2 are unknots, so deletable
+    assert _band_sum_bound(_spines(goal(_band(_band(trefoil), trefoil, 3))), start) == 2
     # a fresh id enters as an unknot and may then be slid
     u3 = FramedComponent("u3", _band(UNKNOT))
-    assert _band_sum_bound(_spines(goal(trefoil, [JointPair(u3, 0, comp("u4"), 0, Rational(1))])))(start) == 1
+    assert _band_sum_bound(_spines(goal(trefoil, [JointPair(u3, 0, comp("u4"), 0, Rational(1))])), start) == 1
     # trefoil lies on the cable side of a's goal knot, not on its left spine
-    assert _band_sum_bound(_spines(goal(_band(UNKNOT, trefoil))))(start) is None
+    assert _band_sum_bound(_spines(goal(_band(UNKNOT, trefoil))), start) is None
     # a band sum is never removed
     banded = eq_move4(start, "11over12", 0, None, 0)
-    assert _band_sum_bound(_spines(goal(trefoil)))(banded) is None
+    assert _band_sum_bound(_spines(goal(trefoil)), banded) is None
     # an id the goal lacks must be deleted, and only unknots are
     slid = eq_move4(start, "11over21", 1, 0, 0)
-    assert _band_sum_bound(_spines(goal(trefoil)))(slid) is None
+    assert _band_sum_bound(_spines(goal(trefoil)), slid) is None
     # an id the start lacks enters as an unknot only
     u3 = comp("u3", "trefoil")
-    assert _band_sum_bound(_spines(goal(trefoil, [JointPair(u3, 0, comp("u4"), 0, Rational(1))])))(start) is None
+    assert _band_sum_bound(_spines(goal(trefoil, [JointPair(u3, 0, comp("u4"), 0, Rational(1))])), start) is None
 
 
 def test_search_stops_at_once_when_the_goal_is_out_of_reach():
@@ -850,21 +850,67 @@ def test_search_equals_the_reference_on_slide_planted_goals(query):
     assert bounded_equivalence_search(r1, r2, depth, ks) == _reference_search(r1, r2, depth, ks)
 
 
-def test_search_builds_no_state_it_would_drop(monkeypatch):
-    """Every move that reaches apply_move could lead to the goal: no slide
-    leaves a knot off the goal's spine, no EqMove1 writes the n2 its pair
-    already has, and no EqMove3Del on a pass's last level leaves other
-    pairs than the goal's.  The goal is the start after a slide, regauged
-    to k = 9 outside the k range: the class pass finds its class, and the
-    exact search exhausts depth 3, adding and deleting the unknot pair on
-    the way."""
-    start = RoundDiagram(
-        [joint(comp("a", "trefoil"), 2, comp("b"), 1, 3), joint(comp("u1"), 0, comp("u2"), 0, 1)],
-        (),
-        LinkingMatrix([("a", "b", 1)]),
-    )
-    goal = eq_move1(eq_move4(start, "11over12", 0, None, 0), 0, 9)
-    passes = []  # (start, goal, depth, [(state, move) for each apply_move call])
+@st.composite
+def _add_queries(draw):
+    """(r1, r2, depth, ks) on one to three joint pairs whose goal is planted
+    with an EqMove3Add as its last or second-to-last move, the others any
+    legal moves.  r1 sometimes holds u1, so the ids EqMove3Add appends
+    shift to u2 and u3.  Some goals are then regauged to k = 9, outside
+    ks, or have one pair's coefficient m changed.  Depth 3 on one pair
+    only, and few k values, to keep the reference fast."""
+    npairs = draw(st.integers(1, 3))
+    depth = draw(st.integers(1, 3 if npairs == 1 else 2))
+    lo = draw(st.integers(-2, 1))
+    ks = tuple(range(lo, lo + draw(st.integers(1, 2 if depth * npairs >= 3 else 3))))
+    small = st.integers(-2, 2)
+    ids = [f"a{i}" for i in range(2 * npairs)]
+    if draw(st.booleans()):
+        ids[draw(st.integers(0, len(ids) - 1))] = "u1"
+    knot = st.sampled_from(("unknot", "trefoil"))
+    pairs = [
+        joint(comp(ids[2 * i], draw(knot)), draw(small), comp(ids[2 * i + 1]), draw(small), draw(small))
+        for i in range(npairs)
+    ]
+    lk = LinkingMatrix((x, y, draw(st.integers(-1, 1))) for x, y in itertools.combinations(ids, 2))
+    r1 = r2 = RoundDiagram(pairs, (), lk)
+    planted = draw(st.integers(1, depth))
+    add_at = planted - draw(st.integers(1, min(planted, 2)))
+    for t in range(planted):
+        legal = []
+        for move in reference_box(len(r2.pairs), ks):
+            if (move.kind is MoveKind.EQ_MOVE3_ADD) == (t == add_at):
+                try:
+                    legal.append(apply_move(r2, move))
+                except MoveError:
+                    pass
+        if legal:
+            r2 = draw(st.sampled_from(legal))
+    change = draw(st.sampled_from(("none", "none", "regauged", "other m")))
+    if change == "none" or not r2.pairs:  # a plant of three moves may delete every pair
+        return r1, r2, depth, ks
+    i = draw(st.integers(0, len(r2.pairs) - 1))
+    if change == "regauged":
+        return r1, eq_move1(r2, i, 9), depth, ks
+    p = r2.pairs[i]
+    changed = JointPair(p.c1, p.n1, p.c2, p.n2, Rational(p.m.p + 1))
+    return r1, RoundDiagram((*r2.pairs[:i], changed, *r2.pairs[i + 1 :]), (), r2.lk), depth, ks
+
+
+@settings(max_examples=60, deadline=None)
+@given(_add_queries())
+def test_search_equals_the_reference_on_add_planted_goals(query):
+    """With one move left the search applies no EqMove3Add whose fresh ids
+    the goal lacks, and it drops moves after which the pair count is
+    further from the goal's than the moves left; on goals planted with an
+    EqMove3Add late, its result is still the reference's."""
+    r1, r2, depth, ks = query
+    assert bounded_equivalence_search(r1, r2, depth, ks) == _reference_search(r1, r2, depth, ks)
+
+
+def _traced_passes(monkeypatch):
+    """A list that each _breadth_first pass appends (start, goal, depth,
+    [(state, move, result) for each apply_move call]) to."""
+    passes = []
     breadth_first, apply = moves._breadth_first, moves.apply_move
 
     def traced_breadth_first(s, g, depth, ks):
@@ -872,27 +918,93 @@ def test_search_builds_no_state_it_would_drop(monkeypatch):
         return breadth_first(s, g, depth, ks)
 
     def traced_apply(d, move):
-        passes[-1][3].append((d, move))
-        return apply(d, move)
+        new = apply(d, move)
+        passes[-1][3].append((d, move, new))
+        return new
 
     monkeypatch.setattr(moves, "_breadth_first", traced_breadth_first)
     monkeypatch.setattr(moves, "apply_move", traced_apply)
-    assert bounded_equivalence_search(start, goal, 3, range(-1, 2)) is None
-    assert len(passes) == 2  # the class pass, then the exact search
-    kinds = set()
+    return passes
+
+
+def test_search_builds_no_state_it_would_drop(monkeypatch):
+    """Every move that reaches apply_move could lead to the goal within the
+    moves left after it: no slide leaves a knot off the goal's spine, no
+    EqMove1 writes the n2 its pair already has, no state's pair count is
+    further from the goal's than the moves left, no state lacks more band
+    sums than they can add, and each lacks its parent's less its move's;
+    with at most one move left, no EqMove3Add appends an id the goal lacks;
+    and on a pass's last level no EqMove3Del leaves other pairs than the
+    goal's, and no ShuffleA or ShuffleB writes other components than the
+    goal's.  Two goals are the start after one or two slides, regauged to
+    k = 9 outside the k range: the class pass finds their class, and the
+    exact search exhausts depth 3, adding and deleting the unknot pair on
+    the way.  Two keep a's knot but change its Dehn framing, which no move
+    but a slide changes, so the class pass exhausts depth 3: the start
+    after a ShuffleB, whose last level tries shuffles, and from a start
+    with a second unknot pair, the start without its unknot pairs."""
+    start = RoundDiagram(
+        [joint(comp("a", "trefoil"), 2, comp("b"), 1, 3), joint(comp("u1"), 0, comp("u2"), 0, 1)],
+        (),
+        LinkingMatrix([("a", "b", 1)]),
+    )
+    three = RoundDiagram([*start.pairs, joint(comp("u3"), 0, comp("u4"), 0, -1)], (), start.lk)
+    slid = eq_move4(start, "11over12", 0, None, 0)
+    shuffled = shuffle_b(start, 0, 1, 0, 0)
+
+    def reframed(r):  # r with pair 0's first Dehn framing one larger
+        p = r.pairs[0]
+        return RoundDiagram([JointPair(p.c1, p.n1 + 1, p.c2, p.n2, p.m), *r.pairs[1:]], (), r.lk)
+
+    queries = [
+        (start, eq_move1(slid, 0, 9)),
+        (start, eq_move1(eq_move4(slid, "11over12", 0, None, 0), 0, 9)),
+        (start, reframed(shuffled)),
+        (three, reframed(RoundDiagram(start.pairs[:1], (), start.lk))),
+    ]
+    passes = _traced_passes(monkeypatch)
+    for s, goal in queries:
+        assert bounded_equivalence_search(s, goal, 3, range(-1, 2)) is None
+    assert len(passes) == 6  # the class pass of each, and the exact search of the first two
+    kinds, last_shuffles = set(), 0
     for s, g, depth, calls in passes:
-        bound, level = _band_sum_bound(_spines(g)), {s: 0}
-        for d, move in calls:
+        spines, level = _spines(g), {s: 0}
+        for d, move, new in calls:
             kinds.add(move.kind)
-            new = apply(d, move)
             level.setdefault(new, level[d] + 1)  # breadth first: the first level a state is reached on
-            if move.kind is MoveKind.EQ_MOVE4:
-                assert bound(new) is not None, move
+            left = depth - 1 - level[d]  # moves after this one
+            assert abs(len(new.pairs) - len(g.pairs)) <= left, move
+            lacks = _band_sum_bound(spines, new)
+            assert lacks == _band_sum_bound(spines, d) - moves.MOVES[move.kind].band_sums <= left, move
             if move.kind is MoveKind.EQ_MOVE1:
                 assert move.k != d.pairs[move.pair].n2, move
-            if move.kind is MoveKind.EQ_MOVE3_DEL and level[d] == depth - 1:
+            if move.kind is MoveKind.EQ_MOVE3_ADD and left <= 1:
+                assert new.ids <= g.ids, move
+            if move.kind is MoveKind.EQ_MOVE3_DEL and left == 0:
                 assert new.pairs == g.pairs, move
+            if move.kind in (MoveKind.SHUFFLE_A, MoveKind.SHUFFLE_B) and left == 0:
+                last_shuffles += 1
+                for i in {move.pair, move.pair2} - {None}:
+                    assert (new.pairs[i].c1, new.pairs[i].c2) == (g.pairs[i].c1, g.pairs[i].c2), move
     assert {MoveKind.EQ_MOVE1, MoveKind.EQ_MOVE3_ADD, MoveKind.EQ_MOVE3_DEL, MoveKind.EQ_MOVE4} <= kinds
+    assert last_shuffles > 0
+
+
+@pytest.mark.parametrize("goal", ["other m", "regauged"])
+def test_search_adds_no_pair_where_no_move_is_left_to_delete_it(monkeypatch, goal):
+    """The query class that sets the search workload's median: one pair,
+    depth 2, a goal out of reach.  The class pass rules out a goal with m
+    changed; a goal regauged to k = 9, outside the range, is in the start's
+    class, so only the exact search runs, and rules it out.  Neither pass
+    applies an EqMove3Add: after it one move is left, and the goal lacks
+    the ids it appends."""
+    r = one_pair_diagram(3, 1, 2, lk=1)
+    r2 = one_pair_diagram(3, 1, 3, lk=1) if goal == "other m" else eq_move1(r, 0, 9)
+    passes = _traced_passes(monkeypatch)
+    assert bounded_equivalence_search(r, r2, 2, range(-2, 3)) is None
+    assert len(passes) == 1
+    applied = [move.kind for _, _, _, calls in passes for _, move, _ in calls]
+    assert applied and MoveKind.EQ_MOVE3_ADD not in applied
 
 
 def test_search_equals_the_reference_on_wide_k_ranges():
