@@ -83,7 +83,7 @@ class KirbyDiagram(_Diagram):
         self.one_handles = tuple(sorted(one_handles))
         self.two_handles = tuple(sorted(two_handles, key=lambda h: h.id))
         self.lk = lk if lk is not None else LinkingMatrix()
-        self._set_key((self.one_handles, self.two_handles, self.lk.token()))
+        self._set_key((self.one_handles, self.two_handles, self.lk))
 
     def __repr__(self) -> str:
         return f"KirbyDiagram(one_handles={len(self.one_handles)}, two_handles={len(self.two_handles)})"

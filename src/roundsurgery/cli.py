@@ -26,7 +26,7 @@ from .bridge import (
     kirby_to_round1,
     round1_to_kirby,
 )
-from .model import DehnDiagram, RoundDiagram, SurgeryError, _Diagram
+from .model import DehnDiagram, LinkingMatrix, RoundDiagram, SurgeryError, _Diagram
 from .moves import MOVES, MoveDescriptor, apply_move, bounded_equivalence_search
 from .textio import Diagnostic, ParseError, parse, print_diagram, validate_any
 
@@ -77,7 +77,7 @@ def _load(path: str, want: type | None = None):
 
 def _longest_int(value: object) -> int:
     """The integer of largest magnitude in a result, found through tuples,
-    lists, dataclass fields and diagram keys."""
+    lists, dataclass fields, diagram keys and linking matrix entries."""
     longest, stack = 0, [value]
     while stack:
         v = stack.pop()
@@ -87,6 +87,8 @@ def _longest_int(value: object) -> int:
             stack.extend(v)
         elif isinstance(v, _Diagram):
             stack.append(v.key())
+        elif isinstance(v, LinkingMatrix):
+            stack.extend(v.items())
         elif is_dataclass(v):
             stack.extend(getattr(v, f.name) for f in fields(v))
     return longest

@@ -120,35 +120,34 @@ def _select_pivot(d: IntegerMatrix, t: int, rows: int, cols: int):
 def _eliminate(m: IntegerMatrix, transforms: bool):
     """Reduce a copy d of m to Smith normal form.  Returns (d, u, v) with
     u @ m @ v == d, or (d, None, None) without tracking the transforms; the
-    same operations run either way, so d does not depend on it.
+    same operations run on d either way, so d does not depend on it.
 
-    Each pivot's column is cleared first, by row operations; then, as column
-    t is zero below the pivot, a column operation changes only row t of d,
-    so the row is cleared by floor remainders in place, and a nonzero one
-    becomes the next, smaller pivot.  d is the unique Smith form; u and v
-    satisfy the contract but are not fixed values."""
+    One matrix a holds u to the right of d and v below it, so that a row
+    operation on d acts on u and a column operation on v; without the
+    transforms a is d.  Each pivot's column is cleared first, by row
+    operations; then, as column t is zero below the pivot, a column
+    operation changes only row t of d, so the row is cleared by floor
+    remainders in place, and a nonzero one becomes the next, smaller
+    pivot.  d is the unique Smith form; u and v satisfy the contract but
+    are not fixed values."""
     rows, cols = _check_rectangular(m)
-    d = [row[:] for row in m]
-    u, v = (identity_matrix(rows), identity_matrix(cols)) if transforms else (None, None)
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        if transforms:
-            u[i], u[j] = u[j], u[i]
+    a = [row[:] for row in m]
+    if transforms:
+        a = [row + unit for row, unit in zip(a, identity_matrix(rows))] + identity_matrix(cols)
+    v = a[rows:]
 
     def swap_cols(i, j):
-        for w in (d, v) if transforms else (d,):
-            for row in w:
-                row[i], row[j] = row[j], row[i]
+        for row in a:
+            row[i], row[j] = row[j], row[i]
 
     t = 0
     while True:
-        found = _select_pivot(d, t, rows, cols)
+        found = _select_pivot(a, t, rows, cols)
         if found is None:
             break
         pi, pj = found
         if pi != t:
-            swap_rows(t, pi)
+            a[t], a[pi] = a[pi], a[t]
         if pj != t:
             swap_cols(t, pj)
         while True:
@@ -156,30 +155,28 @@ def _eliminate(m: IntegerMatrix, transforms: bool):
             # and u, then promote the smallest nonzero residue (first row on
             # ties) until none is left.  Rows of d are zero left of column t.
             while True:
-                p, prow = d[t][t], d[t][t:]
+                p, prow = a[t][t], a[t][t:]
                 for i in range(t + 1, rows):
-                    q = d[i][t] // p
+                    q = a[i][t] // p
                     if q:
-                        d[i][t:] = [x - q * y for x, y in zip(d[i][t:], prow)]
-                        if transforms:
-                            u[i] = [x - q * y for x, y in zip(u[i], u[t])]
-                k = min(((abs(d[i][t]), i) for i in range(t + 1, rows) if d[i][t]), default=None)
+                        a[i][t:] = [x - q * y for x, y in zip(a[i][t:], prow)]
+                k = min(((abs(a[i][t]), i) for i in range(t + 1, rows) if a[i][t]), default=None)
                 if k is None:
                     break
-                swap_rows(t, k[1])
+                a[t], a[k[1]] = a[k[1]], a[t]
             # Clear the pivot row: col_j -= (d[t][j] // p) * col_t for j > t.
             # Column t of d is zero below the pivot, so on d that is the floor
             # remainder of each entry of row t; v takes the whole operation.
-            row = d[t]
-            if transforms:
+            row = a[t]
+            if v:
                 qs = [(j, row[j] // p) for j in range(t + 1, cols) if row[j]]
                 for vrow in v:
                     x = vrow[t]
                     if x:
                         for j, q in qs:
                             vrow[j] -= q * x
-            row[t + 1:] = [x % p for x in row[t + 1:]]
-            k = min(((abs(x), j) for j, x in enumerate(row[t + 1:], t + 1) if x), default=None)
+            row[t + 1:cols] = [x % p for x in row[t + 1:cols]]
+            k = min(((abs(x), j) for j, x in enumerate(row[t + 1:cols], t + 1) if x), default=None)
             if k is not None:
                 swap_cols(t, k[1])  # a strictly smaller pivot; clear again
                 continue
@@ -188,22 +185,20 @@ def _eliminate(m: IntegerMatrix, transforms: bool):
             # the divisibility chain of the final diagonal.  A unit divides
             # everything.
             bad_row = None if abs(p) == 1 else next(
-                (i for i in range(t + 1, rows) if any(d[i][j] % p for j in range(t + 1, cols))), None
+                (i for i in range(t + 1, rows) if any(a[i][j] % p for j in range(t + 1, cols))), None
             )
             if bad_row is None:
                 break
-            # Pull the offending row into row t.
-            d[t][t:] = [x + y for x, y in zip(d[t][t:], d[bad_row][t:])]
-            if transforms:
-                u[t] = [x + y for x, y in zip(u[t], u[bad_row])]
+            # Pull the offending row into row t, on d and u.
+            a[t][t:] = [x + y for x, y in zip(a[t][t:], a[bad_row][t:])]
         t += 1
 
     for i in range(t):
-        if d[i][i] < 0:
-            d[i] = [-x for x in d[i]]
-            if transforms:
-                u[i] = [-x for x in u[i]]
-    return d, u, v
+        if a[i][i] < 0:
+            a[i] = [-x for x in a[i]]
+    if not transforms:
+        return a, None, None
+    return [row[:cols] for row in a[:rows]], [row[cols:] for row in a[:rows]], v
 
 
 def smith_normal_form(m: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix, IntegerMatrix]:

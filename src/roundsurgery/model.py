@@ -131,7 +131,7 @@ class LinkingMatrix:
     diagonal entry, or one pair given two values, raises SurgeryError.
     """
 
-    __slots__ = ("_entries", "_token", "_hash")
+    __slots__ = ("_entries", "_hash")
 
     def __init__(self, entries: Iterable[tuple[ComponentId, ComponentId, int]] = ()):
         given: dict[tuple[ComponentId, ComponentId], int] = {}
@@ -143,9 +143,9 @@ class LinkingMatrix:
             if given.setdefault(key, v) != v:
                 raise SurgeryError(f"lk({key[0]}, {key[1]}): conflicting asymmetric entries")
         self._entries = {key: given[key] for key in sorted(given) if given[key]}
-        # views of _entries, made on first use: most matrices built are
-        # shared by many diagrams, whose keys read the token
-        self._token = self._hash = None
+        # made on first use and kept: most matrices built are shared by many
+        # diagrams, whose keys hold the matrix
+        self._hash = None
 
     def get(self, a: ComponentId, b: ComponentId) -> int:
         key = (a, b) if a <= b else (b, a)
@@ -176,11 +176,6 @@ class LinkingMatrix:
             (a, b, v) for (a, b), v in self._entries.items() if a in keep and b in keep
         )
 
-    def token(self) -> tuple:
-        if self._token is None:
-            self._token = tuple(self._entries.items())
-        return self._token
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinkingMatrix):
             return NotImplemented
@@ -188,7 +183,7 @@ class LinkingMatrix:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self.token())
+            self._hash = hash(tuple(self._entries.items()))
         return self._hash
 
     def __repr__(self) -> str:
@@ -268,7 +263,7 @@ class RoundDiagram(_Diagram):
         self.loose = tuple(sorted(loose, key=lambda l: l.component.id))
         self.lk = lk if lk is not None else LinkingMatrix()
         self.ids = frozenset(c.id for c in self.components())
-        self._set_key((self.pairs, self.loose, self.lk.token()))
+        self._set_key((self.pairs, self.loose, self.lk))
 
     def components(self) -> Iterator[FramedComponent]:
         for p in self.pairs:
@@ -307,7 +302,7 @@ class DehnDiagram(_Diagram):
         self.framing = MappingProxyType(dict(framing))
         self.lk = lk if lk is not None else LinkingMatrix()
         self.ids = frozenset(c.id for c in self.components)
-        self._set_key((self.components, tuple(sorted(self.framing.items())), self.lk.token()))
+        self._set_key((self.components, tuple(sorted(self.framing.items())), self.lk))
 
     def component(self, cid: ComponentId) -> FramedComponent:
         for c in self.components:

@@ -34,8 +34,8 @@ move removes a band sum, move 3 adds and deletes only unknots, and the
 other moves carry components over unchanged.  So along any sequence of
 round moves, following BandSum.left from a later knot of a component id
 leads to each earlier one, one band sum per slide: the knot grows along
-its left spine.  The search prunes every state whose knots cannot grow
-into the goal's within the moves it has left.
+its left spine.  The search reads this in its drops (see
+bounded_equivalence_search).
 """
 
 from __future__ import annotations
@@ -351,12 +351,8 @@ class MoveSpec:
     result's linking matrix can differ from the input's.  band_sums is the
     number of band sums the move adds to the knots: the slid component's
     knot K becomes band(K, cable(...)), and no move removes one.  No move
-    changes the loose knots.  Every level of the search relies on
-    pair_delta and band_sums, and its last level also on rewrites and
-    rewrites_lk (see _can_yield and bounded_equivalence_search).  The search
-    only skips moves and states from which the goal cannot be reached within
-    the depth, so the first hit in sort_key order is the one the unpruned
-    search finds."""
+    changes the loose knots.  The search's drops read these fields (see
+    bounded_equivalence_search)."""
 
     fn: Callable[..., Diagram]
     acts_on: type
@@ -427,31 +423,21 @@ def _round_moves(
     r: RoundDiagram,
     slot_ks: Sequence[Sequence[int]],
     spines: Mapping[ComponentId, Container[KnotExpr]],
-    kinds: Optional[frozenset[MoveKind]] = None,
+    kinds: Container[MoveKind],
 ) -> Iterator[MoveDescriptor]:
-    """Candidate round moves on r, in ascending sort_key order so that
-    breadth-first search returns the lexicographically least sequence among
-    the shortest ones.
+    """Candidate round moves of the given kinds on r, in ascending sort_key
+    order, on which the search's lexicographically-least contract rests.
 
     Every round move writes its free k into n2 of the pair it rewrites
     (ShuffleB writes k into pair2 and k2 into pair); slot_ks[i] holds the k
     values tried for pair i, and slot_ks[len(r.pairs)] those for the pair
-    EqMove3Add appends, each ascending: on inner levels of the search the
-    few values of _search_ks, so ShuffleB's (k, k2) product stays small.
-    When kinds is given, only moves of those kinds are yielded.  Every
-    candidate is one apply_move accepts on r.
-
-    Two kinds of candidate are never yielded, because the search would
-    drop what they build: EqMove1 with k equal to the pair's n2, which
-    yields r itself, and an EqMove4 whose slid component's new knot is not
-    in spines under its id (the goal's spines, see _spines), so that the
-    state it builds cannot grow into the goal.
+    EqMove3Add appends, each ascending.  Every candidate is one apply_move
+    accepts on r.  No EqMove1 that gives r back is yielded, and no EqMove4
+    whose slid component's new knot is not in spines under its id (drops
+    2 and 3 of bounded_equivalence_search).
     """
     n = len(r.pairs)
-    joint = [_is_joint(p) for p in r.pairs]
-
-    def wanted(kind: MoveKind) -> bool:
-        return kinds is None or kind in kinds
+    joint = [i for i, p in enumerate(r.pairs) if _is_joint(p)]
 
     def on_spine(variant: str, i: int, j: int) -> bool:
         slot, _, over_slot = _EQ_MOVE4_SLIDES[variant]
@@ -459,50 +445,38 @@ def _round_moves(
         knot = BandSum(slid.knot, over.knot, _dehn_framings(r.pairs[j])[over_slot])
         return knot in spines.get(slid.id, ())
 
-    if wanted(MoveKind.EQ_MOVE1):
-        for i in range(n):
-            if joint[i]:
-                for k in slot_ks[i]:
-                    if k != r.pairs[i].n2:
-                        yield MoveDescriptor(MoveKind.EQ_MOVE1, pair=i, k=k)
-    if wanted(MoveKind.EQ_MOVE3_ADD):
+    if MoveKind.EQ_MOVE1 in kinds:
+        for i in joint:
+            for k in slot_ks[i]:
+                if k != r.pairs[i].n2:
+                    yield MoveDescriptor(MoveKind.EQ_MOVE1, pair=i, k=k)
+    if MoveKind.EQ_MOVE3_ADD in kinds:
         for k in slot_ks[n]:
             for delta, sign in ((-2, 1), (0, -1), (0, 1), (2, -1)):
                 yield MoveDescriptor(MoveKind.EQ_MOVE3_ADD, k=k, delta=delta, sign=sign)
-    if wanted(MoveKind.EQ_MOVE3_DEL):
+    if MoveKind.EQ_MOVE3_DEL in kinds:
         for i in range(n):
             if _deletable(r, i):
                 yield MoveDescriptor(MoveKind.EQ_MOVE3_DEL, pair=i)
-    if wanted(MoveKind.EQ_MOVE4):
-        for i in range(n):
-            if not joint[i]:
-                continue
-            for variant in _SINGLE_PAIR_VARIANTS:
-                if on_spine(variant, i, i):
-                    for k in slot_ks[i]:
-                        yield MoveDescriptor(MoveKind.EQ_MOVE4, pair=i, variant=variant, k=k)
-            for j in range(n):
-                if j == i or not joint[j]:
-                    continue
-                for variant in _DOUBLE_PAIR_VARIANTS:
-                    if on_spine(variant, i, j):
-                        for k in slot_ks[i]:
-                            yield MoveDescriptor(MoveKind.EQ_MOVE4, pair=i, pair2=j, variant=variant, k=k)
-    if wanted(MoveKind.SHUFFLE_A):
-        for i in range(n):
-            if joint[i]:
-                for k in slot_ks[i]:
-                    yield MoveDescriptor(MoveKind.SHUFFLE_A, pair=i, k=k)
-    if wanted(MoveKind.SHUFFLE_B):
+    if MoveKind.EQ_MOVE4 in kinds:
+        for i in joint:
+            for j in (None, *joint):  # pair2=None sorts first
+                if j != i:
+                    for variant in _SINGLE_PAIR_VARIANTS if j is None else _DOUBLE_PAIR_VARIANTS:
+                        if on_spine(variant, i, i if j is None else j):
+                            for k in slot_ks[i]:
+                                yield MoveDescriptor(MoveKind.EQ_MOVE4, pair=i, pair2=j, variant=variant, k=k)
+    if MoveKind.SHUFFLE_A in kinds:
+        for i in joint:
+            for k in slot_ks[i]:
+                yield MoveDescriptor(MoveKind.SHUFFLE_A, pair=i, k=k)
+    if MoveKind.SHUFFLE_B in kinds:
         # pair i takes k2 as its n2 and pair j takes k
-        for i in range(n):
-            if not joint[i]:
-                continue
-            for j in range(n):
-                if j == i or not joint[j]:
-                    continue
-                for k1, k2 in product(slot_ks[j], slot_ks[i]):
-                    yield MoveDescriptor(MoveKind.SHUFFLE_B, pair=i, pair2=j, k=k1, k2=k2)
+        for i in joint:
+            for j in joint:
+                if j != i:
+                    for k1, k2 in product(slot_ks[j], slot_ks[i]):
+                        yield MoveDescriptor(MoveKind.SHUFFLE_B, pair=i, pair2=j, k=k1, k2=k2)
 
 
 def _gauge_class(r: RoundDiagram) -> RoundDiagram:
@@ -532,14 +506,8 @@ def _spines(goal: RoundDiagram) -> dict[ComponentId, dict[KnotExpr, int]]:
 def _band_sum_bound(spines: dict[ComponentId, dict[KnotExpr, int]], state: RoundDiagram) -> Optional[int]:
     """The number of band sums that the knots of the goal with these spines
     (see _spines) have and state's still lack, or None when no move
-    sequence carries state to the goal.
-
-    Knots only grow along their left spine (see the module docstring), so
-    the state's knot of an id the goal has must lie on the left spine of
-    the goal's knot, and every band sum above it there is one the state
-    lacks.  An id the state lacks can only be added, as an unknot; an id
-    the goal lacks can only be deleted, and only unknots are.
-    """
+    sequence carries state's knots to the goal's (drops 4 and 5 of
+    bounded_equivalence_search)."""
     total = 0
     for c in state.components():
         lacks = spines.get(c.id, {UNKNOT: 0}).get(c.knot)
@@ -559,35 +527,9 @@ def _can_yield(
 ) -> tuple[frozenset[MoveKind], Callable[[MoveDescriptor], bool]]:
     """The round move kinds whose moves on state can still lead to goal
     within left more moves, read off MOVES, and a test that every such move
-    passes; need is the number of band sums the state lacks (see
-    _band_sum_bound).
-
-    No move changes the loose knots, so if state's differ from goal's no
-    kind is named.  A round move changes the pair count by its pair_delta,
-    -1, 0 or 1, and adds its band_sums, so a kind is named only if after it
-    the pair count is at most left from goal's and the band sums still
-    lacking are at least none and at most what left moves can add.  With
-    at most one move left, EqMove3Add is named only if goal has both ids it
-    appends (_fresh_pair_ids).  Else the id goal lacks stays unless the
-    last move deletes it, and only EqMove3Del deletes an id, here the
-    appended pair's, which gives back the state: it has been compared with
-    goal and is not goal.  This assumes that the linking matrix names only
-    the diagram's own ids, as the model's contract does, so that the
-    deletion's restricted matrix is the state's.
-
-    With no move left, a move yields goal only if it rewrites everything in
-    which state differs from goal: the linking matrix unless its kind
-    rewrites it, and every pair at an index the move does not rewrite.  A
-    kind that deletes a pair rewrites no other, so it can yield goal only at
-    an index i where state.pairs without pair i are goal's pairs; if there
-    is none, no kind is named.  ShuffleA and ShuffleB carry components over
-    unchanged, so one yields goal only if the components it writes into
-    each pair it rewrites are goal's there: ShuffleA swaps pair i's two,
-    and ShuffleB gives pair i the second component of pair j and pair j
-    that of pair i.
-    """
-    if state.loose != goal.loose:
-        return frozenset(), lambda move: False
+    passes: drops 5-9 of bounded_equivalence_search.  need is the number of
+    band sums the state lacks (_band_sum_bound), and state's loose knots
+    are goal's."""
     delta = len(goal.pairs) - len(state.pairs)
     kinds = {
         kind
@@ -632,25 +574,14 @@ def _can_yield(
 def _breadth_first(start: RoundDiagram, goal: RoundDiagram, depth: int, ks: Sequence[int]) -> Optional[MoveSequence]:
     """The first sequence of at most depth moves, level by level and in
     _round_moves order, that carries start to goal, which start is not;
-    None if there is none.  Inner levels write every k of ks (ascending;
-    the exact search passes _search_ks) into every pair slot, and the last
-    level only goal's n2 there, if ks holds it.
-
-    Every level tries only the kinds _can_yield names for the moves left
-    and the moves its test passes, and _round_moves yields no identity
-    regauge and no slide off goal's spines.  So no state is built that
-    cannot reach goal within the moves left: none whose loose knots, pair
-    count, band sums or fresh ids they cannot carry to goal's, and on the
-    last level none that differs from goal where its move does not write.
-    A move keeps what the state has of goal's knots and adds its kind's
-    band_sums (see _band_sum_bound), so a new state lacks its parent's
-    count less that.  A state reached before is not expanded again, the
-    last level stores nothing, and an empty level ends the search."""
+    None if there is none.  Inner levels write every k of ks (ascending)
+    into every pair slot, and the last level only goal's n2 there, if ks
+    holds it.  It applies drops 1-10 of bounded_equivalence_search."""
     spines = _spines(goal)
     need = _band_sum_bound(spines, start)
     goal_ks = [(p.n2,) if p.n2 in ks else () for p in goal.pairs]
     frontier: list[tuple[RoundDiagram, MoveSequence, int]] = []
-    if need is not None and need <= depth * _MOST_BAND_SUMS:
+    if need is not None and start.loose == goal.loose:
         frontier.append((start, (), need))
     seen = {start}
     for level in range(depth):
@@ -673,18 +604,6 @@ def _breadth_first(start: RoundDiagram, goal: RoundDiagram, depth: int, ks: Sequ
                     next_frontier.append((new, path + (move,), need - MOVES[move.kind].band_sums))
         frontier = next_frontier
     return None
-
-
-def _class_reachable(r1: RoundDiagram, r2: RoundDiagram, depth: int, ks: Sequence[int]) -> bool:
-    """Whether at most depth moves with free parameters from ks can carry
-    r1's gauge class to r2's.
-
-    Every move reads a joint pair only through its Dehn framings, so a move
-    on a class is the same move on its representative, and it writes its
-    free k only into n2: with k = 0 the result is again a representative.
-    """
-    start, goal = _gauge_class(r1), _gauge_class(r2)
-    return start == goal or _breadth_first(start, goal, depth, (0,) if ks else ()) is not None
 
 
 def _search_ks(k_range: Iterable[int], goal: RoundDiagram) -> tuple[int, ...]:
@@ -719,84 +638,104 @@ def bounded_equivalence_search(
     None if r2 is unreachable within the depth bound.  Absence of a result
     is not a proof of inequivalence.
 
-    Every level but the last tries only the least k of k_range and those of
-    r2's n2 values that k_range holds, in every pair slot (_search_ks); the
-    cost does not grow with k_range, which is read once and never stored.
-    Take a k that a move on an inner level writes into a pair.  If a later
-    move rewrites or deletes that pair, it read the pair only through its
-    Dehn framings (see the module docstring), as did every move in between,
-    so the same sequence with the least k in its place reaches r2 as well,
-    is as short, and sorts earlier unless k is the least already.
-    Otherwise the k survives as an n2 of r2, in some slot: EqMove3Del
-    shifts the pairs after the one it deletes, so every slot gets the whole
-    set.  So the lexicographically least among the shortest sequences
-    writes only these values on inner levels, and the search finds it; any
-    larger set of values would too.
+    Each level applies to every state of the level before its candidate
+    moves in sort_key order (_round_moves), and the first state equal to r2
+    ends the search.  The search drops only moves and states that lie on no
+    path reaching r2 within the depth, or only on paths that sort after one
+    it keeps, and the moves kept keep their order; so its first hit is the
+    one the search without the drops finds, and the contract holds.  These
+    are all the drops, each with its argument:
 
-    Every level tries only the moves after which the moves left can still
-    carry the state to r2 (_can_yield); the others are dropped before their
-    state is built.  No move touches the loose knots, and a move changes
-    the pair count by its kind's pair_delta, -1, 0 or 1 (MOVES), so a move
-    after which the pair count is further from r2's than the moves left is
-    dropped.  With at most one move left, an EqMove3Add whose two fresh ids
-    are not both r2's is dropped: only deleting the appended pair removes
-    them, and that gives back the state, which has been compared with r2.
-    On the last level a move is dropped when it leaves unchanged something
-    in which the state differs from r2: the linking matrix when its kind
-    does not rewrite it, or a pair at an index it does not rewrite; MOVES
-    declares what each kind rewrites.  A deletion rewrites only the pair it
-    deletes, so it can yield r2 only at an index whose removal leaves r2's
-    pairs.  ShuffleA and ShuffleB carry components over unchanged, so one
-    whose components in a pair it rewrites differ from r2's there is
-    dropped, and so is any move that writes into a pair an n2 other than
-    r2's.
-
-    Knots only grow along their left spines, one band sum per slide (see
-    the module docstring), so every level also counts the band sums of
-    r2's knots that a state lacks.  The start is not expanded if its knots
-    cannot grow into r2's, and a move is dropped when its state would lack
-    more band sums than the moves left can add (MoveSpec.band_sums), so
-    the last level applies only the kinds that add exactly the band sums
-    the state lacks.  A slide changes one knot, so its arguments alone
-    decide whether its new knot is on r2's spine for its id; one that is
-    not is never applied.  Every other move keeps the knots r2's can grow
-    from, so each state's count is its parent's less the band sums its
-    move adds.
-
-    Every dropped move's state lies on no path that reaches r2 within the
-    depth, and the moves kept keep their sort_key order, so the first hit
-    is the one the search without the drops finds, and the result is still
-    the lexicographically least.  A level with no state left ends the
-    search.
-
-    A state reached before is not expanded again.  States are compared
-    exactly: moves address pairs by index, so a state whose pairs are a
-    reordering of a seen state's reaches other diagrams and is kept.
-    EqMove1 with k equal to the pair's n2 gives the state itself, which
-    has been seen and is not r2, so it is never applied.
-
-    Above depth 1 a cheaper pass runs first: the same breadth-first search
-    from r1's gauge class to r2's (every joint pair regauged to n2 = 0)
-    with k = 0 only, so the free k of a move no longer multiplies the
-    states.  Every round move, and every MoveError precondition of one,
-    reads a joint pair only through its Dehn framings and writes it back
-    with n2 = k (see the module docstring).  So every sequence of moves
-    maps to a sequence of class moves of the same length, and when r2's
-    class is out of reach within the depth no sequence reaches r2 and the
-    result is None without the exact search.
-    Otherwise the exact search above runs unchanged, so its result, and the
-    lexicographically-least contract, are the same as without the class
-    pass.  At depth 1 the exact search's one pruned level is already as
-    cheap, so the class pass is skipped there.  The class pass still pays
-    with the drops above: without it the benchmark's search workload ran
-    at 3,272 queries/s instead of 6,825 (four alternating 30 s
-    pairs, seed 41), because its out-of-reach queries end there.
+    1. k values.  Every level but the last writes into each pair slot only
+       the least k of k_range and those of r2's n2 values that k_range
+       holds (_search_ks), so the cost does not grow with k_range, which
+       is read once and never stored.  Take a k that a move on an inner
+       level writes into a pair.  If a later move rewrites or deletes that
+       pair, it read the pair only through its Dehn framings (see the
+       module docstring), as did every move in between, so the same
+       sequence with the least k in its place reaches r2 as well, is as
+       short, and sorts earlier unless k is the least already.  Otherwise
+       the k survives as an n2 of r2, in some slot: EqMove3Del shifts the
+       pairs after the one it deletes, so every slot gets the whole set.
+       So the lexicographically least among the shortest sequences writes
+       only these values on inner levels; any larger set would find it too.
+       The last move must write r2's n2 into each pair it writes, so the
+       last level writes only that, if k_range holds it.
+    2. Identity regauge.  EqMove1 with k equal to the pair's n2 gives the
+       state itself, which has been seen and is not r2.
+    3. Slides off r2's spines.  Knots only grow along their left spines,
+       one band sum per slide (see the module docstring), so a state's knot
+       of an id r2 has must lie on the left spine of r2's knot for that id.
+       A slide changes one knot, so its arguments alone decide whether its
+       new knot is on that spine; one that is not is never applied.
+    4. The start.  It is not expanded if its loose knots differ from r2's,
+       since no move changes them, or if its knots cannot grow into r2's
+       (_band_sum_bound is None): by drop 3's argument, and because an id
+       the state lacks can only be added, as an unknot, and an id r2 lacks
+       can only be deleted, and only unknots are.
+    5. Band sums.  Every band sum above a state's knot on r2's spine for
+       its id is one the state lacks (_band_sum_bound).  A move adds its
+       kind's band_sums (MoveSpec) and keeps every other knot, so a new
+       state lacks its parent's count less that.  A move is dropped when
+       after it the count is below none or above what the moves left can
+       add, so the last level applies only the kinds that add exactly the
+       band sums the state lacks.
+    6. Pair count.  A move changes the pair count by its kind's pair_delta,
+       -1, 0 or 1 (MOVES), so one after which the count is further from
+       r2's than the moves left is dropped.
+    7. Fresh ids.  With at most one move left, an EqMove3Add whose two
+       fresh ids (_fresh_pair_ids) are not both r2's is dropped.  Only
+       EqMove3Del removes ids, so the last move would have to delete the
+       appended pair, which gives back the state: it has been compared
+       with r2 and is not r2.  This assumes that the linking matrix names
+       only the diagram's own ids, as the model's contract does, so that
+       the deletion's restricted matrix is the state's.
+    8. Differences left unwritten.  On the last level a move is dropped
+       when it leaves unchanged something in which the state differs from
+       r2: the linking matrix when its kind does not rewrite it, or a pair
+       at an index it does not rewrite; MOVES declares what each kind
+       rewrites.  A deletion rewrites no other pair, so it can yield r2
+       only at an index whose removal leaves r2's pairs; with no such
+       index the state is not expanded.
+    9. Shuffled components.  ShuffleA and ShuffleB carry components over
+       unchanged, so on the last level one is dropped when the components
+       it writes into a pair it rewrites differ from r2's there: ShuffleA
+       swaps pair i's two, and ShuffleB gives pair i the second component
+       of pair j and pair j that of pair i.
+    10. Seen states.  A state reached before is not expanded again: every
+       path through it again is no shorter and sorts later.  States are
+       compared exactly: moves address pairs by index, so a state whose
+       pairs are a reordering of a seen state's reaches other diagrams and
+       is kept.  The last level stores nothing, and a level with no state
+       left ends the search.
+    11. Gauge classes.  Above depth 1 a cheaper pass runs first: the same
+       breadth-first search, drops included, from r1's gauge class to r2's
+       (_gauge_class: every joint pair regauged to n2 = 0) with k = 0
+       only, so the free k of a move no longer multiplies the states.
+       Every round move, and every MoveError precondition of one, reads a
+       joint pair only through its Dehn framings and writes it back with
+       n2 = k (see the module docstring), so a move on a class is the same
+       move on its representative, and with k = 0 the result is again a
+       representative.  So every sequence of moves maps to a sequence of
+       class moves of the same length, and when r2's class is out of reach
+       within the depth no sequence reaches r2 and the result is None
+       without the exact search.  Otherwise the exact search runs
+       unchanged.  At depth 1 the exact search's one pruned level is
+       already as cheap, so the class pass is skipped there.  The class
+       pass still pays with the other drops: without it the benchmark's
+       search workload ran at 3,272 queries/s instead of 6,825 (four
+       alternating 30 s pairs, seed 41), because its out-of-reach queries
+       end there.
     """
     if depth < 0:
         raise MoveError(f"depth must be non-negative, got {depth}")
     ks = _search_ks(k_range, r2)
     if r1 == r2:
         return ()
-    if depth == 0 or (depth > 1 and not _class_reachable(r1, r2, depth, ks)):
+    if depth == 0:
         return None
+    if depth > 1:
+        start, goal = _gauge_class(r1), _gauge_class(r2)
+        if start != goal and _breadth_first(start, goal, depth, (0,) if ks else ()) is None:
+            return None
     return _breadth_first(r1, r2, depth, ks)

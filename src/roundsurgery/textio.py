@@ -76,8 +76,6 @@ _ID_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.-]*")
 _INT_RE = re.compile(r"-?[0-9]+")
 _NAT_RE = re.compile(r"[0-9]+")
 
-HEADERS = ("ROUND", "DEHN", "KIRBY")
-
 #: The deepest nesting of band(...) a knot expression may have.  Comparing,
 #: hashing and printing a knot recurse once per level; under Python's
 #: default recursion limit, comparing two equal knots gives out first, near
@@ -294,6 +292,8 @@ _FIELDS: dict[str, tuple[_Field, ...]] = {
         _Field("over=", lambda text, *_: text, greedy=True),  # checked by _build_kirby
     ),
 }
+#: The statement keywords.
+_STATEMENTS = frozenset(name.split()[0] for name in _FIELDS)
 
 
 def _walk(s: _Stmt, fields: tuple[_Field, ...], diags: list[Diagnostic]) -> tuple[list, bool]:
@@ -335,15 +335,15 @@ def parse(text: str) -> DiagramDocument:
         if not words:
             continue
         word = words[0]
-        if header is None and word in HEADERS and len(words) == 1:
+        if header is None and word in _DOCUMENTS and len(words) == 1:
             header = word
             continue
         if header is None:
-            problem = f"expected a header (one of {', '.join(HEADERS)})"
+            problem = f"expected a header (one of {', '.join(_DOCUMENTS)})"
             header = "ROUND"  # keep scanning for more diagnostics
-        elif word in HEADERS:
+        elif word in _DOCUMENTS:
             problem = "duplicate header"
-        elif word not in ("COMP", "PAIR", "LOOSE", "LK", "HANDLE1", "HANDLE2"):
+        elif word not in _STATEMENTS:
             problem = f"unknown statement {word!r}"
         else:
             stmts.append(_Stmt(line_no, word, " ".join(words), raw))
@@ -354,17 +354,11 @@ def parse(text: str) -> DiagramDocument:
         diags.append(Diagnostic(1, 1, "empty document"))
         raise ParseError(diags)
 
-    allowed = {
-        "ROUND": {"COMP", "PAIR", "LOOSE", "LK"},
-        "DEHN": {"COMP", "LK"},
-        "KIRBY": {"COMP", "HANDLE1", "HANDLE2", "LK"},
-    }[header]
+    allowed, builder = _DOCUMENTS[header]
     for s in stmts:
         if s.kind not in allowed:
             diags.append(Diagnostic(s.line, 1, f"{s.kind} is not allowed in a {header} document"))
     stmts = [s for s in stmts if s.kind in allowed]
-
-    builder = {"ROUND": _build_round, "DEHN": _build_dehn, "KIRBY": _build_kirby}[header]
     diagram = builder(stmts, diags)
     if diags:
         raise ParseError(sorted(diags, key=lambda d: (d.line, d.col)))
@@ -608,6 +602,15 @@ def _build_kirby(stmts: list[_Stmt], diags: list[Diagnostic]) -> KirbyDiagram:
     ]
     entries = _collect_lk(stmts, diags, handle2, failed)
     return KirbyDiagram(one_handles, two_handles, LinkingMatrix(entries))
+
+
+#: Each header, in the order diagnostics name them, with the statement
+#: kinds its documents allow and the builder of its diagram.
+_DOCUMENTS = {
+    "ROUND": ({"COMP", "PAIR", "LOOSE", "LK"}, _build_round),
+    "DEHN": ({"COMP", "LK"}, _build_dehn),
+    "KIRBY": ({"COMP", "HANDLE1", "HANDLE2", "LK"}, _build_kirby),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -387,6 +387,17 @@ def test_results_beyond_the_digit_limit_exit_2_without_a_traceback(tmp_path):
     code, out, err = run(["foliations", write(tmp_path, "slopes.rsd", doc), "--pair", "0", "--range", "0..1"])
     assert (code, out) == (2, "")
     assert err == f"error: cannot print the slope: it holds an integer of {limit + 1} digits, the limit is {limit}\n"
+    # sliding a over b adds lk(b, c) to lk(a, c): 2 * (10**limit - 1), in the linking matrix only
+    doc = (
+        "ROUND\nCOMP a knot=unknot\nCOMP b knot=unknot\nCOMP c knot=unknot\nCOMP d knot=unknot\n"
+        f"PAIR a b n1=0 n2=0 m=1\nPAIR c d n1=0 n2=0 m=1\nLK a c {nines}\nLK b c {nines}\n"
+    )
+    argv = ["move", write(tmp_path, "lk.rsd", doc), "--kind", "EqMove4", "--args", "variant=11over12,pair=0,k=0"]
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: cannot print the moved diagram: it holds an integer of {limit + 1} digits, the limit is {limit}\n"
+    )
 
 
 def test_a_knot_nested_beyond_the_limit_exits_1_without_a_traceback(tmp_path):
