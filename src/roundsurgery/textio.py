@@ -28,22 +28,30 @@ at most sys.get_int_max_str_digits() digits and a knot expression at most
 100 nested band sums (_MAX_KNOT_DEPTH); beyond either limit it is a
 diagnostic.
 
-Reading: COMP, PAIR with an integral or no m, and LK lines, almost every
-line of a document, are read by one compiled pattern each, matched against
-the statement's words joined by single spaces.  Every other line, and one
-whose fields do not convert, goes to the field walker (_walk), the only
-source of syntax diagnostics.  One table (_FIELDS) lists the fields of each
-statement kind, and the walker reads every kind by one rule: each field,
-left to right, checks the token at its place, each missing required field
-is reported, and so is the first token left over.  A diagnostic about a
-value points at its first character (in over=, at its piece, or its count);
-one about a token itself (wrong key, unexpected token, invalid id), at the
-token.  The patterns are written by hand, apart from the table: the walker
-alone cut the CLI's calls per second by half or more, and patterns derived
-from the table took as many lines and parsed about 10% slower.  A test
-checks them against the walker.  The semantic checks after the walker are
-shared.  Token columns are worked out only when the walker or a diagnostic
-asks for them, and each distinct knot text is parsed once per document.
+Reading: one compiled pattern (_LINE_RE) runs over the whole text once,
+by findall, and gives the groups of each line.  Its statement alternatives
+are the canonical spellings of a COMP line, of a PAIR line with an integral
+or no m, and of an LK line, almost every line of a document; such a line
+becomes a statement record of its converted fields at once, in the list of
+its kind that the document's builder reads.  Every other line (the header,
+comments and blank lines, other spacing, CR, LOOSE and HANDLE lines, a
+rational m) matches the catch-all and is split into words; a statement
+among them, like a line whose fields do not convert, goes to the field
+walker (_walk), the only source of syntax diagnostics.  One table (_FIELDS) lists the fields of each statement kind,
+and the walker reads every kind by one rule: each field, left to right,
+checks the token at its place, each missing required field is reported,
+and so is the first token left over.  A diagnostic about a value points at
+its first character (in over=, at its piece, or its count); one about a
+token itself (wrong key, unexpected token, invalid id), at the token.  The
+pattern is written by hand, apart from the table: the walker alone cut the
+CLI's calls per second by half or more, and patterns derived from the table
+took as many lines and parsed about 10% slower.  A test checks it against
+the walker.  The semantic checks after both are shared.  Token columns are
+worked out only when the walker or a diagnostic asks for them, and each
+distinct knot text is parsed once per document.  A 100-pair document
+parses in about 1.1 ms, against 1.8 ms when each line was split into words
+and its words, rejoined, matched by one pattern per statement kind (best
+of 200, one process, shared 2-vCPU Linux VM, Python 3.11).
 """
 
 from __future__ import annotations
@@ -214,20 +222,10 @@ def _no_framing(text: str, line: int, col: int, diags: list[Diagnostic]) -> None
 # Statement records
 
 
-@dataclass(slots=True)
-class _Stmt:
-    line: int
-    kind: str
-    text: str  # the words joined by single spaces, which the statement patterns match
-    raw: str
-    _tokens: Optional[list[tuple[str, int]]] = None
-
-    @property
-    def tokens(self) -> list[tuple[str, int]]:
-        """(token, column) of each word after the keyword, worked out on first use."""
-        if self._tokens is None:
-            self._tokens = _tokenize(self.raw)[1:]
-        return self._tokens
+#: A statement: (line, kind, raw, values), raw the whole line and values its
+#: converted fields when the line pattern read them, else None.  A plain
+#: tuple, as almost every line of a document makes one.
+_Stmt = tuple[int, str, str, Optional[tuple]]
 
 
 def _tokenize(raw: str) -> list[tuple[str, int]]:
@@ -244,12 +242,26 @@ def _tokenize(raw: str) -> list[tuple[str, int]]:
     return tokens
 
 
-# The statement patterns (see "Reading" above): each matches only lines the
-# walker accepts, and spells its tokens with the walker's own expressions.
+def _col(s: _Stmt, index: int) -> int:
+    """The column of token index after s's keyword; worked out only for a
+    diagnostic."""
+    return _tokenize(s[2])[index + 1][1]
+
+
+# The line pattern (see "Reading" above): one match per line, whose first
+# group is the line.  Its statement alternatives match only lines the walker
+# accepts, and spell their tokens with the walker's own expressions; a knot
+# text stops at whitespace and "#", as the walker's tokens do.  Every other
+# line matches the catch-all, and leaves every other group empty.  The
+# groups named after a statement hold its first id.
 _ID, _INT = _ID_RE.pattern, _INT_RE.pattern
-_COMP_RE = re.compile(rf"COMP ({_ID}) knot=([^ ]+)(?: framing=({_INT}))?( fibred)?")
-_PAIR_RE = re.compile(rf"PAIR ({_ID}) ({_ID}) n1=({_INT}) n2=({_INT})(?: m=({_INT}))?")
-_LK_RE = re.compile(rf"LK ({_ID}) ({_ID}) ({_INT})")
+_LINE_RE = re.compile(
+    rf"^(COMP (?P<COMP>{_ID}) knot=([^\s#]+)(?: framing=({_INT}))?( fibred)?"
+    rf"|PAIR (?P<PAIR>{_ID}) ({_ID}) n1=({_INT}) n2=({_INT})(?: m=({_INT}))?"
+    rf"|LK (?P<LK>{_ID}) ({_ID}) ({_INT})"
+    r"|.*)$",
+    re.MULTILINE,
+)
 
 
 class _Field(NamedTuple):
@@ -302,51 +314,90 @@ def _walk(s: _Stmt, fields: tuple[_Field, ...], diags: list[Diagnostic]) -> tupl
     field without a token, or whose token fails, is None.  Each required
     field without a token is reported at column 1, and the first token
     left over as unexpected."""
-    before, tokens, at, values = len(diags), s.tokens, 0, []
+    line, kind, raw, _ = s
+    before, tokens, at, values = len(diags), _tokenize(raw)[1:], 0, []
     for f in fields:
         value = None
         if at == len(tokens):
             if f.missing:
-                diags.append(Diagnostic(s.line, 1, f"{s.kind}: missing {f.missing}"))
+                diags.append(Diagnostic(line, 1, f"{kind}: missing {f.missing}"))
         else:
             token, col = tokens[at]
             if f.missing or f.greedy or token == f.key or (f.key.endswith("=") and token.startswith(f.key)):
                 at += 1
                 if not token.startswith(f.key):
-                    diags.append(Diagnostic(s.line, col, f"expected {f.key}..., got {token!r}"))
+                    diags.append(Diagnostic(line, col, f"expected {f.key}..., got {token!r}"))
                 else:
-                    value = f.read(token[len(f.key):], s.line, col + len(f.key), diags)
+                    value = f.read(token[len(f.key):], line, col + len(f.key), diags)
         values.append(value)
     if at < len(tokens):
         token, col = tokens[at]
-        diags.append(Diagnostic(s.line, col, f"unexpected token {token!r}"))
+        diags.append(Diagnostic(line, col, f"unexpected token {token!r}"))
     return values, len(diags) == before
+
+
+def _walked(s: _Stmt, kind: str, diags: list[Diagnostic]) -> Optional[tuple]:
+    """The fields of s as the walker reads them, or None with its diagnostics."""
+    values, ok = _walk(s, _FIELDS[kind], diags)
+    return tuple(values) if ok else None
 
 
 def parse(text: str) -> DiagramDocument:
     """Parse a document, or raise :class:`ParseError` carrying one
     positioned diagnostic per problem (lexical, syntactic and semantic)."""
     diags: list[Diagnostic] = []
-    stmts: list[_Stmt] = []
     header: Optional[str] = None
+    allowed: set[str] = set()  # the statement kinds the header allows
+    joint: list[_Stmt] = []  # PAIR and LOOSE lines, in line order: a claim depends on the lines before it
+    stmts = {"COMP": [], "PAIR": joint, "LOOSE": joint, "LK": [], "HANDLE1": [], "HANDLE2": []}
+    # Most components of a document share a few knot texts (in the corpus
+    # 46% of COMP lines repeat one, 79% are unknot), so each is parsed once.
+    knots: dict[str, KnotExpr] = {}
 
-    for line_no, raw in enumerate(text.split("\n"), start=1):
+    rows = _LINE_RE.findall(text)  # the groups of each line; empty ones did not match
+    for line_no, (raw, cid, knot, framing, fibred, id1, id2, n1, n2, slope, a, b, v) in enumerate(rows, start=1):
+        try:
+            if header is None:  # the header, or a line before it
+                pass
+            elif a:
+                stmts["LK"].append((line_no, "LK", raw, (a, b, int(v))))
+                continue
+            elif id1:
+                if header == "ROUND":  # else not allowed, which the check below reports
+                    values = id1, id2, int(n1), int(n2), Rational(int(slope)) if slope else None
+                    joint.append((line_no, "PAIR", raw, values))
+                    continue
+            elif cid and bool(framing) == (header == "DEHN") and not (fibred and header == "KIRBY"):
+                expr = knots.get(knot)
+                if expr is None:
+                    expr = knots[knot] = _parse_knot(knot)
+                values = cid, expr, int(framing) if framing else None, bool(fibred)
+                stmts["COMP"].append((line_no, "COMP", raw, values))
+                continue
+        except (_KnotSyntax, ValueError):
+            pass  # the walker reports it
+
         words = raw.partition("#")[0].split()
         if not words:
             continue
         word = words[0]
         if header is None and word in _DOCUMENTS and len(words) == 1:
             header = word
+            allowed = _DOCUMENTS[header][0]
             continue
         if header is None:
             problem = f"expected a header (one of {', '.join(_DOCUMENTS)})"
             header = "ROUND"  # keep scanning for more diagnostics
+            allowed = _DOCUMENTS[header][0]
         elif word in _DOCUMENTS:
             problem = "duplicate header"
         elif word not in _STATEMENTS:
             problem = f"unknown statement {word!r}"
+        elif word not in allowed:
+            diags.append(Diagnostic(line_no, 1, f"{word} is not allowed in a {header} document"))
+            continue
         else:
-            stmts.append(_Stmt(line_no, word, " ".join(words), raw))
+            stmts[word].append((line_no, word, raw, None))
             continue
         diags.append(Diagnostic(line_no, _tokenize(raw)[0][1], problem))
 
@@ -354,137 +405,88 @@ def parse(text: str) -> DiagramDocument:
         diags.append(Diagnostic(1, 1, "empty document"))
         raise ParseError(diags)
 
-    allowed, builder = _DOCUMENTS[header]
-    for s in stmts:
-        if s.kind not in allowed:
-            diags.append(Diagnostic(s.line, 1, f"{s.kind} is not allowed in a {header} document"))
-    stmts = [s for s in stmts if s.kind in allowed]
-    diagram = builder(stmts, diags)
+    diagram = _DOCUMENTS[header][1](stmts, diags)
     if diags:
         raise ParseError(sorted(diags, key=lambda d: (d.line, d.col)))
     return DiagramDocument(header, diagram)
 
 
-@dataclass
-class _Comp:
-    line: int
-    id: str
-    knot: KnotExpr
-    framing: Optional[int]
-    fibred: bool
-
-
-def _parse_comp(stmt: _Stmt, diags: list[Diagnostic], knots: dict[str, KnotExpr], header: str) -> Optional[_Comp]:
-    """The component of a COMP line, or None with its diagnostics.  knots
-    maps each knot text the pattern path has parsed to its expression."""
-    m = _COMP_RE.fullmatch(stmt.text)
-    if m and (m[3] is not None) == (header == "DEHN") and (header != "KIRBY" or m[4] is None):
-        try:
-            knot = knots.get(m[2])
-            if knot is None:
-                knot = knots[m[2]] = _parse_knot(m[2])
-            return _Comp(stmt.line, m[1], knot, None if m[3] is None else int(m[3]), m[4] is not None)
-        except (_KnotSyntax, ValueError):
-            pass  # the walker below reports it
-    values, ok = _walk(stmt, _FIELDS["COMP " + header], diags)
-    return _Comp(stmt.line, *values[:3], values[3:] == [True]) if ok else None  # KIRBY has no fibred field
+def _comp_fields(s: _Stmt, diags: list[Diagnostic], header: str) -> Optional[tuple]:
+    """The id, knot, framing and fibred flag of a COMP line, or None with
+    its diagnostics."""
+    if s[3] is not None:
+        return s[3]
+    values, ok = _walk(s, _FIELDS["COMP " + header], diags)
+    return (*values[:3], values[3:] == [True]) if ok else None  # KIRBY has no fibred field
 
 
 def _note_failed(s: _Stmt, failed: set[str]) -> None:
     """Add the id a statement with a diagnostic of its own names first, if
     it is a valid id, to failed."""
-    if s.tokens and _ID_RE.fullmatch(s.tokens[0][0]):
-        failed.add(s.tokens[0][0])
+    tokens = _tokenize(s[2])
+    if len(tokens) > 1 and _ID_RE.fullmatch(tokens[1][0]):
+        failed.add(tokens[1][0])
+
+
+#: A component: (line, component, framing), framing None outside DEHN.
+_Comp = tuple[int, FramedComponent, Optional[int]]
 
 
 def _collect_comps(stmts: list[_Stmt], diags: list[Diagnostic], header: str) -> tuple[dict[str, _Comp], set[str]]:
-    """The components, and the valid ids of COMP lines that have a
-    diagnostic of their own: lines naming those ids are not reported again
-    (KIRBY adds the ids of such HANDLE2 lines)."""
+    """The components of the COMP lines by id, and the valid ids of those
+    that have a diagnostic of their own: lines naming those ids are not
+    reported again (KIRBY adds the ids of such HANDLE2 lines)."""
     comps: dict[str, _Comp] = {}
     failed: set[str] = set()
-    # Most components of a document share a few knot texts (in the corpus
-    # 46% of COMP lines repeat one, 79% are unknot), so each is parsed once.
-    knots: dict[str, KnotExpr] = {}
     for s in stmts:
-        if s.kind != "COMP":
-            continue
-        comp = _parse_comp(s, diags, knots, header)
-        if comp is None:
+        values = _comp_fields(s, diags, header)
+        if values is None:
             _note_failed(s, failed)
             continue
-        if comp.id in comps:
-            diags.append(Diagnostic(s.line, s.tokens[0][1], f"duplicate component {comp.id}"))
+        cid, knot, framing, fibred = values
+        if cid in comps:
+            diags.append(Diagnostic(s[0], _col(s, 0), f"duplicate component {cid}"))
             continue
-        comps[comp.id] = comp
+        comps[cid] = (s[0], FramedComponent(cid, knot, fibred), framing)
     return comps, failed
-
-
-def _lk_fields(s: _Stmt, diags: list[Diagnostic]) -> Optional[tuple[str, str, int]]:
-    """The ids and linking number of an LK line, or None with its diagnostics."""
-    m = _LK_RE.fullmatch(s.text)
-    if m:
-        try:
-            return m[1], m[2], int(m[3])
-        except ValueError:
-            pass  # the walker below reports it
-    values, ok = _walk(s, _FIELDS["LK"], diags)
-    return tuple(values) if ok else None
 
 
 def _collect_lk(
     stmts: list[_Stmt], diags: list[Diagnostic], known: dict, failed: set[str]
 ) -> list[tuple[str, str, int]]:
-    # known maps acceptable ids to anything; only membership matters.  An
-    # entry naming a failed id is dropped without a diagnostic.
+    # The LK lines.  known maps acceptable ids to anything; only membership
+    # matters.  An entry naming a failed id is dropped without a diagnostic.
     entries: list[tuple[str, str, int]] = []
-    seen: dict[tuple[str, str], tuple[int, int]] = {}
+    seen: dict[tuple[str, str], int] = {}
     for s in stmts:
-        if s.kind != "LK":
-            continue
-        got = _lk_fields(s, diags)
+        got = s[3] or _walked(s, "LK", diags)
         if got is None:
             continue
         a, b, v = got
         if a == b:
-            diags.append(Diagnostic(s.line, s.tokens[0][1], f"linking of {a} with itself is not allowed"))
+            diags.append(Diagnostic(s[0], _col(s, 0), f"linking of {a} with itself is not allowed"))
             continue
-        for index, cid in enumerate((a, b)):
-            if cid not in known and cid not in failed:
-                diags.append(Diagnostic(s.line, s.tokens[index][1], f"unknown component {cid}"))
         if a not in known or b not in known:
+            for index, cid in enumerate((a, b)):
+                if cid not in known and cid not in failed:
+                    diags.append(Diagnostic(s[0], _col(s, index), f"unknown component {cid}"))
             continue
         key = (a, b) if a <= b else (b, a)
         if key in seen:
-            _, prev_v = seen[key]
-            kind = "symmetry conflict" if prev_v != v else "duplicate entry"
-            diags.append(
-                Diagnostic(s.line, s.tokens[0][1], f"linking of {key[0]} and {key[1]} already given ({kind})")
-            )
+            kind = "symmetry conflict" if seen[key] != v else "duplicate entry"
+            diags.append(Diagnostic(s[0], _col(s, 0), f"linking of {key[0]} and {key[1]} already given ({kind})"))
             continue
-        seen[key] = (s.line, v)
-        entries.append((a, b, v))
+        seen[key] = v
+        entries.append(got)
     return entries
 
 
-def _pair_fields(
-    s: _Stmt, diags: list[Diagnostic]
-) -> Optional[tuple[str, str, int, int, Optional[Rational]]]:
-    """The ids, n1, n2 and m of a PAIR line, or None with its diagnostics."""
-    match = _PAIR_RE.fullmatch(s.text)
-    if match:
-        try:
-            m = None if match[5] is None else Rational(int(match[5]))
-            return match[1], match[2], int(match[3]), int(match[4]), m
-        except ValueError:
-            pass  # the walker below reports it
-    values, ok = _walk(s, _FIELDS["PAIR"], diags)
-    return tuple(values) if ok else None
-
-
-def _build_round(stmts: list[_Stmt], diags: list[Diagnostic]) -> RoundDiagram:
-    comps, failed = _collect_comps(stmts, diags, "ROUND")
+def _build_round(stmts: dict[str, list[_Stmt]], diags: list[Diagnostic]) -> RoundDiagram:
+    comps, failed = _collect_comps(stmts["COMP"], diags, "ROUND")
     used: dict[str, int] = {}
+    # A component named on a PAIR or LOOSE line that has a diagnostic of its
+    # own is not reported again as unused.
+    named: set[str] = set()
     pairs: list[JointPair] = []
     loose: list[LooseKnot] = []
 
@@ -492,91 +494,79 @@ def _build_round(stmts: list[_Stmt], diags: list[Diagnostic]) -> RoundDiagram:
         """The component cid names as token index of s, now used."""
         if cid not in comps:
             if cid not in failed:
-                diags.append(Diagnostic(s.line, s.tokens[index][1], f"unknown component {cid}"))
+                diags.append(Diagnostic(s[0], _col(s, index), f"unknown component {cid}"))
             return None
         if cid in used:
             message = f"component {cid} already used on line {used[cid]}"
-            diags.append(Diagnostic(s.line, s.tokens[index][1], message))
+            diags.append(Diagnostic(s[0], _col(s, index), message))
             return None
-        used[cid] = s.line
-        c = comps[cid]
-        return FramedComponent(c.id, c.knot, c.fibred)
+        used[cid] = s[0]
+        return comps[cid][1]
 
-    for s in stmts:
-        if s.kind == "PAIR":
-            got = _pair_fields(s, diags)
-            if got is None:
-                continue
+    for s in stmts["PAIR"]:  # the PAIR and LOOSE lines, in line order
+        pair = s[1] == "PAIR"
+        got = s[3] or _walked(s, s[1], diags)
+        if got is None:
+            named.update(word for word, _ in _tokenize(s[2])[1 : 3 if pair else 2])
+        elif not pair:
+            c = claim(got[0], s, 0)
+            if c is not None:
+                loose.append(LooseKnot(c, got[1]))
+        elif got[0] == got[1]:
+            named.add(got[0])
+            diags.append(Diagnostic(s[0], _col(s, 1), "a pair needs two distinct components"))
+        else:
             id1, id2, n1, n2, m = got
-            if id1 == id2:
-                diags.append(Diagnostic(s.line, s.tokens[1][1], "a pair needs two distinct components"))
-                continue
             c1 = claim(id1, s, 0)
             c2 = claim(id2, s, 1)
-            if c1 is None or c2 is None:
-                continue
-            pairs.append(JointPair(c1, n1, c2, n2, m))
-        elif s.kind == "LOOSE":
-            (cid, m), ok = _walk(s, _FIELDS["LOOSE"], diags)
-            c = claim(cid, s, 0) if ok else None
-            if c is not None:
-                loose.append(LooseKnot(c, m))
+            if c1 is not None and c2 is not None:
+                pairs.append(JointPair(c1, n1, c2, n2, m))
 
-    # A component named on a PAIR or LOOSE line that has a diagnostic of its
-    # own is not reported again as unused.
-    named = {
-        word
-        for s in stmts
-        if s.kind in ("PAIR", "LOOSE")
-        for word in s.text.split(" ")[1 : 3 if s.kind == "PAIR" else 2]
-    }
-    for cid, comp in comps.items():
+    for cid, (line, _, _) in comps.items():
         if cid not in used and cid not in named:
-            diags.append(Diagnostic(comp.line, 1, f"component {cid} is not part of any pair or loose knot"))
-    entries = _collect_lk(stmts, diags, comps, failed)
+            diags.append(Diagnostic(line, 1, f"component {cid} is not part of any pair or loose knot"))
+    entries = _collect_lk(stmts["LK"], diags, comps, failed)
     return RoundDiagram(pairs, loose, LinkingMatrix(entries))
 
 
-def _build_dehn(stmts: list[_Stmt], diags: list[Diagnostic]) -> DehnDiagram:
-    comps, failed = _collect_comps(stmts, diags, "DEHN")
-    entries = _collect_lk(stmts, diags, comps, failed)
-    components = [FramedComponent(c.id, c.knot, c.fibred) for c in comps.values()]
-    framing = {c.id: c.framing for c in comps.values() if c.framing is not None}
+def _build_dehn(stmts: dict[str, list[_Stmt]], diags: list[Diagnostic]) -> DehnDiagram:
+    comps, failed = _collect_comps(stmts["COMP"], diags, "DEHN")
+    entries = _collect_lk(stmts["LK"], diags, comps, failed)
+    components = [c for _, c, _ in comps.values()]
+    framing = {c.id: f for _, c, f in comps.values() if f is not None}
     return DehnDiagram(components, framing, LinkingMatrix(entries))
 
 
-def _build_kirby(stmts: list[_Stmt], diags: list[Diagnostic]) -> KirbyDiagram:
-    comps, failed = _collect_comps(stmts, diags, "KIRBY")
+def _build_kirby(stmts: dict[str, list[_Stmt]], diags: list[Diagnostic]) -> KirbyDiagram:
+    comps, failed = _collect_comps(stmts["COMP"], diags, "KIRBY")
     one_handles: dict[str, int] = {}
     handle2: dict[str, tuple[int, int, tuple[tuple[str, int], ...]]] = {}
 
-    for s in stmts:
-        if s.kind == "HANDLE1":
-            (hid,), _ = _walk(s, _FIELDS["HANDLE1"], diags)
-            if hid is None:  # a line with an extra token still declares its handle
-                continue
-            if hid in one_handles or hid in comps:
-                diags.append(Diagnostic(s.line, s.tokens[0][1], f"duplicate id {hid}"))
-                continue
-            one_handles[hid] = s.line
-
-    for s in stmts:
-        if s.kind != "HANDLE2":
+    for s in stmts["HANDLE1"]:
+        (hid,), _ = _walk(s, _FIELDS["HANDLE1"], diags)
+        if hid is None:  # a line with an extra token still declares its handle
             continue
+        if hid in one_handles or hid in comps:
+            diags.append(Diagnostic(s[0], _col(s, 0), f"duplicate id {hid}"))
+            continue
+        one_handles[hid] = s[0]
+
+    for s in stmts["HANDLE2"]:
+        line = s[0]
         before = len(diags)
         (hid, framing, over_text), _ = _walk(s, _FIELDS["HANDLE2"], diags)
         over: dict[str, int] = {}
-        col = 0 if over_text is None else s.tokens[2][1] + len("over=")  # of each piece in turn
+        col = 0 if over_text is None else _col(s, 2) + len("over=")  # of each piece in turn
         for piece in () if over_text is None else over_text.split(","):
             hpart, sep, cpart = piece.partition(":")
             if not sep or not _ID_RE.fullmatch(hpart) or not _INT_RE.fullmatch(cpart):
-                diags.append(Diagnostic(s.line, col, f"expected over=id:INT,..., got {piece!r}"))
+                diags.append(Diagnostic(line, col, f"expected over=id:INT,..., got {piece!r}"))
             elif hpart not in one_handles:
-                diags.append(Diagnostic(s.line, col, f"unknown 1-handle {hpart}"))
+                diags.append(Diagnostic(line, col, f"unknown 1-handle {hpart}"))
             elif hpart in over:
-                diags.append(Diagnostic(s.line, col, f"run-over count of {hpart} already given"))
+                diags.append(Diagnostic(line, col, f"run-over count of {hpart} already given"))
             else:
-                count = _parse_int(cpart, s.line, col + len(hpart) + 1, diags)
+                count = _parse_int(cpart, line, col + len(hpart) + 1, diags)
                 if count is not None:
                     over[hpart] = count
             col += len(piece) + 1
@@ -584,23 +574,23 @@ def _build_kirby(stmts: list[_Stmt], diags: list[Diagnostic]) -> KirbyDiagram:
             _note_failed(s, failed)
             continue
         if hid in handle2:
-            diags.append(Diagnostic(s.line, s.tokens[0][1], f"duplicate 2-handle {hid}"))
+            diags.append(Diagnostic(line, _col(s, 0), f"duplicate 2-handle {hid}"))
             continue
         if hid not in comps:
             if hid not in failed:
-                diags.append(Diagnostic(s.line, s.tokens[0][1], f"2-handle {hid} has no COMP line for its knot"))
+                diags.append(Diagnostic(line, _col(s, 0), f"2-handle {hid} has no COMP line for its knot"))
             continue
-        handle2[hid] = (s.line, framing, tuple(over.items()))
+        handle2[hid] = (line, framing, tuple(over.items()))
 
-    for cid, comp in comps.items():
+    for cid, (line, _, _) in comps.items():
         if cid not in handle2 and cid not in failed:
-            diags.append(Diagnostic(comp.line, 1, f"component {cid} is not attached to any 2-handle"))
+            diags.append(Diagnostic(line, 1, f"component {cid} is not attached to any 2-handle"))
 
     two_handles = [
-        TwoHandle(hid, comps[hid].knot, framing, over)
+        TwoHandle(hid, comps[hid][1].knot, framing, over)
         for hid, (_line, framing, over) in handle2.items()
     ]
-    entries = _collect_lk(stmts, diags, handle2, failed)
+    entries = _collect_lk(stmts["LK"], diags, handle2, failed)
     return KirbyDiagram(one_handles, two_handles, LinkingMatrix(entries))
 
 
