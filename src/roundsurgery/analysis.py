@@ -141,5 +141,4 @@ def tight_contact_exists(r: RoundDiagram, pair_index: int) -> bool:
     """True when the pair admits at least one taut foliation witness (each
     perturbs to a tight contact structure)."""
     p = r.pair(pair_index)
-    result = taut_foliation_family(r, pair_index, (p.n1,))
-    return isinstance(result, list) and bool(result)
+    return not isinstance(iter_taut_foliation_family(r, pair_index, (p.n1,)), FoliationRefusal)

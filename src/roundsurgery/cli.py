@@ -267,7 +267,7 @@ def _cmd_foliations(args) -> int:
     # Each line is written as its witness is made.  The slope lk - n is
     # linear in n, so if it prints at both ends of the range it prints for
     # every n: a slope too long to print exits before any line is written.
-    for w in analysis.taut_foliation_family(r, pair, (n_values[0], n_values[-1])):
+    for w in analysis.iter_taut_foliation_family(r, pair, (n_values[0], n_values[-1])):
         _text("the slope", w.slope)
     for w in result:
         print(f"foliation: n={w.n} slope={_text('the slope', w.slope)}")

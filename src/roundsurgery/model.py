@@ -155,21 +155,6 @@ class LinkingMatrix:
         """Nonzero entries, sorted by unordered key."""
         return iter(self._entries.items())
 
-    def ids(self) -> frozenset[ComponentId]:
-        """Every id a nonzero entry names."""
-        return frozenset(x for key in self._entries for x in key)
-
-    def with_entries(self, updates: Mapping[tuple[ComponentId, ComponentId], int]) -> "LinkingMatrix":
-        """A new matrix with the given unordered entries replaced."""
-        merged = dict(self._entries)
-        for (a, b), v in updates.items():
-            key = (a, b) if a <= b else (b, a)
-            if v == 0:
-                merged.pop(key, None)
-            else:
-                merged[key] = v
-        return LinkingMatrix((a, b, v) for (a, b), v in merged.items())
-
     def restricted(self, keep: Iterable[ComponentId]) -> "LinkingMatrix":
         keep = set(keep)
         return LinkingMatrix(
@@ -326,7 +311,8 @@ def _rational_violations(r: Rational) -> list[str]:
 
 
 def _lk_violations(lk: LinkingMatrix, known: frozenset[ComponentId]) -> list[str]:
-    return [f"lk: unknown component {cid}" for cid in sorted(lk.ids() - known)]
+    named = {cid for key, _ in lk.items() for cid in key}
+    return [f"lk: unknown component {cid}" for cid in sorted(named - known)]
 
 
 def validate_diagram(d: Diagram) -> list[str]:

@@ -164,10 +164,10 @@ def _slide(
     """a's component and framing, and the linking matrix, after the handle
     slide of a, framed na, over b, framed nb (see kirby2_slide)."""
     ab = lk.get(a.id, b.id)
-    updates = {(a.id, x): lk.get(a.id, x) + lk.get(b.id, x) for x in ids if x not in (a.id, b.id)}
-    updates[(a.id, b.id)] = ab + nb
+    kept = ((x, y, v) for (x, y), v in lk.items() if a.id not in (x, y))
+    row = ((a.id, x, lk.get(a.id, x) + lk.get(b.id, x)) for x in ids if x not in (a.id, b.id))
     slid = FramedComponent(a.id, BandSum(a.knot, b.knot, nb), a.fibred)
-    return slid, na + nb + 2 * ab, lk.with_entries(updates)
+    return slid, na + nb + 2 * ab, LinkingMatrix((*kept, *row, (a.id, b.id, ab + nb)))
 
 
 def kirby2_slide(d: DehnDiagram, a: ComponentId, b: ComponentId) -> DehnDiagram:
@@ -267,39 +267,32 @@ def _fresh_pair_ids(r: RoundDiagram) -> tuple[ComponentId, ComponentId]:
     return u1, fresh_id("u", r.ids | {u1})
 
 
-def _check_move3_del(r: RoundDiagram, index: int) -> JointPair:
-    """The preconditions of eq_move3_del: pair ``index`` is two unlinked
-    unknots whose Dehn framings are both +-1, that is two blow-downs.
-    Returns the pair, or raises MoveError naming the first that fails."""
+def _check_move3_del(r: RoundDiagram, index: int) -> Optional[str]:
+    """Why eq_move3_del refuses pair ``index``, or None when it is two
+    unlinked unknots whose Dehn framings are both +-1, that is two
+    blow-downs.  The first condition that fails is named; a pair that is
+    not joint with integral m raises MoveError (_joint)."""
     p, (f1, f2) = _joint(r, index)
     if p.c1.knot != UNKNOT or p.c2.knot != UNKNOT:
-        raise MoveError(f"pair {index} is not a pair of unknots")
+        return f"pair {index} is not a pair of unknots"
     if f2 not in (1, -1):
-        raise MoveError(f"pair {index} has coefficient {f2}, expected +-1")
+        return f"pair {index} has coefficient {f2}, expected +-1"
     if f1 not in (1, -1):
-        raise MoveError(
-            f"pair {index} coefficients ({p.n1}, {p.n2}, {f2}) do not match "
-            "the (k + delta, k, +-1) pattern"
-        )
+        return f"pair {index} coefficients ({p.n1}, {p.n2}, {f2}) do not match the (k + delta, k, +-1) pattern"
     for cid in (p.c1.id, p.c2.id):
         linked = [x for x in sorted(r.ids) if x != cid and r.lk.get(cid, x) != 0]
         if linked:
-            raise MoveError(f"{cid} links {', '.join(linked)}; cannot delete the pair")
-    return p
-
-
-def _deletable(r: RoundDiagram, index: int) -> bool:
-    try:
-        _check_move3_del(r, index)
-    except MoveError:
-        return False
-    return True
+            return f"{cid} links {', '.join(linked)}; cannot delete the pair"
+    return None
 
 
 def eq_move3_del(r: RoundDiagram, pair_index: int) -> RoundDiagram:
     """Delete a pair matching the eq_move3_add pattern: two unlinked unknots
     whose Dehn framings are both +-1."""
-    p = _check_move3_del(r, pair_index)
+    reason = _check_move3_del(r, pair_index)
+    if reason is not None:
+        raise MoveError(reason)
+    p = r.pairs[pair_index]
     pairs = [q for t, q in enumerate(r.pairs) if t != pair_index]
     keep = r.ids - {p.c1.id, p.c2.id}
     return RoundDiagram(pairs, r.loose, r.lk.restricted(keep))
@@ -455,8 +448,8 @@ def _round_moves(
             for delta, sign in ((-2, 1), (0, -1), (0, 1), (2, -1)):
                 yield MoveDescriptor(MoveKind.EQ_MOVE3_ADD, k=k, delta=delta, sign=sign)
     if MoveKind.EQ_MOVE3_DEL in kinds:
-        for i in range(n):
-            if _deletable(r, i):
+        for i in joint:
+            if _check_move3_del(r, i) is None:
                 yield MoveDescriptor(MoveKind.EQ_MOVE3_DEL, pair=i)
     if MoveKind.EQ_MOVE4 in kinds:
         for i in joint:

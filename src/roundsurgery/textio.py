@@ -456,7 +456,6 @@ def _collect_lk(
 ) -> list[tuple[str, str, int]]:
     # The LK lines.  known maps acceptable ids to anything; only membership
     # matters.  An entry naming a failed id is dropped without a diagnostic.
-    entries: list[tuple[str, str, int]] = []
     seen: dict[tuple[str, str], int] = {}
     for s in stmts:
         got = s[3] or _walked(s, "LK", diags)
@@ -477,8 +476,7 @@ def _collect_lk(
             diags.append(Diagnostic(s[0], _col(s, 0), f"linking of {key[0]} and {key[1]} already given ({kind})"))
             continue
         seen[key] = v
-        entries.append(got)
-    return entries
+    return [(a, b, v) for (a, b), v in seen.items()]
 
 
 def _build_round(stmts: dict[str, list[_Stmt]], diags: list[Diagnostic]) -> RoundDiagram:
@@ -539,8 +537,8 @@ def _build_dehn(stmts: dict[str, list[_Stmt]], diags: list[Diagnostic]) -> DehnD
 
 def _build_kirby(stmts: dict[str, list[_Stmt]], diags: list[Diagnostic]) -> KirbyDiagram:
     comps, failed = _collect_comps(stmts["COMP"], diags, "KIRBY")
-    one_handles: dict[str, int] = {}
-    handle2: dict[str, tuple[int, int, tuple[tuple[str, int], ...]]] = {}
+    one_handles: set[str] = set()
+    handle2: dict[str, tuple[int, tuple[tuple[str, int], ...]]] = {}
 
     for s in stmts["HANDLE1"]:
         (hid,), _ = _walk(s, _FIELDS["HANDLE1"], diags)
@@ -549,7 +547,7 @@ def _build_kirby(stmts: dict[str, list[_Stmt]], diags: list[Diagnostic]) -> Kirb
         if hid in one_handles or hid in comps:
             diags.append(Diagnostic(s[0], _col(s, 0), f"duplicate id {hid}"))
             continue
-        one_handles[hid] = s[0]
+        one_handles.add(hid)
 
     for s in stmts["HANDLE2"]:
         line = s[0]
@@ -580,7 +578,7 @@ def _build_kirby(stmts: dict[str, list[_Stmt]], diags: list[Diagnostic]) -> Kirb
             if hid not in failed:
                 diags.append(Diagnostic(line, _col(s, 0), f"2-handle {hid} has no COMP line for its knot"))
             continue
-        handle2[hid] = (line, framing, tuple(over.items()))
+        handle2[hid] = (framing, tuple(over.items()))
 
     for cid, (line, _, _) in comps.items():
         if cid not in handle2 and cid not in failed:
@@ -588,7 +586,7 @@ def _build_kirby(stmts: dict[str, list[_Stmt]], diags: list[Diagnostic]) -> Kirb
 
     two_handles = [
         TwoHandle(hid, comps[hid][1].knot, framing, over)
-        for hid, (_line, framing, over) in handle2.items()
+        for hid, (framing, over) in handle2.items()
     ]
     entries = _collect_lk(stmts["LK"], diags, handle2, failed)
     return KirbyDiagram(one_handles, two_handles, LinkingMatrix(entries))

@@ -41,7 +41,7 @@ from roundsurgery import (
     taut_foliation_family,
 )
 from roundsurgery.homology import determinant, matrix_multiply
-from roundsurgery.moves import EQ_MOVE4_VARIANTS, _deletable
+from roundsurgery.moves import EQ_MOVE4_VARIANTS, _check_move3_del
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -235,7 +235,7 @@ def _random_move(rng, r):
     kinds = ["EqMove1", "ShuffleA", "EqMove3Add", "EqMove4single"]
     if len(r.pairs) >= 2:
         kinds += ["ShuffleB", "EqMove4double"]
-    deletable = [i for i in range(len(r.pairs)) if _deletable(r, i)]
+    deletable = [i for i in range(len(r.pairs)) if _check_move3_del(r, i) is None]
     if deletable:
         kinds.append("EqMove3Del")
     kind = rng.choice(kinds)

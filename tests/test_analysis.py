@@ -13,6 +13,7 @@ from roundsurgery import (
     LooseKnot,
     Rational,
     RoundDiagram,
+    SurgeryError,
     first_homology_round,
     is_trivial,
     split_connected_sum,
@@ -187,3 +188,5 @@ def test_tight_contact_exists_gates():
     assert tight_contact_exists(one_pair_diagram(3, 3, None, lk=1, fibred=True), 0)
     assert not tight_contact_exists(one_pair_diagram(3, 3, None, lk=1), 0)
     assert not tight_contact_exists(one_pair_diagram(3, 4, None, lk=1, fibred=True), 0)
+    with pytest.raises(SurgeryError, match="pair index 1 out of range"):
+        tight_contact_exists(one_pair_diagram(3, 3, None, lk=1, fibred=True), 1)

@@ -32,6 +32,8 @@ from roundsurgery import (
     kirby1_add,
     kirby1_del,
     kirby2_slide,
+    parse,
+    print_diagram,
     shuffle_a,
     shuffle_b,
 )
@@ -188,15 +190,34 @@ class _EveryKnot:
 @settings(max_examples=50, deadline=None)
 @given(_registry_diagrams(), st.sampled_from((None, Rational(1, 0), Rational(3, 2), Rational(-1))), st.data())
 def test_apply_move_accepts_every_candidate_round_move(r, m, data):
-    """The search applies every move _round_moves yields without a guard.
+    """The search applies every move _round_moves yields without a guard,
+    and misses none: its candidates are exactly the moves of the reference
+    box that apply_move accepts, less the identity regauges (drop 2 of
+    bounded_equivalence_search) and the single-pair slides written with
+    pair2 = pair.  Every result prints and parses back to itself, so no
+    move stores a non-canonical value, such as a zero linking entry.
     Besides the registry diagrams' pairs, a pair with m None, 1/0, p/q or
     an integer is inserted at any index, and every slide is on the spine."""
     pairs = list(r.pairs)
     pairs.insert(data.draw(st.integers(0, len(pairs))), JointPair(comp("v1", "trefoil"), 1, comp("v2"), 0, m))
     r = RoundDiagram(pairs, r.loose, r.lk)
     spines = {cid: _EveryKnot() for cid in r.ids}
-    for move in _round_moves(r, [(-1, 0, 2)] * (len(pairs) + 1), spines, set(MoveKind)):
+    candidates = list(_round_moves(r, [(-1, 0, 2)] * (len(pairs) + 1), spines, set(MoveKind)))
+    for move in candidates:
         apply_move(r, move)
+    accepted = set()
+    for move in reference_box(len(pairs), (-1, 0, 2)):
+        try:
+            out = apply_move(r, move)
+        except MoveError:
+            continue
+        assert parse(print_diagram(out)).diagram == out, move
+        if move.kind is MoveKind.EQ_MOVE1 and move.k == pairs[move.pair].n2:
+            continue
+        if move.kind is MoveKind.EQ_MOVE4 and move.pair2 == move.pair:
+            continue
+        accepted.add(move)
+    assert set(candidates) == accepted
 
 
 @settings(max_examples=50, deadline=None)

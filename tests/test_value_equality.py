@@ -86,7 +86,10 @@ def _component_variants(c):
 
 
 def _lk_variants(lk, ids):
-    return [lk.with_entries({(a, b): lk.get(a, b) + 1}) for a, b in itertools.islice(itertools.combinations(sorted(ids), 2), 2)]
+    return [
+        LinkingMatrix([*((x, y, v) for (x, y), v in lk.items() if (x, y) != (a, b)), (a, b, lk.get(a, b) + 1)])
+        for a, b in itertools.islice(itertools.combinations(sorted(ids), 2), 2)
+    ]
 
 
 def _swapped(items, i, new):
