@@ -37,10 +37,6 @@ class AbelianGroup:
                 raise ValueError(f"invariant factors {prev}, {d} break the divisibility chain")
             prev = d
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
     @classmethod
     def from_factors(cls, factors: list[int], extra_free: int = 0) -> "AbelianGroup":
         """Canonicalise raw diagonal entries: drop units, zeros become Z."""

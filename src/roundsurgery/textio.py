@@ -21,12 +21,14 @@ Canonical form (what :func:`print_diagram` emits, and what the 30-file test
 corpus is byte-frozen against): LF line endings, single spaces, no comments,
 COMP lines sorted by id, PAIR lines in diagram order, LOOSE/HANDLE/LK lines
 sorted, zero linking entries omitted, integral slopes printed without a
-denominator.  Printing then parsing is the identity on every valid diagram,
-which makes the canonical text the normal form of diagram equality: two
-diagrams are equal exactly when they print the same.  An integer may have
-at most sys.get_int_max_str_digits() digits and a knot expression at most
-100 nested band sums (_MAX_KNOT_DEPTH); beyond either limit it is a
-diagnostic.
+denominator.  Printing then parsing is the identity on every valid diagram
+that prints, which makes the canonical text the normal form of diagram
+equality: two diagrams are equal exactly when they print the same.  An
+integer may have at most sys.get_int_max_str_digits() digits and a knot
+expression at most 100 nested band sums (_MAX_KNOT_DEPTH).  Beyond either
+limit the parser gives a diagnostic, and the printer refuses a diagram
+built in code: str() raises ValueError on the integer, format_knot
+SurgeryError on the knot.
 
 Reading: one compiled pattern (_LINE_RE) runs over the whole text once,
 by findall, and gives the groups of each line.  Its statement alternatives
@@ -37,8 +39,12 @@ its kind that the document's builder reads.  Every other line (the header,
 comments and blank lines, other spacing, CR, LOOSE and HANDLE lines, a
 rational m) matches the catch-all and is split into words; a statement
 among them, like a line whose fields do not convert, goes to the field
-walker (_walk), the only source of syntax diagnostics.  One table (_FIELDS) lists the fields of each statement kind,
-and the walker reads every kind by one rule: each field, left to right,
+walker (_walk), the only source of syntax diagnostics, which runs once, in
+the scan, and makes its record.  So every statement has one record, of
+its field values (None where one failed) and whether the line got no
+diagnostic of its own, and the builders read records only.  One table
+(_FIELDS) lists the fields of each statement kind, COMP by header, and the
+walker reads every kind by one rule: each field, left to right,
 checks the token at its place, each missing required field is reported,
 and so is the first token left over.  A diagnostic about a value points at
 its first character (in over=, at its piece, or its count); one about a
@@ -222,10 +228,11 @@ def _no_framing(text: str, line: int, col: int, diags: list[Diagnostic]) -> None
 # Statement records
 
 
-#: A statement: (line, kind, raw, values), raw the whole line and values its
-#: converted fields when the line pattern read them, else None.  A plain
-#: tuple, as almost every line of a document makes one.
-_Stmt = tuple[int, str, str, Optional[tuple]]
+#: A statement: (line, kind, raw, values, ok), raw the whole line, values
+#: its fields, each None where it failed, and ok whether the line got no
+#: diagnostic of its own.  A plain tuple, as almost every line of a document
+#: makes one.
+_Stmt = tuple[int, str, str, tuple, bool]
 
 
 def _tokenize(raw: str) -> list[tuple[str, int]]:
@@ -308,13 +315,13 @@ _FIELDS: dict[str, tuple[_Field, ...]] = {
 _STATEMENTS = frozenset(name.split()[0] for name in _FIELDS)
 
 
-def _walk(s: _Stmt, fields: tuple[_Field, ...], diags: list[Diagnostic]) -> tuple[list, bool]:
-    """The value of each field of s, and whether s got no diagnostic.  The
-    fields are read left to right, each checking the token it reads; a
-    field without a token, or whose token fails, is None.  Each required
-    field without a token is reported at column 1, and the first token
-    left over as unexpected."""
-    line, kind, raw, _ = s
+def _walk(s: tuple[int, str, str], fields: tuple[_Field, ...], diags: list[Diagnostic]) -> tuple[list, bool]:
+    """The value of each field of the statement s (its line, kind and raw
+    text), and whether s got no diagnostic.  The fields are read left to
+    right, each checking the token it reads; a field without a token, or
+    whose token fails, is None.  Each required field without a token is
+    reported at column 1, and the first token left over as unexpected."""
+    line, kind, raw = s
     before, tokens, at, values = len(diags), _tokenize(raw)[1:], 0, []
     for f in fields:
         value = None
@@ -336,12 +343,6 @@ def _walk(s: _Stmt, fields: tuple[_Field, ...], diags: list[Diagnostic]) -> tupl
     return values, len(diags) == before
 
 
-def _walked(s: _Stmt, kind: str, diags: list[Diagnostic]) -> Optional[tuple]:
-    """The fields of s as the walker reads them, or None with its diagnostics."""
-    values, ok = _walk(s, _FIELDS[kind], diags)
-    return tuple(values) if ok else None
-
-
 def parse(text: str) -> DiagramDocument:
     """Parse a document, or raise :class:`ParseError` carrying one
     positioned diagnostic per problem (lexical, syntactic and semantic)."""
@@ -360,19 +361,19 @@ def parse(text: str) -> DiagramDocument:
             if header is None:  # the header, or a line before it
                 pass
             elif a:
-                stmts["LK"].append((line_no, "LK", raw, (a, b, int(v))))
+                stmts["LK"].append((line_no, "LK", raw, (a, b, int(v)), True))
                 continue
             elif id1:
                 if header == "ROUND":  # else not allowed, which the check below reports
                     values = id1, id2, int(n1), int(n2), Rational(int(slope)) if slope else None
-                    joint.append((line_no, "PAIR", raw, values))
+                    joint.append((line_no, "PAIR", raw, values, True))
                     continue
             elif cid and bool(framing) == (header == "DEHN") and not (fibred and header == "KIRBY"):
                 expr = knots.get(knot)
                 if expr is None:
                     expr = knots[knot] = _parse_knot(knot)
                 values = cid, expr, int(framing) if framing else None, bool(fibred)
-                stmts["COMP"].append((line_no, "COMP", raw, values))
+                stmts["COMP"].append((line_no, "COMP", raw, values, True))
                 continue
         except (_KnotSyntax, ValueError):
             pass  # the walker reports it
@@ -397,7 +398,11 @@ def parse(text: str) -> DiagramDocument:
             diags.append(Diagnostic(line_no, 1, f"{word} is not allowed in a {header} document"))
             continue
         else:
-            stmts[word].append((line_no, word, raw, None))
+            s = (line_no, word, raw)
+            values, ok = _walk(s, _FIELDS[f"COMP {header}" if word == "COMP" else word], diags)
+            if word == "COMP":  # the fibred flag as a bool; KIRBY has no fibred field
+                values[3:] = [values[3:] == [True]]
+            stmts[word].append((*s, tuple(values), ok))
             continue
         diags.append(Diagnostic(line_no, _tokenize(raw)[0][1], problem))
 
@@ -411,39 +416,22 @@ def parse(text: str) -> DiagramDocument:
     return DiagramDocument(header, diagram)
 
 
-def _comp_fields(s: _Stmt, diags: list[Diagnostic], header: str) -> Optional[tuple]:
-    """The id, knot, framing and fibred flag of a COMP line, or None with
-    its diagnostics."""
-    if s[3] is not None:
-        return s[3]
-    values, ok = _walk(s, _FIELDS["COMP " + header], diags)
-    return (*values[:3], values[3:] == [True]) if ok else None  # KIRBY has no fibred field
-
-
-def _note_failed(s: _Stmt, failed: set[str]) -> None:
-    """Add the id a statement with a diagnostic of its own names first, if
-    it is a valid id, to failed."""
-    tokens = _tokenize(s[2])
-    if len(tokens) > 1 and _ID_RE.fullmatch(tokens[1][0]):
-        failed.add(tokens[1][0])
-
-
 #: A component: (line, component, framing), framing None outside DEHN.
 _Comp = tuple[int, FramedComponent, Optional[int]]
 
 
-def _collect_comps(stmts: list[_Stmt], diags: list[Diagnostic], header: str) -> tuple[dict[str, _Comp], set[str]]:
-    """The components of the COMP lines by id, and the valid ids of those
+def _collect_comps(stmts: list[_Stmt], diags: list[Diagnostic]) -> tuple[dict[str, _Comp], set[str]]:
+    """The components of the COMP lines by id, and the first ids of those
     that have a diagnostic of their own: lines naming those ids are not
-    reported again (KIRBY adds the ids of such HANDLE2 lines)."""
+    reported again (KIRBY adds the ids of such HANDLE2 lines).  The first id
+    of such a line is None if it is not a valid id, and no line names None."""
     comps: dict[str, _Comp] = {}
     failed: set[str] = set()
     for s in stmts:
-        values = _comp_fields(s, diags, header)
-        if values is None:
-            _note_failed(s, failed)
+        cid, knot, framing, fibred = s[3]
+        if not s[4]:
+            failed.add(cid)
             continue
-        cid, knot, framing, fibred = values
         if cid in comps:
             diags.append(Diagnostic(s[0], _col(s, 0), f"duplicate component {cid}"))
             continue
@@ -458,10 +446,9 @@ def _collect_lk(
     # matters.  An entry naming a failed id is dropped without a diagnostic.
     seen: dict[tuple[str, str], int] = {}
     for s in stmts:
-        got = s[3] or _walked(s, "LK", diags)
-        if got is None:
+        if not s[4]:
             continue
-        a, b, v = got
+        a, b, v = s[3]
         if a == b:
             diags.append(Diagnostic(s[0], _col(s, 0), f"linking of {a} with itself is not allowed"))
             continue
@@ -480,7 +467,7 @@ def _collect_lk(
 
 
 def _build_round(stmts: dict[str, list[_Stmt]], diags: list[Diagnostic]) -> RoundDiagram:
-    comps, failed = _collect_comps(stmts["COMP"], diags, "ROUND")
+    comps, failed = _collect_comps(stmts["COMP"], diags)
     used: dict[str, int] = {}
     # A component named on a PAIR or LOOSE line that has a diagnostic of its
     # own is not reported again as unused.
@@ -502,10 +489,9 @@ def _build_round(stmts: dict[str, list[_Stmt]], diags: list[Diagnostic]) -> Roun
         return comps[cid][1]
 
     for s in stmts["PAIR"]:  # the PAIR and LOOSE lines, in line order
-        pair = s[1] == "PAIR"
-        got = s[3] or _walked(s, s[1], diags)
-        if got is None:
-            named.update(word for word, _ in _tokenize(s[2])[1 : 3 if pair else 2])
+        pair, got = s[1] == "PAIR", s[3]
+        if not s[4]:
+            named.update(got[: 2 if pair else 1])  # its ids, None where invalid
         elif not pair:
             c = claim(got[0], s, 0)
             if c is not None:
@@ -528,7 +514,7 @@ def _build_round(stmts: dict[str, list[_Stmt]], diags: list[Diagnostic]) -> Roun
 
 
 def _build_dehn(stmts: dict[str, list[_Stmt]], diags: list[Diagnostic]) -> DehnDiagram:
-    comps, failed = _collect_comps(stmts["COMP"], diags, "DEHN")
+    comps, failed = _collect_comps(stmts["COMP"], diags)
     entries = _collect_lk(stmts["LK"], diags, comps, failed)
     components = [c for _, c, _ in comps.values()]
     framing = {c.id: f for _, c, f in comps.values() if f is not None}
@@ -536,12 +522,12 @@ def _build_dehn(stmts: dict[str, list[_Stmt]], diags: list[Diagnostic]) -> DehnD
 
 
 def _build_kirby(stmts: dict[str, list[_Stmt]], diags: list[Diagnostic]) -> KirbyDiagram:
-    comps, failed = _collect_comps(stmts["COMP"], diags, "KIRBY")
+    comps, failed = _collect_comps(stmts["COMP"], diags)
     one_handles: set[str] = set()
     handle2: dict[str, tuple[int, tuple[tuple[str, int], ...]]] = {}
 
     for s in stmts["HANDLE1"]:
-        (hid,), _ = _walk(s, _FIELDS["HANDLE1"], diags)
+        (hid,) = s[3]
         if hid is None:  # a line with an extra token still declares its handle
             continue
         if hid in one_handles or hid in comps:
@@ -550,9 +536,8 @@ def _build_kirby(stmts: dict[str, list[_Stmt]], diags: list[Diagnostic]) -> Kirb
         one_handles.add(hid)
 
     for s in stmts["HANDLE2"]:
-        line = s[0]
+        line, _, _, (hid, framing, over_text), ok = s
         before = len(diags)
-        (hid, framing, over_text), _ = _walk(s, _FIELDS["HANDLE2"], diags)
         over: dict[str, int] = {}
         col = 0 if over_text is None else _col(s, 2) + len("over=")  # of each piece in turn
         for piece in () if over_text is None else over_text.split(","):
@@ -568,8 +553,8 @@ def _build_kirby(stmts: dict[str, list[_Stmt]], diags: list[Diagnostic]) -> Kirb
                 if count is not None:
                     over[hpart] = count
             col += len(piece) + 1
-        if len(diags) > before:
-            _note_failed(s, failed)
+        if not ok or len(diags) > before:
+            failed.add(hid)
             continue
         if hid in handle2:
             diags.append(Diagnostic(line, _col(s, 0), f"duplicate 2-handle {hid}"))
@@ -606,9 +591,19 @@ _DOCUMENTS = {
 
 
 def format_knot(expr: KnotExpr) -> str:
+    """The text of a knot; SurgeryError past _MAX_KNOT_DEPTH, which the
+    parser would refuse."""
+    return _knot_text(expr, 0)
+
+
+def _knot_text(expr: KnotExpr, depth: int) -> str:
+    # module level: a nested helper, built on every call, made printing a
+    # document about 40% slower
     if isinstance(expr, Atom):
         return expr.label
-    return f"band({format_knot(expr.left)},cable({format_knot(expr.of)},{expr.framing}))"
+    if depth == _MAX_KNOT_DEPTH:
+        raise SurgeryError(f"knot expression nested deeper than {_MAX_KNOT_DEPTH} band sums")
+    return f"band({_knot_text(expr.left, depth + 1)},cable({_knot_text(expr.of, depth + 1)},{expr.framing}))"
 
 
 def _comp_line(c: FramedComponent, framing: Optional[int] = None) -> str:

@@ -410,6 +410,26 @@ def test_a_knot_nested_beyond_the_limit_exits_1_without_a_traceback(tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, statements",
+    [
+        (["move", "--kind", "EqMove4", "--args", "variant=11over21,pair=0,pair2=1,k=0"],
+         "COMP c knot=unknot\nCOMP d knot=unknot\nPAIR a b n1=0 n2=0 m=1\nPAIR c d n1=0 n2=0 m=1\n"),
+        (["kirby-export"], "PAIR a b n1=0 n2=0\n"),
+    ],
+    ids=["move", "kirby-export"],
+)
+def test_a_result_knot_nested_beyond_the_limit_exits_2_without_a_traceback(tmp_path, command, statements):
+    """A knot 100 band sums deep parses; a result that nests it one level
+    deeper would print as text the parser refuses, so the call exits 2."""
+    knot = "band(" * 100 + "unknot" + ",cable(unknot,1))" * 100
+    path = write(tmp_path, "deep.rsd", f"ROUND\nCOMP a knot={knot}\nCOMP b knot=unknot\n{statements}")
+    assert run(["validate", path])[:2] == (0, "ok\n")
+    code, out, err = run([command[0], path] + command[1:])
+    assert (code, out) == (2, "")
+    assert err == "error: knot expression nested deeper than 100 band sums\n"
+
+
 
 def test_main_keeps_no_state_between_calls(tmp_path, monkeypatch):
     """main() builds its parser once per process; each call of a sequence in

@@ -267,9 +267,14 @@ def test_parse_reports_an_integer_beyond_the_digit_limit_at_its_token(text, line
             26,
         ),
         ("KIRBY\nCOMP t knot=unknot\nCOMP u knot=unknot\nHANDLE2 t\nHANDLE2 u framing=0\nLK t u 1\n", 4, 1),
+        # a failed line, then a good one with its id: only the failed line is reported
+        ("KIRBY\nCOMP t knot=unknot\nHANDLE1 h\nHANDLE2 t framing=x over=h:1\nHANDLE2 t framing=0\n", 4, 19),
+        ("DEHN\nCOMP a knot=unknot framing=x\nCOMP a knot=unknot framing=1\n", 2, 28),
+        ("ROUND\nCOMP a knot=unknot framing=1\nCOMP a knot=unknot\nCOMP b knot=unknot\nPAIR a b n1=0 n2=0\n", 2, 20),
     ],
     ids=["long-n1", "bad-n1", "extra-token", "bad-loose-m", "bad-comp-pair-lk", "bad-comp-loose", "bad-comp-dehn",
-         "bad-comp-kirby", "bad-handle2", "handle2-without-framing"],
+         "bad-comp-kirby", "bad-handle2", "handle2-without-framing", "bad-handle2-then-good", "bad-comp-then-good-dehn",
+         "bad-comp-then-good-round"],
 )
 def test_a_bad_field_gives_one_diagnostic_not_one_per_component(text, line, col):
     with pytest.raises(ParseError) as info:
@@ -298,6 +303,19 @@ def test_parse_reports_a_knot_nested_beyond_the_limit_at_its_token(nest):
         at = line.index("band(", at + 1)
     assert (d.line, d.col) == (2, at + 1)
     assert d.message == f"knot expression nested deeper than {_MAX_KNOT_DEPTH} band sums"
+
+
+@pytest.mark.parametrize("depth", [_MAX_KNOT_DEPTH + 1, 1000])
+def test_print_diagram_refuses_a_knot_nested_beyond_the_limit(depth):
+    """The printer keeps the parser's limit: a knot built in code deeper than
+    the parser reads raises SurgeryError, not text that does not parse back
+    (or, deep enough, RecursionError)."""
+    knot = Atom("unknot")
+    for _ in range(depth):
+        knot = BandSum(knot, Atom("unknot"), 1)
+    dehn = DehnDiagram([FramedComponent("a", knot)], {"a": 0}, LinkingMatrix())
+    with pytest.raises(SurgeryError, match=f"^knot expression nested deeper than {_MAX_KNOT_DEPTH} band sums$"):
+        print_diagram(dehn)
 
 
 @pytest.mark.parametrize(
