@@ -65,11 +65,17 @@ UNKNOT = Atom("unknot")
 
 
 def _knot_violations(expr: object, where: str) -> list[str]:
-    if isinstance(expr, Atom):
-        return []
-    if isinstance(expr, BandSum):
-        return _knot_violations(expr.of, where) + _knot_violations(expr.left, where)
-    return [f"{where}: not a knot expression"]
+    """One message per node of expr that is not a knot expression.  The walk
+    keeps its own stack, so a knot built in code may nest band sums to any
+    depth."""
+    out, stack = [], [expr]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, BandSum):
+            stack += (e.left, e.of)
+        elif not isinstance(e, Atom):
+            out.append(f"{where}: not a knot expression")
+    return out
 
 
 # ---------------------------------------------------------------------------

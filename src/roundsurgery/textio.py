@@ -67,7 +67,7 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Optional, Union
 
-from .bridge import KirbyDiagram, TwoHandle, validate_kirby
+from .bridge import KirbyDiagram, TwoHandle
 from .model import (
     Atom,
     BandSum,
@@ -80,7 +80,6 @@ from .model import (
     Rational,
     RoundDiagram,
     SurgeryError,
-    validate_diagram,
 )
 
 AnyDiagram = Union[RoundDiagram, DehnDiagram, KirbyDiagram]
@@ -648,9 +647,3 @@ def print_diagram(d: AnyDiagram) -> str:
     else:
         raise TypeError(f"not a diagram: {d!r}")
     return "\n".join(lines) + "\n"
-
-
-def validate_any(d: AnyDiagram) -> list[str]:
-    if isinstance(d, KirbyDiagram):
-        return validate_kirby(d)
-    return validate_diagram(d)

@@ -7,13 +7,17 @@ from roundsurgery import (
     Atom,
     BandSum,
     DehnDiagram,
+    FramedComponent,
     JointPair,
+    KirbyDiagram,
     LinkingMatrix,
     LooseKnot,
     Rational,
     RoundDiagram,
     SurgeryError,
+    TwoHandle,
     validate_diagram,
+    validate_kirby,
 )
 
 
@@ -134,5 +138,27 @@ def test_malformed_knot_is_reported_not_thrown():
     from roundsurgery import FramedComponent
 
     bad = FramedComponent("a", BandSum(Atom("trefoil"), "unknot", 0))
+    r = RoundDiagram([JointPair(bad, 0, comp("b"), 0, Rational(1))])
+    assert validate_diagram(r) == ["component a: not a knot expression"]
+
+
+def _nested(knot, depth):
+    """knot under depth band sums, nested alternately on the left and the
+    framing-curve side."""
+    for level in range(depth):
+        knot = BandSum(knot, Atom("unknot"), 1) if level % 2 else BandSum(Atom("trefoil"), knot, -1)
+    return knot
+
+
+def test_a_knot_built_in_code_of_any_depth_validates():
+    deep = _nested(Atom("unknot"), 10_000)
+    r = RoundDiagram([JointPair(FramedComponent("a", deep), 0, comp("b"), 0, Rational(1))])
+    k = KirbyDiagram(two_handles=[TwoHandle("a", deep, 0)])
+    assert validate_diagram(r) == []
+    assert validate_kirby(k) == []
+
+
+def test_a_malformed_leaf_deep_in_a_knot_is_reported_once():
+    bad = FramedComponent("a", _nested("trefoil", 5_000))
     r = RoundDiagram([JointPair(bad, 0, comp("b"), 0, Rational(1))])
     assert validate_diagram(r) == ["component a: not a knot expression"]

@@ -1056,6 +1056,21 @@ def test_search_cost_does_not_grow_with_the_k_range(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
+def test_the_gauge_class_pass_ends_a_reframed_slide_goal_early(monkeypatch):
+    # the goal is one slide away, with the slid component's n1 raised by 1:
+    # no move sequence of depth 4 reaches it, and the class pass says so
+    # after 469 calls; the exact search alone makes 30,159 (drop 11)
+    start = random_joint_diagram(random.Random(1), min_pairs=2, max_pairs=2, span=2, lk_probability=0.6)
+    slid = eq_move4(start, "11over21", 0, 1, 0)
+    p = slid.pairs[0]
+    goal = RoundDiagram((JointPair(p.c1, p.n1 + 1, p.c2, p.n2, p.m),) + slid.pairs[1:], slid.loose, slid.lk)
+    calls = []
+    apply = moves.apply_move
+    monkeypatch.setattr(moves, "apply_move", lambda d, move: calls.append(move) or apply(d, move))
+    assert bounded_equivalence_search(start, goal, 4, range(-2, 3)) is None
+    assert 0 < len(calls) <= 1_000
+
+
 def test_search_reads_a_wide_k_range_in_constant_memory():
     r = parse((Path(__file__).parent / "corpus" / "07_round_two_pairs_linked.rsd").read_text()).diagram
     goal = eq_move1(r, 0, 7)
