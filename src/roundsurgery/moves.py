@@ -425,9 +425,10 @@ def _round_moves(
     (ShuffleB writes k into pair2 and k2 into pair); slot_ks[i] holds the k
     values tried for pair i, and slot_ks[len(r.pairs)] those for the pair
     EqMove3Add appends, each ascending.  Every candidate is one apply_move
-    accepts on r.  No EqMove1 that gives r back is yielded, and no EqMove4
-    whose slid component's new knot is not in spines under its id (drops
-    2 and 3 of bounded_equivalence_search).
+    accepts on r.  No EqMove1 that gives r back is yielded, no EqMove4
+    whose slid component's new knot is not in spines under its id, and no
+    ShuffleB with pair > pair2, whose twin builds the same diagram (drops
+    2, 3 and 9 of bounded_equivalence_search).
     """
     n = len(r.pairs)
     joint = [i for i, p in enumerate(r.pairs) if _is_joint(p)]
@@ -467,7 +468,7 @@ def _round_moves(
         # pair i takes k2 as its n2 and pair j takes k
         for i in joint:
             for j in joint:
-                if j != i:
+                if j > i:
                     for k1, k2 in product(slot_ks[j], slot_ks[i]):
                         yield MoveDescriptor(MoveKind.SHUFFLE_B, pair=i, pair2=j, k=k1, k2=k2)
 
@@ -516,14 +517,16 @@ def _band_sum_bound(spines: dict[ComponentId, dict[KnotExpr, int]], state: Round
 
 
 def _can_yield(
-    state: RoundDiagram, goal: RoundDiagram, need: int, left: int
-) -> tuple[frozenset[MoveKind], Callable[[MoveDescriptor], bool]]:
+    state: RoundDiagram, goal: RoundDiagram, need: int, left: int, ks: Sequence[int]
+) -> tuple[frozenset[MoveKind], list[Sequence[int]]]:
     """The round move kinds whose moves on state can still lead to goal
-    within left more moves, read off MOVES, and a test that every such move
-    passes: drops 5-9 of bounded_equivalence_search.  need is the number of
-    band sums the state lacks (_band_sum_bound), and state's loose knots
-    are goal's."""
-    delta = len(goal.pairs) - len(state.pairs)
+    within left more moves, read off MOVES, and the k values _round_moves
+    tries in each pair slot: drops 1 and 5-8 of bounded_equivalence_search.
+    Inner levels try ks in every slot.  The last level tries only goal's n2,
+    if ks holds it, and only in the slots in which state differs from goal.
+    need is the number of band sums the state lacks (_band_sum_bound), and
+    state's loose knots are goal's."""
+    n, delta = len(state.pairs), len(goal.pairs) - len(state.pairs)
     kinds = {
         kind
         for kind, spec in _ROUND_SPECS.items()
@@ -532,47 +535,28 @@ def _can_yield(
     if left <= 1 and MoveKind.EQ_MOVE3_ADD in kinds and not goal.ids.issuperset(_fresh_pair_ids(state)):
         kinds.remove(MoveKind.EQ_MOVE3_ADD)
     if left:
-        return frozenset(kinds), lambda move: True
-    if delta < 0:
-        at = {i for i in range(len(state.pairs)) if state.pairs[:i] + state.pairs[i + 1 :] == goal.pairs}
-        if not at:
-            return frozenset(), lambda move: False
+        return frozenset(kinds), [ks] * (n + 1)
+    if delta < 0 and not any(state.pairs[:i] + state.pairs[i + 1 :] == goal.pairs for i in range(n)):
+        return frozenset(), []
     same_lk = state.lk == goal.lk
     differ = [i for i, (p, q) in enumerate(zip(state.pairs, goal.pairs)) if p != q] if delta >= 0 else []
-    rewrites = {
-        kind: MOVES[kind].rewrites
+    kinds = {
+        kind
         for kind in kinds
         if (same_lk or MOVES[kind].rewrites_lk) and len(MOVES[kind].rewrites) >= len(differ)
     }
-
-    def writes_goal_components(move: MoveDescriptor) -> bool:
-        if move.kind is MoveKind.SHUFFLE_A:
-            p, q = state.pairs[move.pair], goal.pairs[move.pair]
-            return (q.c1, q.c2) == (p.c2, p.c1)
-        if move.kind is MoveKind.SHUFFLE_B:
-            p, pj = state.pairs[move.pair], state.pairs[move.pair2]
-            q, qj = goal.pairs[move.pair], goal.pairs[move.pair2]
-            return (q.c1, q.c2, qj.c1, qj.c2) == (p.c1, pj.c2, pj.c1, p.c2)
-        return True
-
-    def test(move: MoveDescriptor) -> bool:
-        rewritten = [getattr(move, name) for name in rewrites[move.kind]]
-        if delta < 0:
-            return rewritten[0] in at
-        return all(i in rewritten for i in differ) and writes_goal_components(move)
-
-    return frozenset(rewrites), test
+    written = differ + [n] if delta == 1 else differ
+    slot_ks = [(goal.pairs[i].n2,) if i in written and goal.pairs[i].n2 in ks else () for i in range(n + 1)]
+    return frozenset(kinds), slot_ks
 
 
 def _breadth_first(start: RoundDiagram, goal: RoundDiagram, depth: int, ks: Sequence[int]) -> Optional[MoveSequence]:
     """The first sequence of at most depth moves, level by level and in
     _round_moves order, that carries start to goal, which start is not;
-    None if there is none.  Inner levels write every k of ks (ascending)
-    into every pair slot, and the last level only goal's n2 there, if ks
-    holds it.  It applies drops 1-10 of bounded_equivalence_search."""
+    None if there is none.  The k values it writes are read off ks by
+    _can_yield.  It applies drops 1-10 of bounded_equivalence_search."""
     spines = _spines(goal)
     need = _band_sum_bound(spines, start)
-    goal_ks = [(p.n2,) if p.n2 in ks else () for p in goal.pairs]
     frontier: list[tuple[RoundDiagram, MoveSequence, int]] = []
     if need is not None and start.loose == goal.loose:
         frontier.append((start, (), need))
@@ -583,12 +567,10 @@ def _breadth_first(start: RoundDiagram, goal: RoundDiagram, depth: int, ks: Sequ
         left = depth - 1 - level  # moves after this level's
         next_frontier: list[tuple[RoundDiagram, MoveSequence, int]] = []
         for state, path, need in frontier:
-            kinds, test = _can_yield(state, goal, need, left)
+            kinds, slot_ks = _can_yield(state, goal, need, left, ks)
             if not kinds:
                 continue
-            n = len(state.pairs)
-            slot_ks = [ks] * (n + 1) if left else goal_ks + [()] * (n + 1 - len(goal_ks))
-            for move in filter(test, _round_moves(state, slot_ks, spines, kinds)):
+            for move in _round_moves(state, slot_ks, spines, kinds):
                 new = apply_move(state, move)
                 if new == goal:
                     return path + (move,)
@@ -683,18 +665,27 @@ def bounded_equivalence_search(
        with r2 and is not r2.  This assumes that the linking matrix names
        only the diagram's own ids, as the model's contract does, so that
        the deletion's restricted matrix is the state's.
-    8. Differences left unwritten.  On the last level a move is dropped
-       when it leaves unchanged something in which the state differs from
-       r2: the linking matrix when its kind does not rewrite it, or a pair
-       at an index it does not rewrite; MOVES declares what each kind
-       rewrites.  A deletion rewrites no other pair, so it can yield r2
-       only at an index whose removal leaves r2's pairs; with no such
-       index the state is not expanded.
-    9. Shuffled components.  ShuffleA and ShuffleB carry components over
-       unchanged, so on the last level one is dropped when the components
-       it writes into a pair it rewrites differ from r2's there: ShuffleA
-       swaps pair i's two, and ShuffleB gives pair i the second component
-       of pair j and pair j that of pair i.
+    8. The last move's pairs.  The last move rewrites exactly the pairs in
+       which the state differs from r2.  Every round move changes each
+       pair it rewrites (MOVES declares which): EqMove1 writes a k other
+       than the pair's n2 (drop 2), ShuffleA swaps the pair's two
+       components, ShuffleB gives each of its pairs the other's second
+       component, and EqMove4 adds a band sum to a knot.  This assumes
+       that a diagram's component ids are distinct, as validate_diagram
+       requires.  So a last move that rewrites a pair in which the state
+       equals r2 gives no r2, and neither does one that leaves unchanged a
+       pair or a linking matrix in which the state differs.  On the last
+       level only the slots of the differing pairs, and that of the pair
+       EqMove3Add appends, get r2's n2 (drop 1), every other slot gets no
+       k, and a kind that rewrites fewer pairs than differ, or keeps a
+       linking matrix that differs, is not tried.  A deletion rewrites no
+       other pair, so it can yield r2 only at an index whose removal
+       leaves r2's pairs; with no such index the state is not expanded.
+    9. Mirrored shuffles.  ShuffleB is symmetric in its two pairs:
+       shuffle_b(r, j, i, k, k2) builds the same diagram as shuffle_b(r,
+       i, j, k2, k), and with i < j the second sorts first.  So ShuffleB
+       is tried only with pair < pair2; its twin has built the state
+       already, so no frontier changes.
     10. Seen states.  A state reached before is not expanded again: every
        path through it again is no shorter and sorts later.  States are
        compared exactly: moves address pairs by index, so a state whose
@@ -721,8 +712,9 @@ def bounded_equivalence_search(
        end there.  It also ends goals that the other drops admit: a goal
        one slide from r1 whose slid component's n1 is raised by 1 is
        unreachable, and at depth 4 with k in -2..2 the class pass says so
-       after 469 apply_move calls, where the exact search alone makes
-       30,159 (tests/test_moves.py pins the first count below 1,000).
+       after 365 apply_move calls, where the exact search alone makes
+       19,491 (tests/test_moves.py pins the first count below 1,000;
+       tests/reference_counts.py prints both).
     """
     if depth < 0:
         raise MoveError(f"depth must be non-negative, got {depth}")

@@ -39,13 +39,14 @@ its kind that the document's builder reads.  Every other line (the header,
 comments and blank lines, other spacing, CR, LOOSE and HANDLE lines, a
 rational m) matches the catch-all and is split into words; a statement
 among them, like a line whose fields do not convert, goes to the field
-walker (_walk), the only source of syntax diagnostics, which runs once, in
-the scan, and makes its record.  So every statement has one record, of
-its field values (None where one failed) and whether the line got no
-diagnostic of its own, and the builders read records only.  One table
-(_FIELDS) lists the fields of each statement kind, COMP by header, and the
-walker reads every kind by one rule: each field, left to right,
-checks the token at its place, each missing required field is reported,
+walker (_walk), which runs once, in the scan, and makes its record.  The
+walker gives every syntax diagnostic but those of a HANDLE2 line's over=
+list, which _build_kirby reports piece by piece.  So every statement has
+one record, of its field values (None where one failed) and whether the
+line got no diagnostic of its own, and the builders read records only.
+One table (_FIELDS) lists the fields of each statement kind, COMP by
+header, and the walker reads every kind by one rule: each field, left to
+right, checks the token at its place, each missing required field is reported,
 and so is the first token left over.  A diagnostic about a value points at
 its first character (in over=, at its piece, or its count); one about a
 token itself (wrong key, unexpected token, invalid id), at the token.  The

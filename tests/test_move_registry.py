@@ -159,10 +159,13 @@ def _registry_diagrams(draw, bridgeable=False):
 @settings(max_examples=30, deadline=None)
 @given(_registry_diagrams())
 def test_round_moves_change_only_what_their_spec_declares(r):
-    """The search's last level skips a move that leaves unchanged something
-    in which the state differs from the goal, reading what each kind changes
-    off MOVES.  Every move either raises MoveError or keeps the loose knots,
-    lk unless rewrites_lk, and every pair not named by rewrites."""
+    """The search's last move rewrites exactly the pairs in which the state
+    differs from the goal, reading what each kind changes off MOVES.  Every
+    move either raises MoveError or keeps the loose knots, lk unless
+    rewrites_lk, and every pair not named by rewrites; and every move but
+    an identity regauge changes each pair it rewrites.  A ShuffleB equals
+    its twin with the two pairs, and their k values, exchanged, which the
+    search skips."""
     for move in reference_box(len(r.pairs), (-1, 2)):
         spec = MOVES[move.kind]
         try:
@@ -178,6 +181,11 @@ def test_round_moves_change_only_what_their_spec_declares(r):
         else:
             assert len(out.pairs) == len(r.pairs) + spec.pair_delta, move
             assert all(out.pairs[i] == p for i, p in kept), move
+            if not (move.kind is MoveKind.EQ_MOVE1 and move.k == r.pairs[move.pair].n2):
+                assert all(out.pairs[i] != r.pairs[i] for i in rewritten), move
+        if move.kind is MoveKind.SHUFFLE_B:
+            twin = MoveDescriptor(MoveKind.SHUFFLE_B, pair=move.pair2, pair2=move.pair, k=move.k2, k2=move.k)
+            assert apply_move(r, twin) == out, move
 
 
 class _EveryKnot:
@@ -193,9 +201,10 @@ def test_apply_move_accepts_every_candidate_round_move(r, m, data):
     """The search applies every move _round_moves yields without a guard,
     and misses none: its candidates are exactly the moves of the reference
     box that apply_move accepts, less the identity regauges (drop 2 of
-    bounded_equivalence_search) and the single-pair slides written with
-    pair2 = pair.  Every result prints and parses back to itself, so no
-    move stores a non-canonical value, such as a zero linking entry.
+    bounded_equivalence_search), the ShuffleBs written with pair > pair2
+    (drop 9) and the single-pair slides written with pair2 = pair.  Every
+    result prints and parses back to itself, so no move stores a
+    non-canonical value, such as a zero linking entry.
     Besides the registry diagrams' pairs, a pair with m None, 1/0, p/q or
     an integer is inserted at any index, and every slide is on the spine."""
     pairs = list(r.pairs)
@@ -213,6 +222,8 @@ def test_apply_move_accepts_every_candidate_round_move(r, m, data):
             continue
         assert parse(print_diagram(out)).diagram == out, move
         if move.kind is MoveKind.EQ_MOVE1 and move.k == pairs[move.pair].n2:
+            continue
+        if move.kind is MoveKind.SHUFFLE_B and move.pair > move.pair2:
             continue
         if move.kind is MoveKind.EQ_MOVE4 and move.pair2 == move.pair:
             continue
