@@ -11,7 +11,8 @@ Round diagrams of joint pairs carry four equivalence moves:
      component of a pair, and B exchanges the round 2-surgery knots of two
      pairs, each knot keeping its coefficient
   3. add/delete an unlinked unknot pair whose Dehn image is two
-     (+-1)-framed unknots
+     (+-1)-framed unknots; its preconditions are the blow-up and
+     blow-down rules of Kirby move 1 (_BLOW_UPS, _blow_down_refusal)
   4. six band-sum slide variants, one per choice of slid component and
      partner among two pairs; each commutes with the handle slide through
      the joint-pair/Dehn correspondence.
@@ -131,11 +132,14 @@ MoveSequence = tuple[MoveDescriptor, ...]
 # ---------------------------------------------------------------------------
 # Kirby moves on Dehn diagrams
 
+#: The framings of a blow-up, and of a component that can be blown down.
+_BLOW_UPS = (1, -1)
+
 
 def kirby1_add(d: DehnDiagram, sign: int) -> DehnDiagram:
     """Blow up: adjoin a fresh unknot with framing +-1, unlinked from
     everything."""
-    if sign not in (1, -1):
+    if sign not in _BLOW_UPS:
         raise MoveError(f"blow-up framing must be +1 or -1, got {sign}")
     new = FramedComponent(fresh_id("u", d.ids), UNKNOT)
     framing = dict(d.framing)
@@ -143,19 +147,33 @@ def kirby1_add(d: DehnDiagram, sign: int) -> DehnDiagram:
     return DehnDiagram((*d.components, new), framing, d.lk)
 
 
+def _blow_down_refusal(
+    comps: Sequence[tuple[FramedComponent, int]], lk: LinkingMatrix, ids: Iterable[ComponentId]
+) -> Optional[str]:
+    """Why the components, each given with its framing, cannot be blown
+    down, or None: each must be an unknot framed +-1, and none may link
+    any of ids.  Every knot and framing is read before any link."""
+    for c, f in comps:
+        if c.knot != UNKNOT:
+            return f"{c.id} is not an unknot; cannot blow down"
+        if f not in _BLOW_UPS:
+            return f"{c.id} has framing {f}, expected +-1"
+    for c, _ in comps:
+        linked = [x for x in sorted(ids) if x != c.id and lk.get(c.id, x) != 0]
+        if linked:
+            return f"{c.id} links {', '.join(linked)}; cannot blow down"
+    return None
+
+
 def kirby1_del(d: DehnDiagram, c: ComponentId) -> DehnDiagram:
-    """Blow down an unlinked (+-1)-framed unknot."""
-    comp = d.component(c)
-    if comp.knot != UNKNOT:
-        raise MoveError(f"{c} is not an unknot; cannot blow down")
-    if d.framing[c] not in (1, -1):
-        raise MoveError(f"{c} has framing {d.framing[c]}, expected +-1")
-    linked = [x for x in sorted(d.ids) if x != c and d.lk.get(c, x) != 0]
-    if linked:
-        raise MoveError(f"{c} links {', '.join(linked)}; cannot blow down")
+    """Blow down an unlinked (+-1)-framed unknot.  It links nothing, so the
+    linking matrix, which holds only nonzero entries, is kept as it is."""
+    reason = _blow_down_refusal(((d.component(c), d.framing[c]),), d.lk, d.ids)
+    if reason is not None:
+        raise MoveError(reason)
     framing = {k: v for k, v in d.framing.items() if k != c}
     keep = [x for x in d.components if x.id != c]
-    return DehnDiagram(keep, framing, d.lk.restricted(k for k in d.ids if k != c))
+    return DehnDiagram(keep, framing, d.lk)
 
 
 def _slide(
@@ -251,7 +269,7 @@ def eq_move3_add(r: RoundDiagram, k: int, delta: int, sign: int) -> RoundDiagram
     delta is 0 or +-2 and sign is +-1, constrained so the pair's Dehn image
     (delta + sign, sign) consists of two (+-1)-framed unknots, that is two
     blow-ups; other combinations would change the manifold."""
-    if sign not in (1, -1) or delta + sign not in (1, -1):
+    if sign not in _BLOW_UPS or delta + sign not in _BLOW_UPS:
         raise MoveError(
             f"(delta, sign) = ({delta}, {sign}) does not yield +-1 Dehn framings"
         )
@@ -268,34 +286,24 @@ def _fresh_pair_ids(r: RoundDiagram) -> tuple[ComponentId, ComponentId]:
 
 
 def _check_move3_del(r: RoundDiagram, index: int) -> Optional[str]:
-    """Why eq_move3_del refuses pair ``index``, or None when it is two
-    unlinked unknots whose Dehn framings are both +-1, that is two
-    blow-downs.  The first condition that fails is named; a pair that is
-    not joint with integral m raises MoveError (_joint)."""
+    """Why eq_move3_del refuses pair ``index``, or None when its two
+    components, at their Dehn framings, can be blown down: the blow-down
+    rule of kirby1_del (_blow_down_refusal), whose refusal names the
+    component.  A pair that is not joint with integral m raises MoveError
+    (_joint)."""
     p, (f1, f2) = _joint(r, index)
-    if p.c1.knot != UNKNOT or p.c2.knot != UNKNOT:
-        return f"pair {index} is not a pair of unknots"
-    if f2 not in (1, -1):
-        return f"pair {index} has coefficient {f2}, expected +-1"
-    if f1 not in (1, -1):
-        return f"pair {index} coefficients ({p.n1}, {p.n2}, {f2}) do not match the (k + delta, k, +-1) pattern"
-    for cid in (p.c1.id, p.c2.id):
-        linked = [x for x in sorted(r.ids) if x != cid and r.lk.get(cid, x) != 0]
-        if linked:
-            return f"{cid} links {', '.join(linked)}; cannot delete the pair"
-    return None
+    return _blow_down_refusal(((p.c1, f1), (p.c2, f2)), r.lk, r.ids)
 
 
 def eq_move3_del(r: RoundDiagram, pair_index: int) -> RoundDiagram:
     """Delete a pair matching the eq_move3_add pattern: two unlinked unknots
-    whose Dehn framings are both +-1."""
+    whose Dehn framings are both +-1.  They link nothing, so the linking
+    matrix is kept as it is."""
     reason = _check_move3_del(r, pair_index)
     if reason is not None:
         raise MoveError(reason)
-    p = r.pairs[pair_index]
     pairs = [q for t, q in enumerate(r.pairs) if t != pair_index]
-    keep = r.ids - {p.c1.id, p.c2.id}
-    return RoundDiagram(pairs, r.loose, r.lk.restricted(keep))
+    return RoundDiagram(pairs, r.loose, r.lk)
 
 
 def eq_move4(r: RoundDiagram, variant: str, i: int, j: Optional[int] = None, k: int = 0) -> RoundDiagram:
@@ -340,11 +348,11 @@ class MoveSpec:
     of round pairs, -1, 0 or 1 (Dehn diagrams have none).  rewrites names
     the descriptor fields that hold the indices of the pairs a round move
     rewrites or deletes: every other pair keeps its value, and its index
-    unless a pair before it is deleted.  rewrites_lk says whether the
-    result's linking matrix can differ from the input's.  band_sums is the
-    number of band sums the move adds to the knots: the slid component's
-    knot K becomes band(K, cable(...)), and no move removes one.  No move
-    changes the loose knots.  The search's drops read these fields (see
+    unless a pair before it is deleted.  band_sums is the number of band
+    sums the move adds to the knots: the slid component's knot K becomes
+    band(K, cable(...)), and no move removes one.  Only a move that adds a
+    band sum, the slide, changes the linking matrix.  No move changes the
+    loose knots.  The search's drops read these fields (see
     bounded_equivalence_search)."""
 
     fn: Callable[..., Diagram]
@@ -353,7 +361,6 @@ class MoveSpec:
     pair_delta: int = 0
     optional: tuple[str, ...] = ()
     rewrites: tuple[str, ...] = ()
-    rewrites_lk: bool = False
     band_sums: int = 0
 
 
@@ -361,9 +368,7 @@ class MoveSpec:
 MOVES: dict[MoveKind, MoveSpec] = {
     MoveKind.KIRBY1_ADD: MoveSpec(kirby1_add, DehnDiagram, ("sign",)),
     MoveKind.KIRBY1_DEL: MoveSpec(kirby1_del, DehnDiagram, ("component",)),
-    MoveKind.KIRBY2_SLIDE: MoveSpec(
-        kirby2_slide, DehnDiagram, ("component", "component2"), rewrites_lk=True, band_sums=1
-    ),
+    MoveKind.KIRBY2_SLIDE: MoveSpec(kirby2_slide, DehnDiagram, ("component", "component2"), band_sums=1),
     MoveKind.EQ_MOVE1: MoveSpec(eq_move1, RoundDiagram, ("pair", "k"), rewrites=("pair",)),
     MoveKind.SHUFFLE_A: MoveSpec(shuffle_a, RoundDiagram, ("pair", "k"), rewrites=("pair",)),
     MoveKind.SHUFFLE_B: MoveSpec(shuffle_b, RoundDiagram, ("pair", "pair2", "k", "k2"), rewrites=("pair", "pair2")),
@@ -375,7 +380,6 @@ MOVES: dict[MoveKind, MoveSpec] = {
         ("variant", "pair", "pair2", "k"),
         optional=("pair2",),
         rewrites=("pair",),
-        rewrites_lk=True,
         band_sums=1,
     ),
 }
@@ -384,6 +388,9 @@ MOVES: dict[MoveKind, MoveSpec] = {
 _ROUND_SPECS = {kind: spec for kind, spec in MOVES.items() if spec.acts_on is RoundDiagram}
 #: The most band sums one round move adds.
 _MOST_BAND_SUMS = max(spec.band_sums for spec in _ROUND_SPECS.values())
+#: (delta, sign) of every EqMove3Add, ascending: the pair's Dehn image
+#: (delta + sign, sign) is two blow-ups.
+_MOVE3_ADD_ARGS = tuple(sorted((f1 - f2, f2) for f1 in _BLOW_UPS for f2 in _BLOW_UPS))
 
 
 def apply_move(d: Diagram, move: MoveDescriptor) -> Diagram:
@@ -446,7 +453,7 @@ def _round_moves(
                     yield MoveDescriptor(MoveKind.EQ_MOVE1, pair=i, k=k)
     if MoveKind.EQ_MOVE3_ADD in kinds:
         for k in slot_ks[n]:
-            for delta, sign in ((-2, 1), (0, -1), (0, 1), (2, -1)):
+            for delta, sign in _MOVE3_ADD_ARGS:
                 yield MoveDescriptor(MoveKind.EQ_MOVE3_ADD, k=k, delta=delta, sign=sign)
     if MoveKind.EQ_MOVE3_DEL in kinds:
         for i in joint:
@@ -526,6 +533,8 @@ def _can_yield(
     if ks holds it, and only in the slots in which state differs from goal.
     need is the number of band sums the state lacks (_band_sum_bound), and
     state's loose knots are goal's."""
+    if need == 0 and state.lk != goal.lk:
+        return frozenset(), []
     n, delta = len(state.pairs), len(goal.pairs) - len(state.pairs)
     kinds = {
         kind
@@ -538,13 +547,8 @@ def _can_yield(
         return frozenset(kinds), [ks] * (n + 1)
     if delta < 0 and not any(state.pairs[:i] + state.pairs[i + 1 :] == goal.pairs for i in range(n)):
         return frozenset(), []
-    same_lk = state.lk == goal.lk
     differ = [i for i, (p, q) in enumerate(zip(state.pairs, goal.pairs)) if p != q] if delta >= 0 else []
-    kinds = {
-        kind
-        for kind in kinds
-        if (same_lk or MOVES[kind].rewrites_lk) and len(MOVES[kind].rewrites) >= len(differ)
-    }
+    kinds = {kind for kind in kinds if len(MOVES[kind].rewrites) >= len(differ)}
     written = differ + [n] if delta == 1 else differ
     slot_ks = [(goal.pairs[i].n2,) if i in written and goal.pairs[i].n2 in ks else () for i in range(n + 1)]
     return frozenset(kinds), slot_ks
@@ -654,7 +658,11 @@ def bounded_equivalence_search(
        state lacks its parent's count less that.  A move is dropped when
        after it the count is below none or above what the moves left can
        add, so the last level applies only the kinds that add exactly the
-       band sums the state lacks.
+       band sums the state lacks.  So a state that lacks none takes no
+       slide, and only a move that adds a band sum changes the linking
+       matrix (MoveSpec; EqMove3Del deletes components that link nothing):
+       the state's matrix is final, and a state whose matrix differs from
+       r2's is not expanded.  This holds on every level.
     6. Pair count.  A move changes the pair count by its kind's pair_delta,
        -1, 0 or 1 (MOVES), so one after which the count is further from
        r2's than the moves left is dropped.
@@ -662,9 +670,7 @@ def bounded_equivalence_search(
        fresh ids (_fresh_pair_ids) are not both r2's is dropped.  Only
        EqMove3Del removes ids, so the last move would have to delete the
        appended pair, which gives back the state: it has been compared
-       with r2 and is not r2.  This assumes that the linking matrix names
-       only the diagram's own ids, as the model's contract does, so that
-       the deletion's restricted matrix is the state's.
+       with r2 and is not r2.
     8. The last move's pairs.  The last move rewrites exactly the pairs in
        which the state differs from r2.  Every round move changes each
        pair it rewrites (MOVES declares which): EqMove1 writes a k other
@@ -674,11 +680,12 @@ def bounded_equivalence_search(
        that a diagram's component ids are distinct, as validate_diagram
        requires.  So a last move that rewrites a pair in which the state
        equals r2 gives no r2, and neither does one that leaves unchanged a
-       pair or a linking matrix in which the state differs.  On the last
-       level only the slots of the differing pairs, and that of the pair
-       EqMove3Add appends, get r2's n2 (drop 1), every other slot gets no
-       k, and a kind that rewrites fewer pairs than differ, or keeps a
-       linking matrix that differs, is not tried.  A deletion rewrites no
+       pair in which the state differs.  On the last level only the slots
+       of the differing pairs, and that of the pair EqMove3Add appends, get
+       r2's n2 (drop 1), every other slot gets no k, and a kind that
+       rewrites fewer pairs than differ is not tried.  A last move that
+       keeps a linking matrix that differs adds no band sum, so the state
+       lacks none and drop 5 has not expanded it.  A deletion rewrites no
        other pair, so it can yield r2 only at an index whose removal
        leaves r2's pairs; with no such index the state is not expanded.
     9. Mirrored shuffles.  ShuffleB is symmetric in its two pairs:
@@ -721,8 +728,6 @@ def bounded_equivalence_search(
     ks = _search_ks(k_range, r2)
     if r1 == r2:
         return ()
-    if depth == 0:
-        return None
     if depth > 1:
         start, goal = _gauge_class(r1), _gauge_class(r2)
         if start != goal and _breadth_first(start, goal, depth, (0,) if ks else ()) is None:

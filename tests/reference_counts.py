@@ -15,6 +15,14 @@ joined by " ; ", or None.  Every query searches with k in -2..2.
   slide away with the slid component's n1 raised by 1; the exact pass alone
   is counted too (drop 11 of bounded_equivalence_search).
 
+A last row sums the apply_move calls of 300 seeded random queries and
+prints the sha256 of their listings, one result line each, so that two
+trees that search alike print the same digest.  Query i starts from
+random_joint_diagram(Random(i), min_pairs=2, max_pairs=3, span=2).  Its goal
+is 1-3 legal moves of reference_box(n, (-1, 0, 2)) away, each drawn kind
+first, with that depth; every sixth goal is instead eq_move1(start, 0, 9),
+out of reach, at depth 3.
+
 The counts depend on the code only, not on the machine.
 
     PYTHONPATH=src python tests/reference_counts.py
@@ -22,10 +30,20 @@ The counts depend on the code only, not on the machine.
 
 from __future__ import annotations
 
+import hashlib
 import random
 
-from helpers import random_joint_diagram
-from roundsurgery import JointPair, RoundDiagram, bounded_equivalence_search, eq_move1, eq_move4, moves
+from helpers import random_joint_diagram, reference_box
+from roundsurgery import (
+    JointPair,
+    MoveError,
+    RoundDiagram,
+    apply_move,
+    bounded_equivalence_search,
+    eq_move1,
+    eq_move4,
+    moves,
+)
 
 K_RANGE = range(-2, 3)
 
@@ -54,6 +72,33 @@ def _exact_pass(start: RoundDiagram, goal: RoundDiagram, depth: int, k_range: ra
     return moves._breadth_first(start, goal, depth, moves._search_ks(k_range, goal))
 
 
+def _random_queries(count: int = 300) -> list[tuple[RoundDiagram, RoundDiagram, int]]:
+    """(start, goal, depth) of the random queries (see the module docstring)."""
+    queries = []
+    for i in range(count):
+        rng = random.Random(i)
+        start = random_joint_diagram(rng, min_pairs=2, max_pairs=3, span=2)
+        if i % 6 == 5:
+            queries.append((start, eq_move1(start, 0, 9), 3))
+            continue
+        goal, depth = start, rng.randint(1, 3)
+        for _ in range(depth):
+            legal: dict = {}
+            for move in reference_box(len(goal.pairs), (-1, 0, 2)):
+                try:
+                    result = apply_move(goal, move)
+                except MoveError:
+                    continue
+                legal.setdefault(move.kind, []).append(result)
+            goal = rng.choice(legal[rng.choice(sorted(legal, key=lambda kind: kind.value))])
+        queries.append((start, goal, depth))
+    return queries
+
+
+def _result(found) -> str:
+    return "None" if found is None else " ; ".join(move.to_line() for move in found)
+
+
 # (name, start and goal, depth, search)
 QUERIES = [
     ("4-pair regauge", _regauge, 3, bounded_equivalence_search),
@@ -79,8 +124,14 @@ def main() -> None:
             start, goal = make()
             calls[0] = 0
             found = search(start, goal, depth, K_RANGE)
-            result = "None" if found is None else " ; ".join(move.to_line() for move in found)
-            print(f"{name:40} {depth:5} {calls[0]:16,}  {result}")
+            print(f"{name:40} {depth:5} {calls[0]:16,}  {_result(found)}")
+        queries = _random_queries()
+        calls[0] = 0
+        found = [bounded_equivalence_search(start, goal, depth, K_RANGE) for start, goal, depth in queries]
+        listing = "".join(_result(f) + "\n" for f in found)
+        digest = hashlib.sha256(listing.encode()).hexdigest()
+        hits = sum(f is not None for f in found)
+        print(f"{f'{len(queries)} random queries':40} {'1-3':>5} {calls[0]:16,}  {hits} found, sha256 {digest}")
     finally:
         moves.apply_move = apply
 

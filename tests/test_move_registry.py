@@ -161,8 +161,8 @@ def _registry_diagrams(draw, bridgeable=False):
 def test_round_moves_change_only_what_their_spec_declares(r):
     """The search's last move rewrites exactly the pairs in which the state
     differs from the goal, reading what each kind changes off MOVES.  Every
-    move either raises MoveError or keeps the loose knots, lk unless
-    rewrites_lk, and every pair not named by rewrites; and every move but
+    move either raises MoveError or keeps the loose knots, lk unless it
+    adds a band sum, and every pair not named by rewrites; and every move but
     an identity regauge changes each pair it rewrites.  A ShuffleB equals
     its twin with the two pairs, and their k values, exchanged, which the
     search skips."""
@@ -173,7 +173,7 @@ def test_round_moves_change_only_what_their_spec_declares(r):
         except MoveError:
             continue
         assert out.loose == r.loose, move
-        assert spec.rewrites_lk or out.lk == r.lk, move
+        assert spec.band_sums or out.lk == r.lk, move
         rewritten = {getattr(move, name) for name in spec.rewrites}
         kept = [(i, p) for i, p in enumerate(r.pairs) if i not in rewritten]
         if spec.pair_delta < 0:
@@ -278,13 +278,19 @@ DEHN_COUNTERPARTS = {
 @given(_registry_diagrams(bridgeable=True))
 def test_every_round_move_commutes_with_the_bridge(r):
     """Every round move keeps the manifold: it raises MoveError, or the Dehn
-    image of its result is its kind's Kirby counterpart applied to r's."""
+    image of its result is its kind's Kirby counterpart applied to r's.
+    Move 3's preconditions are the blow-up and blow-down rules, so when it
+    refuses a complete descriptor, its counterpart refuses as well."""
     assert set(DEHN_COUNTERPARTS) == {kind for kind, spec in MOVES.items() if spec.acts_on is RoundDiagram}
     image = joint_pair_to_dehn(r)
     for move in reference_box(len(r.pairs), (-1, 2)):
         try:
             out = apply_move(r, move)
         except MoveError:
+            # a descriptor that lacks an argument never reaches move 3's rules
+            if move.kind is MoveKind.EQ_MOVE3_ADD or move.kind is MoveKind.EQ_MOVE3_DEL and move.pair is not None:
+                with pytest.raises(MoveError):
+                    DEHN_COUNTERPARTS[move.kind](image, r, move)
             continue
         assert joint_pair_to_dehn(out) == DEHN_COUNTERPARTS[move.kind](image, r, move), move
 
