@@ -10,6 +10,12 @@ joined by " ; ", or None.  Every query searches with k in -2..2.
 - 3-pair out-of-reach, depth 4: the start is Random(34) with 3 pairs and
   span=3, and the goal is eq_move1(start, 0, 9), which is out of reach but
   in the start's gauge class.
+- 1-pair other m, depth 2: the shape of the query that sets the search
+  workload's median, one pair whose goal has m changed.  The start is
+  random_joint_diagram(Random(7), min_pairs=1, max_pairs=1, span=3), and
+  the goal raises its m by 1, which changes the Dehn framing of a
+  component whose knot is already the goal's, so the search ends at its
+  start (drop 12 of bounded_equivalence_search) with no apply_move call.
 - Pinned reframed slide, depth 4: the query of
   test_the_gauge_class_pass_ends_a_reframed_slide_goal_early, a goal one
   slide away with the slid component's n1 raised by 1; the exact pass alone
@@ -37,6 +43,7 @@ from helpers import random_joint_diagram, reference_box
 from roundsurgery import (
     JointPair,
     MoveError,
+    Rational,
     RoundDiagram,
     apply_move,
     bounded_equivalence_search,
@@ -61,6 +68,12 @@ def _out_of_reach() -> tuple[RoundDiagram, RoundDiagram]:
     return start, eq_move1(start, 0, 9)
 
 
+def _other_m() -> tuple[RoundDiagram, RoundDiagram]:
+    start = random_joint_diagram(random.Random(7), min_pairs=1, max_pairs=1, span=3)
+    p = start.pairs[0]
+    return start, RoundDiagram((JointPair(p.c1, p.n1, p.c2, p.n2, Rational(p.m.p + 1)),), start.loose, start.lk)
+
+
 def _reframed_slide() -> tuple[RoundDiagram, RoundDiagram]:
     start = random_joint_diagram(random.Random(1), min_pairs=2, max_pairs=2, span=2, lk_probability=0.6)
     slid = eq_move4(start, "11over21", 0, 1, 0)
@@ -69,7 +82,7 @@ def _reframed_slide() -> tuple[RoundDiagram, RoundDiagram]:
 
 
 def _exact_pass(start: RoundDiagram, goal: RoundDiagram, depth: int, k_range: range):
-    return moves._breadth_first(start, goal, depth, moves._search_ks(k_range, goal))
+    return moves._breadth_first(start, goal, depth, moves._search_ks(k_range, goal), moves._finished(goal))
 
 
 def _random_queries(count: int = 300) -> list[tuple[RoundDiagram, RoundDiagram, int]]:
@@ -104,6 +117,7 @@ QUERIES = [
     ("4-pair regauge", _regauge, 3, bounded_equivalence_search),
     ("4-pair regauge", _regauge, 4, bounded_equivalence_search),
     ("3-pair out-of-reach", _out_of_reach, 4, bounded_equivalence_search),
+    ("1-pair other m", _other_m, 2, bounded_equivalence_search),
     ("pinned reframed slide", _reframed_slide, 4, bounded_equivalence_search),
     ("pinned reframed slide, exact pass alone", _reframed_slide, 4, _exact_pass),
 ]

@@ -38,7 +38,7 @@ from roundsurgery import (
     shuffle_b,
 )
 from roundsurgery.cli import _parse_move
-from roundsurgery.moves import MOVES, _band_sum_bound, _round_moves, _spines
+from roundsurgery.moves import MOVES, _MOVE3_ADD_ARGS, _band_sum_bound, _round_moves, _spines
 
 DEHN = DehnDiagram([comp("a"), comp("b", "trefoil")], {"a": 1, "b": 3})
 # two random joint pairs plus a deletable third pair
@@ -132,8 +132,9 @@ def test_a_move_adds_the_band_sums_its_spec_declares(kind):
 def _registry_diagrams(draw, bridgeable=False):
     """Up to two pairs, joint or not (m = None or 1/2), with knots that may
     be band sums and linking between any two of their components, sometimes
-    a loose knot, and an unlinked pair that EqMove3Del deletes, at any
-    index.  When bridgeable, every pair is joint with integral m and there
+    a loose knot, and an unlinked pair of unknots u1, u2 that EqMove3Del
+    deletes, at any index, whose Dehn framings are any of the four images
+    (+-1, +-1) of an EqMove3Add (_MOVE3_ADD_ARGS).  When bridgeable, every pair is joint with integral m and there
     is no loose knot, so that joint_pair_to_dehn accepts the diagram."""
     knot = st.sampled_from((UNKNOT, Atom("trefoil"), BandSum(Atom("trefoil"), UNKNOT, 2)))
     small = st.integers(-2, 2)
@@ -151,8 +152,8 @@ def _registry_diagrams(draw, bridgeable=False):
     loose = [LooseKnot(comp("z", "fig8"), Rational(draw(small)))] if not bridgeable and draw(st.booleans()) else []
     ids = [c.id for p in pairs for c in (p.c1, p.c2)] + [l.component.id for l in loose]
     lk = LinkingMatrix((x, y, draw(st.integers(-1, 1))) for x, y in itertools.combinations(ids, 2))
-    k = draw(small)
-    pairs.insert(draw(st.integers(0, len(pairs))), JointPair(comp("u1"), k, comp("u2"), k, Rational(1)))
+    (delta, sign), k = draw(st.sampled_from(_MOVE3_ADD_ARGS)), draw(small)
+    pairs.insert(draw(st.integers(0, len(pairs))), JointPair(comp("u1"), delta + k, comp("u2"), k, Rational(sign)))
     return RoundDiagram(pairs, loose, lk)
 
 
@@ -211,7 +212,7 @@ def test_apply_move_accepts_every_candidate_round_move(r, m, data):
     pairs.insert(data.draw(st.integers(0, len(pairs))), JointPair(comp("v1", "trefoil"), 1, comp("v2"), 0, m))
     r = RoundDiagram(pairs, r.loose, r.lk)
     spines = {cid: _EveryKnot() for cid in r.ids}
-    candidates = list(_round_moves(r, [(-1, 0, 2)] * (len(pairs) + 1), spines, set(MoveKind)))
+    candidates = list(_round_moves(r, [(-1, 0, 2)] * (len(pairs) + 1), spines, {}, r.lk, set(MoveKind)))
     for move in candidates:
         apply_move(r, move)
     accepted = set()
@@ -243,10 +244,10 @@ def test_round_moves_ascend_and_kinds_only_filter_them(r, data):
     slot_ks = [data.draw(slot) for _ in range(len(r.pairs) + 1)]
     spines = {cid: _EveryKnot() for cid in data.draw(st.sets(st.sampled_from(sorted(r.ids))))}
     round_kinds = [kind for kind, spec in MOVES.items() if spec.acts_on is RoundDiagram]
-    every = list(_round_moves(r, slot_ks, spines, set(round_kinds)))
+    every = list(_round_moves(r, slot_ks, spines, {}, r.lk, set(round_kinds)))
     for size in range(len(round_kinds) + 1):
         for kinds in itertools.combinations(round_kinds, size):
-            out = list(_round_moves(r, slot_ks, spines, set(kinds)))
+            out = list(_round_moves(r, slot_ks, spines, {}, r.lk, set(kinds)))
             keys = [move.sort_key() for move in out]
             assert all(a < b for a, b in zip(keys, keys[1:])), kinds
             assert out == [move for move in every if move.kind in kinds], kinds

@@ -907,15 +907,148 @@ def test_search_equals_the_reference_on_add_planted_goals(query):
     assert bounded_equivalence_search(r1, r2, depth, ks) == _reference_search(r1, r2, depth, ks)
 
 
+def _drop_12_firings(r1, r2, ks):
+    """Where drop 12 of bounded_equivalence_search fires on the query: the
+    start (None) if it ends the search there, and each first-level slide
+    that it drops."""
+    fired = [None] if moves._frozen_apart(r1, r2, moves._finished(r2)) else []
+    slot_ks = [ks] * (len(r1.pairs) + 1)
+    slides = {MoveKind.EQ_MOVE4}
+    kept = set(moves._round_moves(r1, slot_ks, _spines(r2), moves._finished(r2), r2.lk, slides))
+    return fired + [m for m in moves._round_moves(r1, slot_ks, _spines(r2), {}, r2.lk, slides) if m not in kept]
+
+
+def _with_pair(r, i, n1_step=0, m_step=0):
+    """r with pair i's n1 and m moved by the given steps."""
+    p = r.pairs[i]
+    changed = JointPair(p.c1, p.n1 + n1_step, p.c2, p.n2, None if p.m is None else Rational(p.m.p + m_step, p.m.q))
+    return RoundDiagram((*r.pairs[:i], changed, *r.pairs[i + 1 :]), r.loose, r.lk)
+
+
+def _relinked(r, x, y, step):
+    """r with lk(x, y) moved by step."""
+    kept = [(a, b, v) for (a, b), v in r.lk.items() if {a, b} != {x, y}]
+    return RoundDiagram(r.pairs, r.loose, LinkingMatrix([*kept, (x, y, r.lk.get(x, y) + step)]))
+
+
+@st.composite
+def _frozen_queries(draw):
+    """(r1, r2, depth, ks) for drop 12: one or two joint pairs of unknots,
+    trefoils and band sums (one for the flipped blow-ups), sometimes an
+    unlinked pair of unknots u1, u2 whose Dehn framings are two blow-ups,
+    and sometimes a pair that is not joint (m None or 1/2), each at any
+    index.  The goal is r1 after one
+    slide, sometimes with the link between the slid component and the
+    component it slides over, or the slid component's n1, moved by one;
+    or r1 with its u1, u2 pair deleted and added again with other blow-up
+    signs, which two moves reach though u1 keeps its knot and changes its
+    Dehn framing; or r1 with one pair's n1 or m moved by one.  At most
+    three pairs, depth 3 on one pair only, and few k values, to keep the
+    reference fast."""
+    goal = draw(st.sampled_from(("slide", "flipped blow-ups", "reframed", "other m")))
+    small = st.integers(-2, 2)
+    knot = st.sampled_from(_SLID_KNOTS)
+    pairs = [
+        JointPair(FramedComponent(f"a{2 * i}", draw(knot)), draw(small), FramedComponent(f"a{2 * i + 1}", draw(knot)),
+                  draw(small), Rational(draw(small)))
+        for i in range(1 if goal == "flipped blow-ups" else draw(st.integers(1, 2)))
+    ]
+    ids = [c.id for p in pairs for c in (p.c1, p.c2)]
+    if goal == "flipped blow-ups" or draw(st.booleans()):
+        (delta, sign), k = draw(st.sampled_from(moves._MOVE3_ADD_ARGS)), draw(small)
+        pairs.insert(draw(st.integers(0, len(pairs))), JointPair(comp("u1"), delta + k, comp("u2"), k, Rational(sign)))
+    if goal != "flipped blow-ups" and len(pairs) < 3 and draw(st.booleans()):
+        m = draw(st.sampled_from((None, Rational(1, 2))))
+        pairs.insert(draw(st.integers(0, len(pairs))), JointPair(comp("b0"), draw(small), comp("b1", "trefoil"), 0, m))
+        ids += ["b0", "b1"]
+    depth = draw(st.integers(2 if goal == "flipped blow-ups" else 1, 4 - len(pairs)))
+    lo = draw(st.integers(-2, 1))
+    ks = tuple(range(lo, lo + draw(st.integers(1, 2 if depth * len(pairs) >= 3 else 3))))
+    lk = LinkingMatrix((x, y, draw(st.integers(-1, 1))) for x, y in itertools.combinations(ids, 2))
+    r1 = RoundDiagram(pairs, (), lk)
+    if goal == "slide":
+        legal = []
+        for move in reference_box(len(pairs), ks):
+            if move.kind is MoveKind.EQ_MOVE4:
+                try:
+                    legal.append((move, apply_move(r1, move)))
+                except MoveError:
+                    pass
+        move, r2 = draw(st.sampled_from(legal))
+        slot, partner, over_slot = moves._EQ_MOVE4_SLIDES[move.variant]
+        slid = (pairs[move.pair].c1, pairs[move.pair].c2)[slot].id
+        over_pair = pairs[move.pair if partner == "i" else move.pair2]
+        over = (over_pair.c1, over_pair.c2)[over_slot].id
+        change = draw(st.sampled_from(("none", "link with over", "n1")))
+        if change == "link with over":
+            return r1, _relinked(r2, slid, over, draw(st.sampled_from((-1, 1)))), depth, ks
+        if change == "n1":
+            return r1, _with_pair(r2, move.pair, n1_step=1), depth, ks
+        return r1, r2, depth, ks
+    if goal == "flipped blow-ups":
+        i = next(i for i, p in enumerate(pairs) if p.c1.id == "u1")
+        image = (pairs[i].n1 - pairs[i].n2, pairs[i].m.p)
+        delta, sign = draw(st.sampled_from([args for args in moves._MOVE3_ADD_ARGS if args != image]))
+        return r1, eq_move3_add(eq_move3_del(r1, i), draw(st.sampled_from(ks)), delta, sign), depth, ks
+    if goal == "reframed":
+        return r1, _with_pair(r1, draw(st.integers(0, len(pairs) - 1)), n1_step=1), depth, ks
+    joint_pairs = [i for i, p in enumerate(pairs) if p.m is not None and p.m.is_integer]
+    return r1, _with_pair(r1, draw(st.sampled_from(joint_pairs)), m_step=1), depth, ks
+
+
+@settings(max_examples=60, deadline=None)
+@given(_frozen_queries())
+def test_drop_12_fires_only_where_the_reference_finds_nothing(query):
+    """Whenever drop 12 ends the search at its start, the reference search
+    finds no sequence, and whenever it drops a slide, the reference finds
+    none from the slid state within the moves left; the search's result is
+    the reference's."""
+    r1, r2, depth, ks = query
+    for move in _drop_12_firings(r1, r2, ks):
+        if move is None:
+            assert _reference_search(r1, r2, depth, ks) is None
+        else:
+            assert _reference_search(apply_move(r1, move), r2, depth - 1, ks) is None, move
+    assert bounded_equivalence_search(r1, r2, depth, ks) == _reference_search(r1, r2, depth, ks)
+
+
+_FINISHED = RoundDiagram(
+    [joint(comp("a", "trefoil"), 2, comp("b"), 1, 3), joint(comp("c"), 0, comp("d", "fig8"), 1, -2),
+     joint(comp("u1"), 0, comp("u2"), 0, 1)],
+    (),
+    LinkingMatrix([("a", "b", 1), ("a", "c", -1), ("b", "d", 2)]),
+)
+
+
+@pytest.mark.parametrize(
+    "goal, fires",
+    [
+        (_with_pair(_FINISHED, 1, n1_step=1), [None]),  # c's Dehn framing
+        (_relinked(_FINISHED, "a", "d", 1), [None]),  # a link between two finished components
+        (_with_pair(_FINISHED, 0, m_step=-1), [None]),  # b's Dehn framing, and a's
+        # a slides over c, and its new link with c, lk(a, c) + f_c, is moved
+        (_relinked(eq_move4(_FINISHED, "11over21", 0, 1, 0), "a", "c", 1), [_slide("11over21", 0, 1, 0)]),
+        # a slides over c, and its new framing, f_a + f_c + 2 lk(a, c), is moved
+        (_with_pair(eq_move4(_FINISHED, "11over21", 0, 1, 0), 0, n1_step=1), [_slide("11over21", 0, 1, 0)]),
+        (eq_move3_add(eq_move3_del(_FINISHED, 2), 0, -2, 1), []),  # u1 and u2 are of the fresh form
+    ],
+    ids=["framing", "link", "m", "slide-link-with-over", "slide-framing", "flipped-blow-ups"],
+)
+def test_drop_12_fires_on_the_start_or_a_finishing_slide(goal, fires):
+    assert _drop_12_firings(_FINISHED, goal, (0,)) == fires
+    found = bounded_equivalence_search(_FINISHED, goal, 2, (0,))
+    assert (found is None) == bool(fires)
+
+
 def _traced_passes(monkeypatch):
     """A list that each _breadth_first pass appends (start, goal, depth,
     [(state, move, result) for each apply_move call]) to."""
     passes = []
     breadth_first, apply = moves._breadth_first, moves.apply_move
 
-    def traced_breadth_first(s, g, depth, ks):
+    def traced_breadth_first(s, g, depth, ks, finished):
         passes.append((s, g, depth, []))
-        return breadth_first(s, g, depth, ks)
+        return breadth_first(s, g, depth, ks, finished)
 
     def traced_apply(d, move):
         new = apply(d, move)
@@ -937,13 +1070,18 @@ def test_search_builds_no_state_it_would_drop(monkeypatch):
     on a pass's last level no EqMove3Del leaves other pairs than the
     goal's, and every other move rewrites exactly the pairs in which its
     state differs from the goal; and no ShuffleB is written with pair >
-    pair2.  Two goals are the start after one or two slides, regauged to
+    pair2; and no slide finishes a component, giving it its goal knot,
+    with a Dehn framing or a link to a finished component other than the
+    goal's.  Two goals are the start after one or two slides, regauged to
     k = 9 outside the k range: the class pass finds their class, and the
     exact search exhausts depth 3, adding and deleting the unknot pair on
-    the way.  Two keep a's knot but change its Dehn framing, which no move
-    but a slide changes, so the class pass exhausts depth 3: the start
-    after a ShuffleB, whose last level tries shuffles, and from a start
-    with a second unknot pair, the start without its unknot pairs."""
+    the way.  Two keep every knot but differ from the start in u1's Dehn
+    framing, which no move but a slide or a deletion and addition of its
+    pair changes (u1 is of the fresh form, so drop 12 does not end the
+    search at its start), and the class pass exhausts depth 3: the start
+    after a ShuffleB with u1 reframed, whose last level tries shuffles, and
+    from a start with a second unknot pair and u1 reframed, the start
+    without either."""
     start = RoundDiagram(
         [joint(comp("a", "trefoil"), 2, comp("b"), 1, 3), joint(comp("u1"), 0, comp("u2"), 0, 1)],
         (),
@@ -953,15 +1091,14 @@ def test_search_builds_no_state_it_would_drop(monkeypatch):
     slid = eq_move4(start, "11over12", 0, None, 0)
     shuffled = shuffle_b(start, 0, 1, 0, 0)
 
-    def reframed(r):  # r with pair 0's first Dehn framing one larger
-        p = r.pairs[0]
-        return RoundDiagram([JointPair(p.c1, p.n1 + 1, p.c2, p.n2, p.m), *r.pairs[1:]], (), r.lk)
+    def reframed_u1(r):  # r with u1's Dehn framing one larger
+        return _with_pair(r, next(i for i, p in enumerate(r.pairs) if p.c1.id == "u1"), n1_step=1)
 
     queries = [
         (start, eq_move1(slid, 0, 9)),
         (start, eq_move1(eq_move4(slid, "11over12", 0, None, 0), 0, 9)),
-        (start, reframed(shuffled)),
-        (three, reframed(RoundDiagram(start.pairs[:1], (), start.lk))),
+        (start, reframed_u1(shuffled)),
+        (reframed_u1(three), start),
     ]
     passes = _traced_passes(monkeypatch)
     for s, goal in queries:
@@ -969,7 +1106,7 @@ def test_search_builds_no_state_it_would_drop(monkeypatch):
     assert len(passes) == 6  # the class pass of each, and the exact search of the first two
     kinds, last_shuffles = set(), 0
     for s, g, depth, calls in passes:
-        spines, level = _spines(g), {s: 0}
+        spines, finished, level = _spines(g), moves._finished(g), {s: 0}
         for d, move, new in calls:
             kinds.add(move.kind)
             level.setdefault(new, level[d] + 1)  # breadth first: the first level a state is reached on
@@ -983,6 +1120,12 @@ def test_search_builds_no_state_it_would_drop(monkeypatch):
                 assert new.ids <= g.ids, move
             if move.kind is MoveKind.SHUFFLE_B:
                 assert move.pair < move.pair2, move
+            if move.kind is MoveKind.EQ_MOVE4:
+                slid = (new.pairs[move.pair].c1, new.pairs[move.pair].c2)[moves._EQ_MOVE4_SLIDES[move.variant][0]]
+                done = moves._finished_in(new, finished)
+                if slid.id in done:
+                    assert done[slid.id] == finished[slid.id][1], move
+                    assert all(new.lk.get(slid.id, x) == g.lk.get(slid.id, x) for x in done), move
             if move.kind is MoveKind.EQ_MOVE3_DEL and left == 0:
                 assert new.pairs == g.pairs, move
             elif left == 0:
@@ -996,18 +1139,41 @@ def test_search_builds_no_state_it_would_drop(monkeypatch):
 @pytest.mark.parametrize("goal", ["other m", "regauged"])
 def test_search_adds_no_pair_where_no_move_is_left_to_delete_it(monkeypatch, goal):
     """The query class that sets the search workload's median: one pair,
-    depth 2, a goal out of reach.  The class pass rules out a goal with m
-    changed; a goal regauged to k = 9, outside the range, is in the start's
-    class, so only the exact search runs, and rules it out.  Neither pass
-    applies an EqMove3Add: after it one move is left, and the goal lacks
-    the ids it appends."""
+    depth 2, a goal out of reach.  A goal with m changed changes the Dehn
+    framing of a finished component, so the search ends at its start
+    (drop 12): no pass runs and no move is applied.  A goal regauged to
+    k = 9, outside the range, is in the start's class, so only the exact
+    search runs, and rules it out; it applies no EqMove3Add, since after
+    it one move is left, and the goal lacks the ids it appends."""
     r = one_pair_diagram(3, 1, 2, lk=1)
     r2 = one_pair_diagram(3, 1, 3, lk=1) if goal == "other m" else eq_move1(r, 0, 9)
     passes = _traced_passes(monkeypatch)
     assert bounded_equivalence_search(r, r2, 2, range(-2, 3)) is None
-    assert len(passes) == 1
     applied = [move.kind for _, _, _, calls in passes for _, move, _ in calls]
-    assert applied and MoveKind.EQ_MOVE3_ADD not in applied
+    if goal == "other m":
+        assert passes == [] and applied == []
+    else:
+        assert len(passes) == 1
+        assert applied and MoveKind.EQ_MOVE3_ADD not in applied
+
+
+def test_search_ends_at_the_start_when_the_goal_has_an_id_no_move_adds(monkeypatch):
+    """Only EqMove3Add adds ids, and only of the u<n> form, so a goal that
+    holds an id of another form that the start lacks is out of reach, and
+    the search ends at its start (drop 12), though the goal's new pair is
+    two unknots whose Dehn framings are two blow-ups.  With u<n> ids the
+    same pair is one EqMove3Add away."""
+    r = one_pair_diagram(3, 1, 2, lk=1)
+    calls = []
+    apply = moves.apply_move
+    monkeypatch.setattr(moves, "apply_move", lambda d, move: calls.append(move) or apply(d, move))
+    goal = RoundDiagram([*r.pairs, joint(comp("c"), 0, comp("d"), 0, 1)], (), r.lk)
+    assert bounded_equivalence_search(r, goal, 3, range(-2, 3)) is None
+    assert calls == []
+    fresh = RoundDiagram([*r.pairs, joint(comp("u1"), 0, comp("u2"), 0, 1)], (), r.lk)
+    assert bounded_equivalence_search(r, fresh, 3, range(-2, 3)) == (
+        MoveDescriptor(MoveKind.EQ_MOVE3_ADD, k=0, delta=0, sign=1),
+    )
 
 
 def test_search_equals_the_reference_on_wide_k_ranges():
@@ -1062,8 +1228,8 @@ def test_search_cost_does_not_grow_with_the_k_range(monkeypatch):
 def test_the_gauge_class_pass_ends_a_reframed_slide_goal_early(monkeypatch):
     # the goal is one slide away, with the slid component's n1 raised by 1:
     # no move sequence of depth 4 reaches it, and the class pass says so
-    # after 365 calls; the exact search alone makes 19,491 (drop 11;
-    # tests/reference_counts.py prints both)
+    # after 279 calls; the exact search alone makes 16,071, drop 12
+    # included (drop 11; tests/reference_counts.py prints both)
     start = random_joint_diagram(random.Random(1), min_pairs=2, max_pairs=2, span=2, lk_probability=0.6)
     slid = eq_move4(start, "11over21", 0, 1, 0)
     p = slid.pairs[0]
