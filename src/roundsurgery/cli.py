@@ -16,7 +16,6 @@ import re
 import sys
 from dataclasses import fields, is_dataclass
 from pathlib import Path
-from typing import Optional, get_type_hints
 
 from . import analysis, homology
 from .bridge import (
@@ -40,8 +39,9 @@ _KIND_ALIASES = {
 }
 #: Synonyms accepted in --args; every other key is a MoveDescriptor field.
 _ARG_SYNONYMS = {"i": "pair", "j": "pair2", "a": "component", "c": "component", "b": "component2", "k1": "k"}
-#: --args values converted with int(): the MoveDescriptor fields typed Optional[int].
-_INT_FIELDS = {name for name, hint in get_type_hints(MoveDescriptor).items() if hint == Optional[int]}
+#: --args values converted with int(): the MoveDescriptor fields annotated
+#: Optional[int] (moves postpones annotations, so each is read as its text).
+_INT_FIELDS = {f.name for f in fields(MoveDescriptor) if f.type == "Optional[int]"}
 
 
 class _CliError(Exception):

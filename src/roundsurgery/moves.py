@@ -423,8 +423,6 @@ def _round_moves(
     r: RoundDiagram,
     slot_ks: Sequence[Sequence[int]],
     spines: Mapping[ComponentId, Container[KnotExpr]],
-    finished: Mapping[ComponentId, tuple[KnotExpr, int]],
-    goal_lk: LinkingMatrix,
     kinds: Container[MoveKind],
 ) -> Iterator[MoveDescriptor]:
     """Candidate round moves of the given kinds on r, in ascending sort_key
@@ -435,12 +433,9 @@ def _round_moves(
     values tried for pair i, and slot_ks[len(r.pairs)] those for the pair
     EqMove3Add appends, each ascending.  Every candidate is one apply_move
     accepts on r.  No EqMove1 that gives r back is yielded, no EqMove4
-    whose slid component's new knot is not in spines under its id, none
-    that finishes its slid component with a Dehn framing or a link to a
-    finished component other than the goal's (finished is _finished of
-    the goal, goal_lk its linking matrix), and no ShuffleB with pair >
-    pair2, whose twin builds the same diagram (drops 2, 3, 12 and 9 of
-    bounded_equivalence_search).
+    whose slid component's new knot is not in spines under its id, and no
+    ShuffleB with pair > pair2, whose twin builds the same diagram (drops
+    2, 3 and 9 of bounded_equivalence_search).
     """
     n = len(r.pairs)
     joint = [i for i, p in enumerate(r.pairs) if _is_joint(p)]
@@ -448,20 +443,8 @@ def _round_moves(
     def on_spine(variant: str, i: int, j: int) -> bool:
         slot, _, over_slot = _EQ_MOVE4_SLIDES[variant]
         slid, over = (r.pairs[i].c1, r.pairs[i].c2)[slot], (r.pairs[j].c1, r.pairs[j].c2)[over_slot]
-        f_over = _dehn_framings(r.pairs[j])[over_slot]
-        knot = BandSum(slid.knot, over.knot, f_over)
-        if knot not in spines.get(slid.id, ()):
-            return False
-        if slid.id not in finished or finished[slid.id][0] != knot:
-            return True
-        # the slide finishes slid, which is not finished yet (drop 12)
-        ab = r.lk.get(slid.id, over.id)
-        if _dehn_framings(r.pairs[i])[slot] + f_over + 2 * ab != finished[slid.id][1]:
-            return False
-        return all(
-            goal_lk.get(slid.id, x) == (ab + f_over if x == over.id else r.lk.get(slid.id, x) + r.lk.get(over.id, x))
-            for x in _finished_in(r, finished)
-        )
+        knot = BandSum(slid.knot, over.knot, _dehn_framings(r.pairs[j])[over_slot])
+        return knot in spines.get(slid.id, ())
 
     if MoveKind.EQ_MOVE1 in kinds:
         for i in joint:
@@ -556,34 +539,16 @@ def _joint_framings(r: RoundDiagram) -> list[tuple[FramedComponent, int]]:
     return framed
 
 
-def _finished(goal: RoundDiagram) -> dict[ComponentId, tuple[KnotExpr, int]]:
-    """The knot and Dehn framing of each component of goal that lies in a
-    joint pair with integral m and whose id is not of the fresh form; a
-    state's component of such an id is finished when it has that knot
-    (drop 12 of bounded_equivalence_search)."""
-    return {c.id: (c.knot, f) for c, f in _joint_framings(goal) if not _is_fresh(c.id)}
-
-
-def _finished_in(r: RoundDiagram, finished: Mapping[ComponentId, tuple[KnotExpr, int]]) -> dict[ComponentId, int]:
-    """The Dehn framing of each finished component of r (see _finished)."""
-    return {c.id: f for c, f in _joint_framings(r) if c.id in finished and finished[c.id][0] == c.knot}
-
-
-def _frozen_apart(r: RoundDiagram, goal: RoundDiagram, finished: Mapping[ComponentId, tuple[KnotExpr, int]]) -> bool:
+def _frozen_apart(r: RoundDiagram, goal: RoundDiagram) -> bool:
     """Whether drop 12 of bounded_equivalence_search rules out every move
-    sequence from r to goal, with finished the _finished of goal: goal has
-    an id that r lacks and that is not of the fresh form, or a finished
-    component of r has a Dehn framing, or two have a link, other than
-    goal's."""
+    sequence from r to goal: goal has an id that r lacks and that is not of
+    the fresh form, or a finished component of r has a Dehn framing other
+    than goal's."""
     if any(not _is_fresh(cid) for cid in goal.ids - r.ids):
         return True
-    done = _finished_in(r, finished)
-    if any(f != finished[x][1] for x, f in done.items()):
-        return True
-    if r.lk == goal.lk:
-        return False
-    r_links, goal_links = ({(x, y): v for (x, y), v in lk.items() if x in done and y in done} for lk in (r.lk, goal.lk))
-    return r_links != goal_links
+    # goal's Dehn framings, keyed by the id and knot a finished component shares with goal
+    frozen = {(c.id, c.knot): f for c, f in _joint_framings(goal) if not _is_fresh(c.id)}
+    return any(frozen.get((c.id, c.knot), f) != f for c, f in _joint_framings(r))
 
 
 def _can_yield(
@@ -617,19 +582,11 @@ def _can_yield(
     return frozenset(kinds), slot_ks
 
 
-def _breadth_first(
-    start: RoundDiagram,
-    goal: RoundDiagram,
-    depth: int,
-    ks: Sequence[int],
-    finished: Mapping[ComponentId, tuple[KnotExpr, int]],
-) -> Optional[MoveSequence]:
+def _breadth_first(start: RoundDiagram, goal: RoundDiagram, depth: int, ks: Sequence[int]) -> Optional[MoveSequence]:
     """The first sequence of at most depth moves, level by level and in
     _round_moves order, that carries start to goal, which start is not;
     None if there is none.  The k values it writes are read off ks by
-    _can_yield, and finished holds goal's finished framings (_finished).
-    It applies drops 1-10 of bounded_equivalence_search and drop 12 on
-    slides."""
+    _can_yield.  It applies drops 1-10 of bounded_equivalence_search."""
     spines = _spines(goal)
     need = _band_sum_bound(spines, start)
     frontier: list[tuple[RoundDiagram, MoveSequence, int]] = []
@@ -645,7 +602,7 @@ def _breadth_first(
             kinds, slot_ks = _can_yield(state, goal, need, left, ks)
             if not kinds:
                 continue
-            for move in _round_moves(state, slot_ks, spines, finished, goal.lk, kinds):
+            for move in _round_moves(state, slot_ks, spines, kinds):
                 new = apply_move(state, move)
                 if new == goal:
                     return path + (move,)
@@ -786,49 +743,41 @@ def bounded_equivalence_search(
        already as cheap, so the class pass is skipped there.  The class
        pass pays for goals that the other drops admit: a goal one slide
        from r1 whose slid component's n1 is raised by 1 is unreachable,
-       and at depth 4 with k in -2..2 the class pass says so after 279
-       apply_move calls, where the exact search alone makes 16,071
+       and at depth 4 with k in -2..2 the class pass says so after 365
+       apply_move calls, where the exact search alone makes 19,491
        (tests/test_moves.py pins the first count below 1,000;
        tests/reference_counts.py prints both).  The out-of-reach queries
        of the benchmark's search workload no longer reach it: drop 12 ends
        them at the start, and with drop 12, a search without the class
        pass gives the same listings on the workload's op sets.
-    12. The frozen Dehn image.  Call a component of a state finished when
-       it lies in a joint pair with integral m, its id is not of the u<n>
-       form of the ids _fresh_pair_ids gives, and its knot is r2's knot
-       for its id, which r2 holds in a joint pair with integral m
-       (_finished, _finished_in).  A finished component is never slid on a
-       path to r2: the slide would add a band sum to its knot, which then
-       lies off r2's spine for good (drop 3).  Nor is it deleted: only
-       EqMove3Add adds ids, and only of the u<n> form, so its id, which r2
-       has, would not come back.  A slide changes only the slid
-       component's Dehn framing and its links, and every other move keeps
-       every Dehn framing and link, or adds fresh components only (see the
-       module docstring).  So a finished component keeps its Dehn framing,
-       and two finished components keep their link, on every path to r2,
-       and a state in which one of these differs from r2's reaches no r2.
-       Neither does a start that lacks an id of r2 that is not of the u<n>
-       form.  A component becomes finished only when r1 has it or a slide
-       gives it r2's knot (knots only grow), so the drop is read in two
-       places and on no other state, both fed by one reading of r2
-       (_finished), which its gauge class shares.  On r1, once, before
-       either pass (_frozen_apart), which covers both passes' starts,
-       since a gauge class keeps every Dehn framing and link.  And on a
-       slide that finishes its slid component a over b, from the move's
-       arguments alone, next to drop 3 (_round_moves): a's new framing is
-       na + nb + 2*lk(a, b), its new link with a finished x is lk(a, x) +
-       lk(b, x), and with b itself lk(a, b) + nb.
+    12. The frozen Dehn image, read on r1 once, before either pass
+       (_frozen_apart).  Call a component of r1 finished when it lies in a
+       joint pair with integral m, its id is not of the u<n> form of the
+       ids _fresh_pair_ids gives, and its knot is r2's knot for its id,
+       which r2 holds in a joint pair with integral m.  A finished
+       component is never slid on a path to r2: the slide would add a band
+       sum to its knot, which then lies off r2's spine for good (drop 3).
+       Nor is it deleted: only EqMove3Add adds ids, and only of the u<n>
+       form, so its id, which r2 has, would not come back.  Only a slide
+       changes a Dehn framing, and only the slid component's; every other
+       move keeps every Dehn framing or adds fresh components only (see the
+       module docstring).  So a finished component keeps its Dehn framing
+       on every path to r2, and when it differs from r2's no sequence
+       reaches r2.  Neither does one when r2 has an id that r1 lacks and
+       that is not of the u<n> form.  A gauge class keeps every Dehn
+       framing, so the drop covers the starts of both passes.  It reads no
+       link: a start that lacks no band sum and whose linking matrix
+       differs from r2's is not expanded (drop 5), so no move is applied.
     """
     if depth < 0:
         raise MoveError(f"depth must be non-negative, got {depth}")
     ks = _search_ks(k_range, r2)
     if r1 == r2:
         return ()
-    finished = _finished(r2)  # drop 12; r2's gauge class has the same
-    if _frozen_apart(r1, r2, finished):
+    if _frozen_apart(r1, r2):
         return None
     if depth > 1:
         start, goal = _gauge_class(r1), _gauge_class(r2)
-        if start != goal and _breadth_first(start, goal, depth, (0,) if ks else (), finished) is None:
+        if start != goal and _breadth_first(start, goal, depth, (0,) if ks else ()) is None:
             return None
-    return _breadth_first(r1, r2, depth, ks, finished)
+    return _breadth_first(r1, r2, depth, ks)

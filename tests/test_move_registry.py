@@ -212,7 +212,7 @@ def test_apply_move_accepts_every_candidate_round_move(r, m, data):
     pairs.insert(data.draw(st.integers(0, len(pairs))), JointPair(comp("v1", "trefoil"), 1, comp("v2"), 0, m))
     r = RoundDiagram(pairs, r.loose, r.lk)
     spines = {cid: _EveryKnot() for cid in r.ids}
-    candidates = list(_round_moves(r, [(-1, 0, 2)] * (len(pairs) + 1), spines, {}, r.lk, set(MoveKind)))
+    candidates = list(_round_moves(r, [(-1, 0, 2)] * (len(pairs) + 1), spines, set(MoveKind)))
     for move in candidates:
         apply_move(r, move)
     accepted = set()
@@ -244,10 +244,10 @@ def test_round_moves_ascend_and_kinds_only_filter_them(r, data):
     slot_ks = [data.draw(slot) for _ in range(len(r.pairs) + 1)]
     spines = {cid: _EveryKnot() for cid in data.draw(st.sets(st.sampled_from(sorted(r.ids))))}
     round_kinds = [kind for kind, spec in MOVES.items() if spec.acts_on is RoundDiagram]
-    every = list(_round_moves(r, slot_ks, spines, {}, r.lk, set(round_kinds)))
+    every = list(_round_moves(r, slot_ks, spines, set(round_kinds)))
     for size in range(len(round_kinds) + 1):
         for kinds in itertools.combinations(round_kinds, size):
-            out = list(_round_moves(r, slot_ks, spines, {}, r.lk, set(kinds)))
+            out = list(_round_moves(r, slot_ks, spines, set(kinds)))
             keys = [move.sort_key() for move in out]
             assert all(a < b for a, b in zip(keys, keys[1:])), kinds
             assert out == [move for move in every if move.kind in kinds], kinds
