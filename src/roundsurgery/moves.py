@@ -528,27 +528,35 @@ def _is_fresh(cid: ComponentId) -> bool:
     return cid[:1] == "u" and cid[1:].isdigit()
 
 
-def _joint_framings(r: RoundDiagram) -> list[tuple[FramedComponent, int]]:
-    """Each component of r's joint pairs with integral m, with its Dehn
-    framing."""
-    framed = []
-    for p in r.pairs:
+def _start_apart(r1: RoundDiagram, r2: RoundDiagram, ks: Container[int]) -> bool:
+    """Whether drop 12 or drop 13 of bounded_equivalence_search rules out
+    every move sequence from r1 to r2, reading r2's pairs once: r2 has an
+    id that r1 lacks and that is not of the fresh form, or a pair whose n2
+    ks lacks and that is no pair of r1, or a finished component of r1 has
+    a Dehn framing other than r2's."""
+    new = r2.ids - r1.ids
+    if new and any(not _is_fresh(cid) for cid in new):
+        return True
+    # the Dehn framing and knot of each component of r2's joint pairs, keyed
+    # by id, so that only a framing that differs leads to comparing knots
+    framed: dict[ComponentId, tuple[int, KnotExpr]] = {}
+    unwritten = []
+    for p in r2.pairs:
+        if p.n2 not in ks:
+            unwritten.append(p)
         if _is_joint(p):
             f1, f2 = _dehn_framings(p)
-            framed += ((p.c1, f1), (p.c2, f2))
-    return framed
-
-
-def _frozen_apart(r: RoundDiagram, goal: RoundDiagram) -> bool:
-    """Whether drop 12 of bounded_equivalence_search rules out every move
-    sequence from r to goal: goal has an id that r lacks and that is not of
-    the fresh form, or a finished component of r has a Dehn framing other
-    than goal's."""
-    if any(not _is_fresh(cid) for cid in goal.ids - r.ids):
+            framed[p.c1.id], framed[p.c2.id] = (f1, p.c1.knot), (f2, p.c2.knot)
+    if unwritten and not set(r1.pairs).issuperset(unwritten):
         return True
-    # goal's Dehn framings, keyed by the id and knot a finished component shares with goal
-    frozen = {(c.id, c.knot): f for c, f in _joint_framings(goal) if not _is_fresh(c.id)}
-    return any(frozen.get((c.id, c.knot), f) != f for c, f in _joint_framings(r))
+    for p in r1.pairs:
+        if _is_joint(p):
+            f1, f2 = _dehn_framings(p)
+            for c, f in ((p.c1, f1), (p.c2, f2)):
+                goal = framed.get(c.id)
+                if goal is not None and goal[0] != f and goal[1] == c.knot and not _is_fresh(c.id):
+                    return True
+    return False
 
 
 def _can_yield(
@@ -747,11 +755,12 @@ def bounded_equivalence_search(
        apply_move calls, where the exact search alone makes 19,491
        (tests/test_moves.py pins the first count below 1,000;
        tests/reference_counts.py prints both).  The out-of-reach queries
-       of the benchmark's search workload no longer reach it: drop 12 ends
-       them at the start, and with drop 12, a search without the class
-       pass gives the same listings on the workload's op sets.
+       of the benchmark's search workload no longer reach it: the start
+       check of drops 12 and 13 (_start_apart) ends them before either
+       pass, and with it, a search without the class pass gives the same
+       listings on the workload's op sets.
     12. The frozen Dehn image, read on r1 once, before either pass
-       (_frozen_apart).  Call a component of r1 finished when it lies in a
+       (_start_apart).  Call a component of r1 finished when it lies in a
        joint pair with integral m, its id is not of the u<n> form of the
        ids _fresh_pair_ids gives, and its knot is r2's knot for its id,
        which r2 holds in a joint pair with integral m.  A finished
@@ -768,14 +777,29 @@ def bounded_equivalence_search(
        framing, so the drop covers the starts of both passes.  It reads no
        link: a start that lacks no band sum and whose linking matrix
        differs from r2's is not expanded (drop 5), so no move is applied.
+    13. Unwritten pairs, read with drop 12 in one pass over r2's pairs
+       (_start_apart).  Every move writes a k of k_range into the n2 of
+       each pair it rewrites (drop 1 keeps the search to those of ks), and
+       no move changes a pair it does not rewrite: a slide changes only
+       the slid component's pair and the linking matrix, EqMove3Add only
+       appends a pair, and EqMove3Del only shifts the indices of the pairs
+       after the one it deletes.  ks holds every n2 of r2 that k_range
+       holds, so a pair of r2 whose n2 ks lacks was never written: it is a
+       pair of r1 carried over unchanged, though its index may shift.
+       When r1 has no equal pair, no sequence reaches r2.  The drop reads
+       ks, not k_range, and it too ends the query before either pass.
+       Neither drop fires when r1 equals r2: r2 then has no id that r1
+       lacks, every pair of r2 is one of r1, and every Dehn framing is
+       r2's.  So the equality test may follow them, and the result () is
+       unchanged.
     """
     if depth < 0:
         raise MoveError(f"depth must be non-negative, got {depth}")
     ks = _search_ks(k_range, r2)
+    if _start_apart(r1, r2, ks):
+        return None
     if r1 == r2:
         return ()
-    if _frozen_apart(r1, r2):
-        return None
     if depth > 1:
         start, goal = _gauge_class(r1), _gauge_class(r2)
         if start != goal and _breadth_first(start, goal, depth, (0,) if ks else ()) is None:

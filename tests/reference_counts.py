@@ -9,7 +9,9 @@ joined by " ; ", or None.  Every query searches with k in -2..2.
   pair's n2 by 1, or sets it to -2 where that leaves the range.
 - 3-pair out-of-reach, depth 4: the start is Random(34) with 3 pairs and
   span=3, and the goal is eq_move1(start, 0, 9), which is out of reach but
-  in the start's gauge class.
+  in the start's gauge class.  Its pair 0 has n2 = 9, outside the range,
+  and the start holds no equal pair, so the search ends at its start
+  (drop 13 of bounded_equivalence_search) with no apply_move call.
 - 1-pair other m, depth 2: the shape of the query that sets the search
   workload's median, one pair whose goal has m changed.  The start is
   random_joint_diagram(Random(7), min_pairs=1, max_pairs=1, span=3), and
@@ -25,11 +27,12 @@ joined by " ; ", or None.  Every query searches with k in -2..2.
 A last row sums the apply_move calls of 300 seeded random queries and
 prints the sha256 of their listings, one result line each, so that two
 trees that search alike print the same digest; tests/test_moves.py pins
-it.  Query i starts from
-random_joint_diagram(Random(i), min_pairs=2, max_pairs=3, span=2).  Its goal
-is 1-3 legal moves of reference_box(n, (-1, 0, 2)) away, each drawn kind
-first, with that depth; every sixth goal is instead eq_move1(start, 0, 9),
-out of reach, at depth 3.
+it, and bounds their apply_move calls by today's count.  Query i starts
+from random_joint_diagram(Random(i), min_pairs=2, max_pairs=3, span=2).
+Its goal is 1-3 legal moves of reference_box(n, (-1, 0, 2)) away, each
+drawn kind first, with that depth; every sixth goal is instead
+eq_move1(start, 0, 9), out of reach, at depth 3, which drop 13 ends at the
+start.
 
 The counts depend on the code only, not on the machine.
 

@@ -991,10 +991,63 @@ def _frozen_queries(draw):
 @given(_frozen_queries())
 def test_drop_12_fires_only_where_the_reference_finds_nothing(query):
     """Whenever drop 12 ends the search at its start, the reference search
-    finds no sequence; the search's result is the reference's."""
+    finds no sequence; the search's result is the reference's.  The start
+    check reads every n2 of the goal as written, so that drop 13 cannot
+    fire in it."""
     r1, r2, depth, ks = query
     found = _reference_search(r1, r2, depth, ks)
-    if moves._frozen_apart(r1, r2):
+    if moves._start_apart(r1, r2, {p.n2 for p in r2.pairs}):
+        assert found is None
+    assert bounded_equivalence_search(r1, r2, depth, ks) == found
+
+
+@st.composite
+def _unwritten_queries(draw):
+    """(r1, r2, depth, ks) for drop 13: one or two joint pairs, sometimes
+    with a pair the moves reject (m None or 1/2, its n2 in -4..4) among
+    them, and a goal planted by one or two legal moves whose k values may
+    lie one outside ks on either side.  A planted goal is reachable with
+    some k values, so drop 12 does not fire on it, and where the start
+    check fires, drop 13 does.  At most three pairs, depth 2 on one joint
+    pair only, and at most two k values, to keep the reference fast."""
+    npairs = draw(st.integers(1, 2))
+    depth = draw(st.integers(1, 3 - npairs))
+    lo = draw(st.integers(-2, 1))
+    ks = tuple(range(lo, lo + draw(st.integers(1, 2))))
+    small = st.integers(-2, 2)
+    knot = st.sampled_from(("unknot", "trefoil"))
+    pairs = [
+        joint(comp(f"a{2 * i}", draw(knot)), draw(small), comp(f"a{2 * i + 1}"), draw(small), draw(small))
+        for i in range(npairs)
+    ]
+    if draw(st.booleans()):
+        m = draw(st.sampled_from((None, Rational(1, 2))))
+        rejected = JointPair(comp("b0"), draw(small), comp("b1"), draw(st.integers(-4, 4)), m)
+        pairs.insert(draw(st.integers(0, npairs)), rejected)
+    ids = [c.id for p in pairs for c in (p.c1, p.c2)]
+    lk = LinkingMatrix((x, y, draw(st.integers(-1, 1))) for x, y in itertools.combinations(ids, 2))
+    r1 = RoundDiagram(pairs, (), lk)
+    r2 = r1
+    for _ in range(draw(st.integers(1, depth))):
+        legal = []
+        for move in reference_box(len(r2.pairs), (lo - 1, *ks, ks[-1] + 1)):
+            try:
+                legal.append(apply_move(r2, move))
+            except MoveError:
+                pass
+        r2 = draw(st.sampled_from(legal))
+    return r1, r2, depth, ks
+
+
+@settings(max_examples=60, deadline=None)
+@given(_unwritten_queries())
+def test_drop_13_fires_only_where_the_reference_finds_nothing(query):
+    """Whenever the start check, given the k values the search writes,
+    ends the search at its start, the reference search finds no sequence;
+    the search's result is the reference's."""
+    r1, r2, depth, ks = query
+    found = _reference_search(r1, r2, depth, ks)
+    if moves._start_apart(r1, r2, moves._search_ks(ks, r2)):
         assert found is None
     assert bounded_equivalence_search(r1, r2, depth, ks) == found
 
@@ -1025,8 +1078,9 @@ _FINISHED = RoundDiagram(
 )
 def test_drop_12_fires_on_the_start_or_a_finishing_slide(goal, fires, reachable):
     """Drop 12 reads the start only: it fires where a finished component's
-    Dehn framing differs from the goal's, and on no slide."""
-    assert moves._frozen_apart(_FINISHED, goal) == fires
+    Dehn framing differs from the goal's, and on no slide.  Every n2 of
+    these goals lies in -2..2, so drop 13 cannot fire in the start check."""
+    assert moves._start_apart(_FINISHED, goal, range(-2, 3)) == fires
     found = bounded_equivalence_search(_FINISHED, goal, 2, (0,))
     assert (found is not None) == reachable
 
@@ -1062,16 +1116,18 @@ def test_search_builds_no_state_it_would_drop(monkeypatch):
     on a pass's last level no EqMove3Del leaves other pairs than the
     goal's, and every other move rewrites exactly the pairs in which its
     state differs from the goal; and no ShuffleB is written with pair >
-    pair2.  Two goals are the start after one or two slides, regauged to
-    k = 9 outside the k range: the class pass finds their class, and the
-    exact search exhausts depth 3, adding and deleting the unknot pair on
-    the way.  Two keep every knot but differ from the start in u1's Dehn
-    framing, which no move but a slide or a deletion and addition of its
-    pair changes (u1 is of the fresh form, so drop 12 does not end the
-    search at its start), and the class pass exhausts depth 3: the start
-    after a ShuffleB with u1 reframed, whose last level tries shuffles, and
-    from a start with a second unknot pair and u1 reframed, the start
-    without either.  The last goal is the start with u1 reframed, from the
+    pair2.  Two goals are in the class of the start after two or three
+    slides, but take one more move than depth 3, since every pair the
+    slides leave is regauged inside the k range (drop 13 reads only n2
+    values outside it): the class pass finds their class, and the exact
+    search exhausts depth 3, adding and deleting an unknot pair on the way
+    from a start with a second one.  Two keep every knot but differ from
+    the start in u1's Dehn framing, which no move but a slide or a
+    deletion and addition of its pair changes (u1 is of the fresh form, so
+    drop 12 does not end the search at its start), and the class pass
+    exhausts depth 3: the start after a ShuffleB with u1 reframed, whose
+    last level tries shuffles, and from a start with a second unknot pair
+    and u1 reframed, the start without either.  The last goal is the start with u1 reframed, from the
     start with a second unknot pair: the class pass deletes u1, u2, and
     appends them again with one move left while u3 and u4, which the goal
     lacks, are still there."""
@@ -1081,15 +1137,19 @@ def test_search_builds_no_state_it_would_drop(monkeypatch):
         LinkingMatrix([("a", "b", 1)]),
     )
     three = RoundDiagram([*start.pairs, joint(comp("u3"), 0, comp("u4"), 0, -1)], (), start.lk)
-    slid = eq_move4(start, "11over12", 0, None, 0)
     shuffled = shuffle_b(start, 0, 1, 0, 0)
+
+    def slid(r, times):  # r after a slides over b that many times
+        for _ in range(times):
+            r = eq_move4(r, "11over12", 0, None, 0)
+        return r
 
     def reframed_u1(r):  # r with u1's Dehn framing one larger
         return _with_pair(r, next(i for i, p in enumerate(r.pairs) if p.c1.id == "u1"), n1_step=1)
 
     queries = [
-        (start, eq_move1(slid, 0, 9)),
-        (start, eq_move1(eq_move4(slid, "11over12", 0, None, 0), 0, 9)),
+        (three, eq_move1(eq_move1(slid(three, 2), 1, 1), 2, 1)),
+        (start, eq_move1(slid(start, 3), 1, 1)),
         (start, reframed_u1(shuffled)),
         (reframed_u1(three), start),
         (three, reframed_u1(start)),
@@ -1126,15 +1186,24 @@ def test_search_builds_no_state_it_would_drop(monkeypatch):
 
 @pytest.mark.parametrize("goal", ["other m", "regauged"])
 def test_search_adds_no_pair_where_no_move_is_left_to_delete_it(monkeypatch, goal):
-    """The query class that sets the search workload's median: one pair,
-    depth 2, a goal out of reach.  A goal with m changed changes the Dehn
+    """Depth 2, a goal out of reach.  On one pair, a goal with m changed
+    (the query class of the search workload's median) changes the Dehn
     framing of a finished component, so the search ends at its start
-    (drop 12): no pass runs and no move is applied.  A goal regauged to
-    k = 9, outside the range, is in the start's class, so only the exact
-    search runs, and rules it out; it applies no EqMove3Add, since after
-    it one move is left, and the goal lacks the ids it appends."""
+    (drop 12): no pass runs and no move is applied.  A goal with each of
+    three pairs regauged inside the range, which drop 13 does not end, is
+    in the start's class, so only the exact search runs, and rules it out;
+    it applies no EqMove3Add, since after it one move is left, and the
+    goal lacks the ids it appends."""
     r = one_pair_diagram(3, 1, 2, lk=1)
-    r2 = one_pair_diagram(3, 1, 3, lk=1) if goal == "other m" else eq_move1(r, 0, 9)
+    if goal == "other m":
+        r2 = one_pair_diagram(3, 1, 3, lk=1)
+    else:
+        r = RoundDiagram(
+            [*r.pairs, joint(comp("c"), 0, comp("d", "trefoil"), -1, 3), joint(comp("e"), 2, comp("f"), 0, -2)],
+            (),
+            LinkingMatrix([("a", "b", 1), ("a", "c", 1), ("b", "e", -1)]),
+        )
+        r2 = eq_move1(eq_move1(eq_move1(r, 0, 2), 1, 2), 2, 2)
     passes = _traced_passes(monkeypatch)
     assert bounded_equivalence_search(r, r2, 2, range(-2, 3)) is None
     applied = [move.kind for _, _, _, calls in passes for _, move, _ in calls]
@@ -1149,15 +1218,17 @@ def test_search_ends_at_the_start_when_the_goal_has_an_id_no_move_adds(monkeypat
     """Only EqMove3Add adds ids, and only of the u<n> form, so a goal that
     holds an id of another form that the start lacks is out of reach, and
     the search ends at its start (drop 12), though the goal's new pair is
-    two unknots whose Dehn framings are two blow-ups.  With u<n> ids the
-    same pair is one EqMove3Add away."""
+    two unknots whose Dehn framings are two blow-ups.  An id is of that
+    form only when it is u followed by digits: ux and c1 are not.  With
+    u<n> ids the same pair is one EqMove3Add away."""
     r = one_pair_diagram(3, 1, 2, lk=1)
     calls = []
     apply = moves.apply_move
     monkeypatch.setattr(moves, "apply_move", lambda d, move: calls.append(move) or apply(d, move))
-    goal = RoundDiagram([*r.pairs, joint(comp("c"), 0, comp("d"), 0, 1)], (), r.lk)
-    assert bounded_equivalence_search(r, goal, 3, range(-2, 3)) is None
-    assert calls == []
+    for c1, c2 in (("c", "d"), ("ux", "uy"), ("c1", "c2")):
+        goal = RoundDiagram([*r.pairs, joint(comp(c1), 0, comp(c2), 0, 1)], (), r.lk)
+        assert bounded_equivalence_search(r, goal, 3, range(-2, 3)) is None
+        assert calls == [], (c1, c2)
     fresh = RoundDiagram([*r.pairs, joint(comp("u1"), 0, comp("u2"), 0, 1)], (), r.lk)
     assert bounded_equivalence_search(r, fresh, 3, range(-2, 3)) == (
         MoveDescriptor(MoveKind.EQ_MOVE3_ADD, k=0, delta=0, sign=1),
@@ -1198,17 +1269,20 @@ def test_search_equals_the_reference_on_wide_k_ranges():
 
 
 def test_search_cost_does_not_grow_with_the_k_range(monkeypatch):
-    # the goal is in the start's gauge class, with k = 9 outside both k
-    # ranges: the class pass admits it, the exact search exhausts depth 3
-    r = random_joint_diagram(random.Random(3), min_pairs=2, max_pairs=2, span=3)
-    goal = eq_move1(r, 0, 9)
+    # the goal regauges each of three pairs inside both k ranges, so it is
+    # in the start's gauge class and only the exact search runs; its inner
+    # level writes each range's least k, and it exhausts depth 2
+    r = random_joint_diagram(random.Random(3), min_pairs=3, max_pairs=3, span=3)
+    goal = r
+    for i, p in enumerate(r.pairs):
+        goal = eq_move1(goal, i, p.n2 + 1)
     calls = []
     apply = moves.apply_move
     monkeypatch.setattr(moves, "apply_move", lambda d, move: calls.append(move) or apply(d, move))
     counts = []
     for ks in (range(-5, 6), range(-500, 6)):
         calls.clear()
-        assert bounded_equivalence_search(r, goal, 3, ks) is None
+        assert bounded_equivalence_search(r, goal, 2, ks) is None
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
 
@@ -1229,13 +1303,41 @@ def test_the_gauge_class_pass_ends_a_reframed_slide_goal_early(monkeypatch):
     assert 0 < len(calls) <= 1_000
 
 
-def test_the_random_reference_queries_keep_their_listing_digest():
+def test_the_random_reference_queries_keep_their_listing_digest(monkeypatch):
     # the 300 seeded queries of tests/reference_counts.py, which prints this
-    # digest of their listings: a search change that changes a result fails
+    # digest of their listings and their apply_move calls: a search change
+    # that changes a result fails, and so does one that makes more calls
+    # (the bound is today's count; a change that lowers it lowers the bound)
+    calls = [0]
+    apply = moves.apply_move
+
+    def counted(d, move):
+        calls[0] += 1
+        return apply(d, move)
+
+    monkeypatch.setattr(moves, "apply_move", counted)
     found = [bounded_equivalence_search(s, g, depth, K_RANGE) for s, g, depth in _random_queries()]
     listing = "".join(_result(f) + "\n" for f in found)
     assert hashlib.sha256(listing.encode()).hexdigest() == (
         "c4648b2a57f49b81a59cdd87172e5e819c42fa105188101a84dfff1d8d55c578"
+    )
+    assert calls[0] <= 108_966
+
+
+def test_search_reads_a_range_that_descends_or_holds_one_value():
+    """A range is read by its two ends, whichever way it runs: a
+    descending range searches like the ascending one with the same values,
+    here writing their least k on an inner level, and a one-value range
+    searches with its value."""
+    r = parse((Path(__file__).parent / "corpus" / "07_round_two_pairs_linked.rsd").read_text()).diagram
+    goal = eq_move4(eq_move3_add(r, 1, 0, 1), "11over21", 2, 0, 2)
+    found = bounded_equivalence_search(r, goal, 2, range(2, -3, -1))
+    assert found == bounded_equivalence_search(r, goal, 2, range(-2, 3)) == (
+        MoveDescriptor(MoveKind.EQ_MOVE3_ADD, k=-2, delta=0, sign=1),
+        MoveDescriptor(MoveKind.EQ_MOVE4, pair=2, pair2=0, variant="11over21", k=2),
+    )
+    assert bounded_equivalence_search(r, eq_move1(r, 0, 0), 1, range(0, 1)) == (
+        MoveDescriptor(MoveKind.EQ_MOVE1, pair=0, k=0),
     )
 
 
