@@ -461,6 +461,8 @@ def _round_moves(
                 yield MoveDescriptor(MoveKind.EQ_MOVE3_DEL, pair=i)
     if MoveKind.EQ_MOVE4 in kinds:
         for i in joint:
+            if not slot_ks[i]:
+                continue  # no k to write into pair i, so no slide's knot is built
             for j in (None, *joint):  # pair2=None sorts first
                 if j != i:
                     for variant in _SINGLE_PAIR_VARIANTS if j is None else _DOUBLE_PAIR_VARIANTS:
@@ -528,35 +530,36 @@ def _is_fresh(cid: ComponentId) -> bool:
     return cid[:1] == "u" and cid[1:].isdigit()
 
 
-def _start_apart(r1: RoundDiagram, r2: RoundDiagram, ks: Container[int]) -> bool:
-    """Whether drop 12 or drop 13 of bounded_equivalence_search rules out
-    every move sequence from r1 to r2, reading r2's pairs once: r2 has an
-    id that r1 lacks and that is not of the fresh form, or a pair whose n2
-    ks lacks and that is no pair of r1, or a finished component of r1 has
-    a Dehn framing other than r2's."""
+def _start_apart(r1: RoundDiagram, r2: RoundDiagram, k_range: Iterable[int]) -> Optional[tuple[int, ...]]:
+    """The k values the exact search writes (_search_ks), or None when drop
+    12 or drop 13 of bounded_equivalence_search rules out every move
+    sequence from r1 to r2: r2 has an id that r1 lacks and that is not of
+    the fresh form, or a finished component of r1 has a Dehn framing other
+    than r2's, or r2 has a pair whose n2 the k values lack and that is no
+    pair of r1.  Drop 12 reads no k, so the k values are built only for a
+    query that it does not end."""
     new = r2.ids - r1.ids
     if new and any(not _is_fresh(cid) for cid in new):
-        return True
+        return None
     # the Dehn framing and knot of each component of r2's joint pairs, keyed
     # by id, so that only a framing that differs leads to comparing knots
     framed: dict[ComponentId, tuple[int, KnotExpr]] = {}
-    unwritten = []
     for p in r2.pairs:
-        if p.n2 not in ks:
-            unwritten.append(p)
         if _is_joint(p):
             f1, f2 = _dehn_framings(p)
             framed[p.c1.id], framed[p.c2.id] = (f1, p.c1.knot), (f2, p.c2.knot)
-    if unwritten and not set(r1.pairs).issuperset(unwritten):
-        return True
     for p in r1.pairs:
         if _is_joint(p):
             f1, f2 = _dehn_framings(p)
             for c, f in ((p.c1, f1), (p.c2, f2)):
                 goal = framed.get(c.id)
                 if goal is not None and goal[0] != f and goal[1] == c.knot and not _is_fresh(c.id):
-                    return True
-    return False
+                    return None
+    ks = _search_ks(k_range, r2)
+    unwritten = [p for p in r2.pairs if p.n2 not in ks]
+    if unwritten and not set(r1.pairs).issuperset(unwritten):
+        return None
+    return ks
 
 
 def _can_yield(
@@ -664,7 +667,8 @@ def bounded_equivalence_search(
     1. k values.  Every level but the last writes into each pair slot only
        the least k of k_range and those of r2's n2 values that k_range
        holds (_search_ks), so the cost does not grow with k_range, which
-       is read once and never stored.  Take a k that a move on an inner
+       is read at most once, only for a query that drop 12 does not end
+       (_start_apart), and never stored.  Take a k that a move on an inner
        level writes into a pair.  If a later move rewrites or deletes that
        pair, it read the pair only through its Dehn framings (see the
        module docstring), as did every move in between, so the same
@@ -753,50 +757,54 @@ def bounded_equivalence_search(
        from r1 whose slid component's n1 is raised by 1 is unreachable,
        and at depth 4 with k in -2..2 the class pass says so after 365
        apply_move calls, where the exact search alone makes 19,491
-       (tests/test_moves.py pins the first count below 1,000;
-       tests/reference_counts.py prints both).  The out-of-reach queries
-       of the benchmark's search workload no longer reach it: the start
-       check of drops 12 and 13 (_start_apart) ends them before either
-       pass, and with it, a search without the class pass gives the same
+       (tests/reference_counts.py prints both, and tests/test_moves.py
+       bounds each by that count).  The out-of-reach queries of the
+       benchmark's search workload no longer reach it: the start check of
+       drops 12 and 13 (_start_apart) ends them before either pass, each
+       by drop 12 (its goal changes one pair's m) before any k value is
+       built, and with it, a search without the class pass gives the same
        listings on the workload's op sets.
-    12. The frozen Dehn image, read on r1 once, before either pass
-       (_start_apart).  Call a component of r1 finished when it lies in a
-       joint pair with integral m, its id is not of the u<n> form of the
-       ids _fresh_pair_ids gives, and its knot is r2's knot for its id,
-       which r2 holds in a joint pair with integral m.  A finished
-       component is never slid on a path to r2: the slide would add a band
-       sum to its knot, which then lies off r2's spine for good (drop 3).
-       Nor is it deleted: only EqMove3Add adds ids, and only of the u<n>
-       form, so its id, which r2 has, would not come back.  Only a slide
-       changes a Dehn framing, and only the slid component's; every other
-       move keeps every Dehn framing or adds fresh components only (see the
-       module docstring).  So a finished component keeps its Dehn framing
-       on every path to r2, and when it differs from r2's no sequence
-       reaches r2.  Neither does one when r2 has an id that r1 lacks and
-       that is not of the u<n> form.  A gauge class keeps every Dehn
-       framing, so the drop covers the starts of both passes.  It reads no
-       link: a start that lacks no band sum and whose linking matrix
-       differs from r2's is not expanded (drop 5), so no move is applied.
-    13. Unwritten pairs, read with drop 12 in one pass over r2's pairs
-       (_start_apart).  Every move writes a k of k_range into the n2 of
-       each pair it rewrites (drop 1 keeps the search to those of ks), and
-       no move changes a pair it does not rewrite: a slide changes only
-       the slid component's pair and the linking matrix, EqMove3Add only
-       appends a pair, and EqMove3Del only shifts the indices of the pairs
-       after the one it deletes.  ks holds every n2 of r2 that k_range
-       holds, so a pair of r2 whose n2 ks lacks was never written: it is a
-       pair of r1 carried over unchanged, though its index may shift.
-       When r1 has no equal pair, no sequence reaches r2.  The drop reads
-       ks, not k_range, and it too ends the query before either pass.
-       Neither drop fires when r1 equals r2: r2 then has no id that r1
-       lacks, every pair of r2 is one of r1, and every Dehn framing is
-       r2's.  So the equality test may follow them, and the result () is
-       unchanged.
+    12. The frozen Dehn image, read on r1 once, before either pass and
+       before any k value is built (_start_apart).  Call a component of r1
+       finished when it lies in a joint pair with integral m, its id is not
+       of the u<n> form of the ids _fresh_pair_ids gives, and its knot is
+       r2's knot for its id, which r2 holds in a joint pair with integral
+       m.  A finished component is never slid on a path to r2: the slide
+       would add a band sum to its knot, which then lies off r2's spine for
+       good (drop 3).  Nor is it deleted: only EqMove3Add adds ids, and
+       only of the u<n> form, so its id, which r2 has, would not come back.
+       Only a slide changes a Dehn framing, and only the slid component's;
+       every other move keeps every Dehn framing or adds fresh components
+       only (see the module docstring).  So a finished component keeps its
+       Dehn framing on every path to r2, and when it differs from r2's no
+       sequence reaches r2.  Neither does one when r2 has an id that r1
+       lacks and that is not of the u<n> form.  A gauge class keeps every
+       Dehn framing, so the drop covers the starts of both passes.  It
+       reads no link: a start that lacks no band sum and whose linking
+       matrix differs from r2's is not expanded (drop 5), so no move is
+       applied.
+    13. Unwritten pairs, read right after drop 12 (_start_apart), on the k
+       values of drop 1, which are built only for a query that drop 12 does
+       not end.  Every move writes a k of k_range into the n2 of each pair
+       it rewrites (drop 1 keeps the search to those of ks), and no move
+       changes a pair it does not rewrite: a slide changes only the slid
+       component's pair and the linking matrix, EqMove3Add only appends a
+       pair, and EqMove3Del only shifts the indices of the pairs after the
+       one it deletes.  ks holds every n2 of r2 that k_range holds, so a
+       pair of r2 whose n2 ks lacks was never written: it is a pair of r1
+       carried over unchanged, though its index may shift.  When r1 has no
+       equal pair, no sequence reaches r2.  The drop reads ks, not k_range,
+       and it too ends the query before either pass.  Each of the two drops
+       alone ends the query, so the order in which they are read does not
+       change the result.  Neither drop fires when r1 equals r2: r2 then
+       has no id that r1 lacks, every pair of r2 is one of r1, and every
+       Dehn framing is r2's.  So the equality test may follow them, and the
+       result () is unchanged.
     """
     if depth < 0:
         raise MoveError(f"depth must be non-negative, got {depth}")
-    ks = _search_ks(k_range, r2)
-    if _start_apart(r1, r2, ks):
+    ks = _start_apart(r1, r2, k_range)
+    if ks is None:
         return None
     if r1 == r2:
         return ()

@@ -17,7 +17,8 @@ joined by " ; ", or None.  Every query searches with k in -2..2.
   random_joint_diagram(Random(7), min_pairs=1, max_pairs=1, span=3), and
   the goal raises its m by 1, which changes the Dehn framing of a
   component whose knot is already the goal's, so the search ends at its
-  start (drop 12 of bounded_equivalence_search) with no apply_move call.
+  start (drop 12 of bounded_equivalence_search) with no apply_move call,
+  before it builds any k value.
 - Pinned reframed slide, depth 4: the query of
   test_the_gauge_class_pass_ends_a_reframed_slide_goal_early, a goal one
   slide away with the slid component's n1 raised by 1: 365 calls, and
@@ -34,15 +35,19 @@ drawn kind first, with that depth; every sixth goal is instead
 eq_move1(start, 0, 9), out of reach, at depth 3, which drop 13 ends at the
 start.
 
-The counts depend on the code only, not on the machine.
+The counts depend on the code only, not on the machine.  Tier-1
+(tests/test_moves.py) reads the same table, QUERIES, and bounds each row's
+calls by today's count, its last field.
 
     PYTHONPATH=src python tests/reference_counts.py
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import random
+from typing import Iterator
 
 from helpers import random_joint_diagram, reference_box
 from roundsurgery import (
@@ -117,18 +122,23 @@ def _result(found) -> str:
     return "None" if found is None else " ; ".join(move.to_line() for move in found)
 
 
-# (name, start and goal, depth, search)
+# (name, start and goal, depth, search, most apply_move calls): tier-1
+# bounds each row's calls by its last field, today's count, so a change that
+# lowers a count lowers its bound (tests/test_moves.py)
 QUERIES = [
-    ("4-pair regauge", _regauge, 3, bounded_equivalence_search),
-    ("4-pair regauge", _regauge, 4, bounded_equivalence_search),
-    ("3-pair out-of-reach", _out_of_reach, 4, bounded_equivalence_search),
-    ("1-pair other m", _other_m, 2, bounded_equivalence_search),
-    ("pinned reframed slide", _reframed_slide, 4, bounded_equivalence_search),
-    ("pinned reframed slide, exact pass alone", _reframed_slide, 4, _exact_pass),
+    ("4-pair regauge", _regauge, 3, bounded_equivalence_search, 2_070),
+    ("4-pair regauge", _regauge, 4, bounded_equivalence_search, 43_955),
+    ("3-pair out-of-reach", _out_of_reach, 4, bounded_equivalence_search, 0),
+    ("1-pair other m", _other_m, 2, bounded_equivalence_search, 0),
+    ("pinned reframed slide", _reframed_slide, 4, bounded_equivalence_search, 365),
+    ("pinned reframed slide, exact pass alone", _reframed_slide, 4, _exact_pass, 19_491),
 ]
 
 
-def main() -> None:
+@contextlib.contextmanager
+def counted_calls() -> Iterator[list[int]]:
+    """Count the moves.apply_move calls made inside the block in the one
+    item of the list it yields."""
     calls = [0]
     apply = moves.apply_move
 
@@ -138,21 +148,25 @@ def main() -> None:
 
     moves.apply_move = counted
     try:
-        print(f"{'query':40} {'depth':>5} {'apply_move calls':>16}  result")
-        for name, make, depth, search in QUERIES:
-            start, goal = make()
-            calls[0] = 0
-            found = search(start, goal, depth, K_RANGE)
-            print(f"{name:40} {depth:5} {calls[0]:16,}  {_result(found)}")
-        queries = _random_queries()
-        calls[0] = 0
-        found = [bounded_equivalence_search(start, goal, depth, K_RANGE) for start, goal, depth in queries]
-        listing = "".join(_result(f) + "\n" for f in found)
-        digest = hashlib.sha256(listing.encode()).hexdigest()
-        hits = sum(f is not None for f in found)
-        print(f"{f'{len(queries)} random queries':40} {'1-3':>5} {calls[0]:16,}  {hits} found, sha256 {digest}")
+        yield calls
     finally:
         moves.apply_move = apply
+
+
+def main() -> None:
+    print(f"{'query':40} {'depth':>5} {'apply_move calls':>16}  result")
+    for name, make, depth, search, _ in QUERIES:
+        start, goal = make()
+        with counted_calls() as calls:
+            found = search(start, goal, depth, K_RANGE)
+        print(f"{name:40} {depth:5} {calls[0]:16,}  {_result(found)}")
+    queries = _random_queries()
+    with counted_calls() as calls:
+        found = [bounded_equivalence_search(start, goal, depth, K_RANGE) for start, goal, depth in queries]
+    listing = "".join(_result(f) + "\n" for f in found)
+    digest = hashlib.sha256(listing.encode()).hexdigest()
+    hits = sum(f is not None for f in found)
+    print(f"{f'{len(queries)} random queries':40} {'1-3':>5} {calls[0]:16,}  {hits} found, sha256 {digest}")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import comp, joint, one_pair_diagram, random_dehn, random_joint_diagram, reference_box
-from reference_counts import K_RANGE, _random_queries, _result
+from reference_counts import K_RANGE, QUERIES, _other_m, _random_queries, _result, counted_calls
 from roundsurgery import (
     AbelianGroup,
     Atom,
@@ -992,11 +992,11 @@ def _frozen_queries(draw):
 def test_drop_12_fires_only_where_the_reference_finds_nothing(query):
     """Whenever drop 12 ends the search at its start, the reference search
     finds no sequence; the search's result is the reference's.  The start
-    check reads every n2 of the goal as written, so that drop 13 cannot
-    fire in it."""
+    check is given every n2 of the goal as its k range, so that drop 13
+    cannot fire in it."""
     r1, r2, depth, ks = query
     found = _reference_search(r1, r2, depth, ks)
-    if moves._start_apart(r1, r2, {p.n2 for p in r2.pairs}):
+    if moves._start_apart(r1, r2, {p.n2 for p in r2.pairs}) is None:
         assert found is None
     assert bounded_equivalence_search(r1, r2, depth, ks) == found
 
@@ -1042,12 +1042,12 @@ def _unwritten_queries(draw):
 @settings(max_examples=60, deadline=None)
 @given(_unwritten_queries())
 def test_drop_13_fires_only_where_the_reference_finds_nothing(query):
-    """Whenever the start check, given the k values the search writes,
-    ends the search at its start, the reference search finds no sequence;
-    the search's result is the reference's."""
+    """Whenever the start check, given the search's k range, ends the
+    search at its start, the reference search finds no sequence; the
+    search's result is the reference's."""
     r1, r2, depth, ks = query
     found = _reference_search(r1, r2, depth, ks)
-    if moves._start_apart(r1, r2, moves._search_ks(ks, r2)):
+    if moves._start_apart(r1, r2, ks) is None:
         assert found is None
     assert bounded_equivalence_search(r1, r2, depth, ks) == found
 
@@ -1080,7 +1080,8 @@ def test_drop_12_fires_on_the_start_or_a_finishing_slide(goal, fires, reachable)
     """Drop 12 reads the start only: it fires where a finished component's
     Dehn framing differs from the goal's, and on no slide.  Every n2 of
     these goals lies in -2..2, so drop 13 cannot fire in the start check."""
-    assert moves._start_apart(_FINISHED, goal, range(-2, 3)) == fires
+    ks = moves._start_apart(_FINISHED, goal, range(-2, 3))
+    assert ks == (None if fires else moves._search_ks(range(-2, 3), goal))
     found = bounded_equivalence_search(_FINISHED, goal, 2, (0,))
     assert (found is not None) == reachable
 
@@ -1303,20 +1304,26 @@ def test_the_gauge_class_pass_ends_a_reframed_slide_goal_early(monkeypatch):
     assert 0 < len(calls) <= 1_000
 
 
-def test_the_random_reference_queries_keep_their_listing_digest(monkeypatch):
+@pytest.mark.parametrize(
+    "name, make, depth, search, most", QUERIES, ids=[f"{name}, depth {depth}" for name, _, depth, *_ in QUERIES]
+)
+def test_the_reference_queries_keep_their_call_bounds(name, make, depth, search, most):
+    """Each row of tests/reference_counts.py, which prints these counts,
+    makes at most today's apply_move calls: a search change that makes
+    more fails (a change that lowers a count lowers its bound there)."""
+    start, goal = make()
+    with counted_calls() as calls:
+        search(start, goal, depth, K_RANGE)
+    assert calls[0] <= most
+
+
+def test_the_random_reference_queries_keep_their_listing_digest():
     # the 300 seeded queries of tests/reference_counts.py, which prints this
     # digest of their listings and their apply_move calls: a search change
     # that changes a result fails, and so does one that makes more calls
     # (the bound is today's count; a change that lowers it lowers the bound)
-    calls = [0]
-    apply = moves.apply_move
-
-    def counted(d, move):
-        calls[0] += 1
-        return apply(d, move)
-
-    monkeypatch.setattr(moves, "apply_move", counted)
-    found = [bounded_equivalence_search(s, g, depth, K_RANGE) for s, g, depth in _random_queries()]
+    with counted_calls() as calls:
+        found = [bounded_equivalence_search(s, g, depth, K_RANGE) for s, g, depth in _random_queries()]
     listing = "".join(_result(f) + "\n" for f in found)
     assert hashlib.sha256(listing.encode()).hexdigest() == (
         "c4648b2a57f49b81a59cdd87172e5e819c42fa105188101a84dfff1d8d55c578"
@@ -1339,6 +1346,81 @@ def test_search_reads_a_range_that_descends_or_holds_one_value():
     assert bounded_equivalence_search(r, eq_move1(r, 0, 0), 1, range(0, 1)) == (
         MoveDescriptor(MoveKind.EQ_MOVE1, pair=0, k=0),
     )
+
+
+def test_search_builds_no_k_value_for_a_query_drop_12_ends(monkeypatch):
+    """Drop 12 reads no k, so the start check builds the k values
+    (_search_ks) only for a query that drop 12 does not end: the "1-pair
+    other m" reference query, which drop 12 ends, returns None with
+    _search_ks raising, and a query that passes the start check builds
+    them once."""
+    start, goal = _other_m()
+    search_ks = moves._search_ks
+
+    def refused(k_range, r2):
+        raise AssertionError("k values built")
+
+    monkeypatch.setattr(moves, "_search_ks", refused)
+    assert bounded_equivalence_search(start, goal, 2, K_RANGE) is None
+    built = []
+    monkeypatch.setattr(moves, "_search_ks", lambda k_range, r2: built.append(r2) or search_ks(k_range, r2))
+    assert bounded_equivalence_search(start, eq_move1(start, 0, 0), 2, K_RANGE) == (
+        MoveDescriptor(MoveKind.EQ_MOVE1, pair=0, k=0),
+    )
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize(
+    "empty", [lambda: range(0), lambda: [], lambda: (k for k in ())], ids=["range", "list", "generator"]
+)
+def test_search_reads_an_empty_k_range(empty):
+    """With no k value, no move that writes one is tried: a deletion is
+    still found, r is reached from itself by no move, and a goal that
+    regauges a pair is out of reach."""
+    r = parse((Path(__file__).parent / "corpus" / "07_round_two_pairs_linked.rsd").read_text()).diagram
+    assert bounded_equivalence_search(eq_move3_add(r, 0, 0, 1), r, 2, empty()) == (
+        MoveDescriptor(MoveKind.EQ_MOVE3_DEL, pair=2),
+    )
+    assert bounded_equivalence_search(r, r, 2, empty()) == ()
+    assert bounded_equivalence_search(r, eq_move1(r, 0, 5), 2, empty()) is None
+
+
+def _lexicographic_paths(start, depth, ks):
+    """Every state within depth moves of start, with the lexicographically
+    least among the shortest sequences of reference_box moves reaching it:
+    a plain breadth-first search that expands each level's states in the
+    order of their sequences and tries the moves in sort_key order."""
+    paths, frontier = {start: ()}, [start]
+    for _ in range(depth):
+        next_frontier = []
+        for state in frontier:
+            for move in reference_box(len(state.pairs), ks):
+                try:
+                    new = apply_move(state, move)
+                except MoveError:
+                    continue
+                if new not in paths:
+                    paths[new] = paths[state] + (move,)
+                    next_frontier.append(new)
+        frontier = next_frontier
+    return paths
+
+
+def test_search_equals_the_least_path_on_every_goal_of_a_small_scope():
+    """The depth-1 small-scope check: from each of 72 one-pair starts (n1
+    and n2 in -1..1, m = +-1, lk 0 or 1, the second knot an unknot or a
+    trefoil), every state within two moves, k in -1..1, is a goal.  The
+    search at depth 1 returns the least path of one found within a move,
+    and None for one two moves away (41,936 goals)."""
+    ks = (-1, 0, 1)
+    goals = 0
+    for n1, n2, m, lk, knot in itertools.product(ks, ks, (-1, 1), (0, 1), ("unknot", "trefoil")):
+        start = one_pair_diagram(n1, n2, m, lk=lk, knot2=knot)
+        for goal, path in _lexicographic_paths(start, 2, ks).items():
+            expected = path if len(path) <= 1 else None
+            assert bounded_equivalence_search(start, goal, 1, range(-1, 2)) == expected, (start, goal)
+            goals += 1
+    assert goals == 41_936
 
 
 def test_search_reads_a_wide_k_range_in_constant_memory():
